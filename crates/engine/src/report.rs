@@ -510,22 +510,47 @@ fn scenario_json(scenario: &Scenario) -> String {
 /// Escapes and quotes a string for JSON output.
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    push_json_string(&mut out, s);
     out
+}
+
+/// Appends `s` to `out` as a quoted JSON string literal — the workspace's
+/// one JSON string escaper, shared by the reports and the sweep service's
+/// wire protocol.
+///
+/// Escaping is the minimal canonical set: `"`, `\` and the control
+/// characters below U+0020 (`\n`, `\r`, `\t` by name, the rest as
+/// `\u00xx`).  Everything else, multi-byte characters included, is copied
+/// verbatim, a whole unescaped run per `push_str`.  Every byte that needs
+/// escaping is ASCII, so run boundaries always fall on character
+/// boundaries.
+pub fn push_json_string(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(s.len() + 2);
+    out.push('"');
+    let mut run = 0;
+    for (i, &byte) in s.as_bytes().iter().enumerate() {
+        let named = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if named.is_empty() {
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(byte >> 4)]));
+            out.push(char::from(HEX[usize::from(byte & 0xf)]));
+        } else {
+            out.push_str(named);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 /// Formats a float as a JSON number (shortest round-trip form; non-finite
@@ -690,6 +715,10 @@ mod tests {
     #[test]
     fn json_is_stable_and_escapes() {
         assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(json_string("\u{1}é\r🦀\u{1f}\u{7f}"), "\"\\u0001é\\r🦀\\u001f\u{7f}\"");
+        let mut appended = String::from("x:");
+        push_json_string(&mut appended, "\t");
+        assert_eq!(appended, "x:\"\\t\"");
         assert_eq!(json_number(1.5), "1.5");
         assert_eq!(json_number(f64::NAN), "null");
         let report = SweepReport::from_records(vec![record("a", 3, 12.5)]);

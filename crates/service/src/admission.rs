@@ -5,7 +5,8 @@
 //! the client can distinguish "back off and retry" ([`RejectReason::QueueFull`])
 //! from "this job will never fit" ([`RejectReason::JobTooLarge`]) — and the
 //! daemon's memory stays bounded by `max_queued × max_job_items` no matter
-//! how fast clients submit.
+//! how fast clients submit.  Before a request is even parsed, the daemon
+//! bounds the line itself ([`RejectReason::LineTooLarge`]).
 
 use std::fmt;
 
@@ -73,6 +74,9 @@ pub enum RejectReason {
     EmptyJob,
     /// The daemon is shutting down and accepts no new work.
     ShuttingDown,
+    /// The request line is longer than the daemon reads before a newline
+    /// (see [`crate::daemon::MAX_REQUEST_LINE`]); the connection is closed.
+    LineTooLarge,
 }
 
 impl RejectReason {
@@ -83,6 +87,7 @@ impl RejectReason {
             RejectReason::JobTooLarge => "job-too-large",
             RejectReason::EmptyJob => "empty-job",
             RejectReason::ShuttingDown => "shutting-down",
+            RejectReason::LineTooLarge => "line-too-large",
         }
     }
 
@@ -93,6 +98,7 @@ impl RejectReason {
             RejectReason::JobTooLarge,
             RejectReason::EmptyJob,
             RejectReason::ShuttingDown,
+            RejectReason::LineTooLarge,
         ]
         .into_iter()
         .find(|r| r.label() == text)
@@ -189,6 +195,7 @@ mod tests {
             RejectReason::JobTooLarge,
             RejectReason::EmptyJob,
             RejectReason::ShuttingDown,
+            RejectReason::LineTooLarge,
         ] {
             assert_eq!(RejectReason::parse(reason.label()), Some(reason));
         }

@@ -14,6 +14,7 @@ use std::time::{Duration, Instant};
 use engine::CacheStats;
 
 use crate::admission::Rejection;
+use crate::daemon::IO_BUFFER;
 use crate::jobs::JobState;
 use crate::protocol::{Event, JobSpec, Request, Response};
 
@@ -75,6 +76,8 @@ pub struct JobOutcome {
 pub struct Client {
     reader: BufReader<UnixStream>,
     writer: UnixStream,
+    /// The last line read, reused across reads.
+    line: String,
 }
 
 impl Client {
@@ -85,8 +88,8 @@ impl Client {
     /// Propagates connection failures.
     pub fn connect(socket: impl AsRef<Path>) -> Result<Client, ServiceError> {
         let writer = UnixStream::connect(socket)?;
-        let reader = BufReader::new(writer.try_clone()?);
-        Ok(Client { reader, writer })
+        let reader = BufReader::with_capacity(IO_BUFFER, writer.try_clone()?);
+        Ok(Client { reader, writer, line: String::new() })
     }
 
     /// Sends one request and reads its one response.
@@ -99,9 +102,8 @@ impl Client {
     ///
     /// I/O failures and unparseable responses.
     pub fn request(&mut self, request: &Request) -> Result<Response, ServiceError> {
-        self.send_line(&request.to_line())?;
-        let line = self.read_line()?;
-        Response::parse(&line).map_err(ServiceError::Protocol)
+        self.send_line(request.to_line())?;
+        Response::parse(self.read_line()?).map_err(ServiceError::Protocol)
     }
 
     /// Submits a job, returning its id.
@@ -135,8 +137,7 @@ impl Client {
         let mut records = Vec::new();
         let mut progress_events = 0usize;
         loop {
-            let line = self.read_line()?;
-            match Event::parse(&line).map_err(ServiceError::Protocol)? {
+            match Event::parse(self.read_line()?).map_err(ServiceError::Protocol)? {
                 Event::Progress { completed, total, .. } => {
                     progress_events += 1;
                     on_progress(completed, total);
@@ -173,19 +174,21 @@ impl Client {
         self.wait(id, |_, _| {})
     }
 
-    fn send_line(&mut self, line: &str) -> Result<(), ServiceError> {
+    /// Sends one line, framed with its newline, as a single write.
+    fn send_line(&mut self, mut line: String) -> Result<(), ServiceError> {
+        line.push('\n');
         self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
         Ok(())
     }
 
-    fn read_line(&mut self) -> Result<String, ServiceError> {
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
+    /// Reads the next line into the reused buffer and returns it without
+    /// its terminator.
+    fn read_line(&mut self) -> Result<&str, ServiceError> {
+        self.line.clear();
+        if self.reader.read_line(&mut self.line)? == 0 {
             return Err(ServiceError::Protocol("connection closed mid-stream".to_owned()));
         }
-        Ok(line.trim_end_matches(['\n', '\r']).to_owned())
+        Ok(self.line.trim_end_matches(['\n', '\r']))
     }
 }
 

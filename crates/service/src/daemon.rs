@@ -23,10 +23,19 @@
 //! table lock (connection threads read engine stats *before* touching the
 //! table; the executor runs jobs entirely outside the table lock), so the
 //! two locks never deadlock.
+//!
+//! Robustness: a connection reads at most [`MAX_REQUEST_LINE`] bytes per
+//! request, the JSON parser bounds nesting ([`crate::json::MAX_DEPTH`]),
+//! and a job that panics is contained at the job boundary — it ends
+//! `Failed` with the panic message and the executor moves on to the next
+//! queued job.  Writes are buffered per connection: each line is framed as
+//! one write, and a submit connection flushes once per burst of queued
+//! events.
 
 use std::collections::BTreeSet;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
@@ -35,9 +44,25 @@ use std::thread::JoinHandle;
 
 use engine::{Engine, ExploreOptions, Progress, SweepPlan};
 
-use crate::admission::AdmissionLimits;
+use crate::admission::{AdmissionLimits, RejectReason, Rejection};
 use crate::jobs::{CancelOutcome, ClaimedJob, JobState, JobTable};
 use crate::protocol::{Event, JobSpec, Request, Response};
+
+/// Longest request line the daemon reads, in bytes.  A line that reaches
+/// it without a newline is answered with a typed
+/// [`RejectReason::LineTooLarge`] and the connection is closed, so memory
+/// stays bounded whatever a client sends.  The largest admissible
+/// submission under the default limits (a 20 000-scenario sweep) is about
+/// 2.6 MB, well inside the cap.
+pub const MAX_REQUEST_LINE: usize = 16 << 20;
+
+/// Socket buffer size for each connection's reader and writer, on both
+/// ends of the wire.
+pub(crate) const IO_BUFFER: usize = 64 << 10;
+
+/// The write side of a connection: buffered, flushed once per response or
+/// event burst.
+type Connection = BufWriter<UnixStream>;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -166,8 +191,7 @@ impl Shared {
             cancelled
         };
         for (id, events) in cancelled {
-            send_terminal(&events, cancelled_event(id));
-            self.jobs.lock().expect("jobs lock").finish(id, JobState::Cancelled, None, None, None);
+            finish_job(self, &events, cancelled_event(id));
         }
         self.wake.notify_all();
         // Unblock the accept loop; the dummy connection is dropped there.
@@ -214,23 +238,38 @@ fn accept_loop(shared: &Arc<Shared>, listener: UnixListener) {
 
 fn handle_connection(shared: &Arc<Shared>, stream: UnixStream) {
     let Ok(read_half) = stream.try_clone() else { return };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    let mut line = String::new();
+    let mut reader = BufReader::with_capacity(IO_BUFFER, read_half);
+    let mut writer = BufWriter::with_capacity(IO_BUFFER, stream);
+    let mut line = Vec::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        // Read at most one byte past the cap, so a client that never sends
+        // a newline cannot grow the buffer without bound.
+        match (&mut reader).take(MAX_REQUEST_LINE as u64 + 1).read_until(b'\n', &mut line) {
             Ok(0) | Err(_) => return,
             Ok(_) => {}
         }
-        let text = line.trim_end_matches(['\n', '\r']);
-        if text.is_empty() {
+        if line.len() > MAX_REQUEST_LINE && line.last() != Some(&b'\n') {
+            let rejection = Rejection {
+                reason: RejectReason::LineTooLarge,
+                detail: format!("request line exceeds {MAX_REQUEST_LINE} bytes"),
+            };
+            let _ = respond(&mut writer, Response::Rejected(rejection).to_line());
+            return;
+        }
+        while matches!(line.last(), Some(b'\n' | b'\r')) {
+            line.pop();
+        }
+        if line.is_empty() {
             continue;
         }
-        let request = match Request::parse(text) {
+        let request = std::str::from_utf8(&line)
+            .map_err(|_| "request line is not valid UTF-8".to_owned())
+            .and_then(Request::parse);
+        let request = match request {
             Ok(request) => request,
             Err(detail) => {
-                if write_line(&mut writer, &Response::Error { detail }.to_line()).is_err() {
+                if respond(&mut writer, Response::Error { detail }.to_line()).is_err() {
                     return;
                 }
                 continue;
@@ -245,16 +284,16 @@ fn handle_connection(shared: &Arc<Shared>, stream: UnixStream) {
                     Some(job) => Response::Status { cache, job },
                     None => Response::Error { detail: format!("no job {id}") },
                 };
-                write_line(&mut writer, &response.to_line()).is_ok()
+                respond(&mut writer, response.to_line()).is_ok()
             }
             Request::List => {
                 let cache = shared.engine.read().expect("engine lock").cache_stats();
                 let jobs = shared.jobs.lock().expect("jobs lock").statuses();
-                write_line(&mut writer, &Response::Jobs { cache, jobs }.to_line()).is_ok()
+                respond(&mut writer, Response::Jobs { cache, jobs }.to_line()).is_ok()
             }
             Request::Cancel { id } => handle_cancel(shared, &mut writer, id),
             Request::Shutdown => {
-                let _ = write_line(&mut writer, &Response::ShuttingDown.to_line());
+                let _ = respond(&mut writer, Response::ShuttingDown.to_line());
                 shared.initiate_shutdown();
                 false
             }
@@ -265,7 +304,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: UnixStream) {
     }
 }
 
-fn handle_submit(shared: &Arc<Shared>, writer: &mut UnixStream, spec: JobSpec) -> bool {
+fn handle_submit(shared: &Arc<Shared>, writer: &mut Connection, spec: JobSpec) -> bool {
     let (id, receiver) = {
         let mut jobs = shared.jobs.lock().expect("jobs lock");
         let admitted = shared.limits.admit(
@@ -275,22 +314,34 @@ fn handle_submit(shared: &Arc<Shared>, writer: &mut UnixStream, spec: JobSpec) -
         );
         if let Err(rejection) = admitted {
             drop(jobs);
-            return write_line(writer, &Response::Rejected(rejection).to_line()).is_ok();
+            return respond(writer, Response::Rejected(rejection).to_line()).is_ok();
         }
         let (sender, receiver) = std::sync::mpsc::channel();
         let id = jobs.enqueue(spec, Some(sender));
         (id, receiver)
     };
     shared.wake.notify_all();
-    if write_line(writer, &Response::Submitted { id }.to_line()).is_err() {
+    if respond(writer, Response::Submitted { id }.to_line()).is_err() {
         return false;
     }
     // Stream the job's events until its terminal event (or until every
-    // sender is gone, which only happens after the job finished).
-    while let Ok(event) = receiver.recv() {
-        let done = matches!(event, Event::Done { .. });
-        if write_line(writer, &event.to_line()).is_err() {
-            // Client went away; the job keeps running (cancel is explicit).
+    // sender is gone, which only happens after the job finished).  Each
+    // wake-up writes every event already queued and then flushes once, so
+    // events still go out live, but a burst (the plan-order record replay)
+    // costs a few writes rather than one per line.
+    while let Ok(first) = receiver.recv() {
+        let mut done = false;
+        for event in std::iter::once(first).chain(receiver.try_iter()) {
+            done = matches!(event, Event::Done { .. });
+            if write_line(writer, event.to_line()).is_err() {
+                // Client went away; the job keeps running (cancel is explicit).
+                return false;
+            }
+            if done {
+                break;
+            }
+        }
+        if writer.flush().is_err() {
             return false;
         }
         if done {
@@ -300,25 +351,18 @@ fn handle_submit(shared: &Arc<Shared>, writer: &mut UnixStream, spec: JobSpec) -
     true
 }
 
-fn handle_cancel(shared: &Arc<Shared>, writer: &mut UnixStream, id: u64) -> bool {
+fn handle_cancel(shared: &Arc<Shared>, writer: &mut Connection, id: u64) -> bool {
     let outcome = shared.jobs.lock().expect("jobs lock").cancel(id);
     let response = match outcome {
         CancelOutcome::WasQueued(events) => {
-            send_terminal(&events, cancelled_event(id));
-            shared.jobs.lock().expect("jobs lock").finish(
-                id,
-                JobState::Cancelled,
-                None,
-                None,
-                None,
-            );
+            finish_job(shared, &events, cancelled_event(id));
             Response::Cancelled { id, state: JobState::Cancelled }
         }
         CancelOutcome::RunningFlagRaised => Response::Cancelled { id, state: JobState::Running },
         CancelOutcome::AlreadyFinished(state) => Response::Cancelled { id, state },
         CancelOutcome::Unknown => Response::Error { detail: format!("no job {id}") },
     };
-    write_line(writer, &response.to_line()).is_ok()
+    respond(writer, response.to_line()).is_ok()
 }
 
 fn executor_loop(shared: &Arc<Shared>) {
@@ -330,7 +374,12 @@ fn executor_loop(shared: &Arc<Shared>) {
         match jobs.claim_next() {
             Some(claimed) => {
                 drop(jobs);
-                run_job(shared, claimed);
+                let (id, events) = (claimed.id, claimed.events.clone());
+                // A panicking job must not take the executor (and with it
+                // every queued submitter) down: it fails like any other job.
+                if let Err(panic) = contain(|| run_job(shared, claimed)) {
+                    finish_job(shared, &events, failed_event(id, format!("job panicked: {panic}")));
+                }
                 jobs = shared.jobs.lock().expect("jobs lock");
             }
             None => jobs = shared.wake.wait(jobs).expect("jobs lock"),
@@ -338,20 +387,24 @@ fn executor_loop(shared: &Arc<Shared>) {
     }
 }
 
+/// Runs `f`, turning a panic into `Err` carrying the panic message.
+fn contain<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    std::panic::catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        payload
+            .downcast_ref::<&str>()
+            .map(|message| (*message).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-text panic payload".to_owned())
+    })
+}
+
 /// Runs one claimed job end to end: register its generated circuits, run
-/// it on the engine, stream records and the terminal event, record the
-/// outcome in the table.  Holds no job-table lock while running.
+/// it on the engine, stream records, record the outcome in the table and
+/// send the terminal event.  Holds no job-table lock while running.
 fn run_job(shared: &Arc<Shared>, claimed: ClaimedJob) {
     let ClaimedJob { id, spec, cancel, progress, events } = claimed;
     if let Err(detail) = register_gen_circuits(shared, spec.gen_specs()) {
-        send_terminal(&events, failed_event(id, detail.clone()));
-        shared.jobs.lock().expect("jobs lock").finish(
-            id,
-            JobState::Failed,
-            None,
-            None,
-            Some(detail),
-        );
+        finish_job(shared, &events, failed_event(id, detail));
         return;
     }
 
@@ -437,16 +490,10 @@ fn run_job(shared: &Arc<Shared>, claimed: ClaimedJob) {
     let job_cache = engine.cache_stats().since(baseline);
     drop(engine);
 
-    let (state, failures, cache, error) = match outcome {
-        Err(detail) => {
-            send_terminal(&events, failed_event(id, detail.clone()));
-            (JobState::Failed, None, None, Some(detail))
-        }
-        Ok(None) => {
-            // Cancelled mid-run: partial results are discarded, never sent.
-            send_terminal(&events, cancelled_event(id));
-            (JobState::Cancelled, None, None, None)
-        }
+    let terminal = match outcome {
+        Err(detail) => failed_event(id, detail),
+        // Cancelled mid-run: partial results are discarded, never sent.
+        Ok(None) => cancelled_event(id),
         Ok(Some((failures, report, records))) => {
             if let Some(sender) = &events {
                 // Records replay in plan order — completion order never
@@ -455,21 +502,17 @@ fn run_job(shared: &Arc<Shared>, claimed: ClaimedJob) {
                     let _ = sender.send(Event::Record { id, json });
                 }
             }
-            send_terminal(
-                &events,
-                Event::Done {
-                    id,
-                    state: JobState::Done,
-                    failures: Some(failures),
-                    job_cache: Some(job_cache),
-                    report: Some(report),
-                    error: None,
-                },
-            );
-            (JobState::Done, Some(failures), Some(job_cache), None)
+            Event::Done {
+                id,
+                state: JobState::Done,
+                failures: Some(failures),
+                job_cache: Some(job_cache),
+                report: Some(report),
+                error: None,
+            }
         }
     };
-    shared.jobs.lock().expect("jobs lock").finish(id, state, cache, failures, error);
+    finish_job(shared, &events, terminal);
 }
 
 /// Registers the circuits of every not-yet-seen generator spec.  Specs are
@@ -518,14 +561,53 @@ fn failed_event(id: u64, detail: String) -> Event {
     }
 }
 
-fn send_terminal(events: &Option<Sender<Event>>, event: Event) {
+/// Records a job's terminal outcome in the table, then sends the terminal
+/// event — in that order, so a status query the submitter sends after
+/// reading the event already sees the terminal state.
+fn finish_job(shared: &Shared, events: &Option<Sender<Event>>, terminal: Event) {
+    if let Event::Done { id, state, failures, job_cache, error, .. } = &terminal {
+        shared.jobs.lock().expect("jobs lock").finish(
+            *id,
+            *state,
+            *job_cache,
+            *failures,
+            error.clone(),
+        );
+    }
     if let Some(sender) = events {
-        let _ = sender.send(event);
+        let _ = sender.send(terminal);
     }
 }
 
-fn write_line(writer: &mut UnixStream, line: &str) -> io::Result<()> {
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
+/// Frames `line` with its newline and queues it as one write; the caller
+/// flushes.
+fn write_line(writer: &mut Connection, mut line: String) -> io::Result<()> {
+    line.push('\n');
+    writer.write_all(line.as_bytes())
+}
+
+/// Writes one response line and flushes it.
+fn respond(writer: &mut Connection, line: String) -> io::Result<()> {
+    write_line(writer, line)?;
     writer.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn contain_passes_values_through_and_turns_panics_into_messages() {
+        assert_eq!(contain(|| 7), Ok(7));
+        assert_eq!(contain(|| -> u8 { panic!("static message") }), Err("static message".into()));
+        let job = 3;
+        assert_eq!(
+            contain(|| -> u8 { panic!("job {job} blew up") }),
+            Err("job 3 blew up".to_owned())
+        );
+        assert_eq!(
+            contain(|| -> u8 { std::panic::panic_any(42_u32) }),
+            Err("non-text panic payload".to_owned())
+        );
+    }
 }

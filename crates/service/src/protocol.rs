@@ -22,6 +22,8 @@
 //!   line), so the daemon's byte-exact [`engine::SweepReport::to_json`]
 //!   output reaches the client without any re-serialization.
 
+use std::borrow::Cow;
+
 use engine::{
     BranchModel, BudgetCeiling, BudgetPolicy, CacheStats, ExploreRequest, GateLevelSpec, Scenario,
     SchedulerKind, VoltagePolicy,
@@ -148,47 +150,40 @@ impl JobSpec {
         }
     }
 
-    fn to_json(&self) -> Json {
+    fn to_json(&self) -> Json<'_> {
         match self {
             JobSpec::Sweep { gen, scenarios, policy, gate_level } => {
                 let mut fields = vec![
-                    ("kind".to_owned(), Json::Str("sweep".to_owned())),
-                    ("gen".to_owned(), string_array(gen)),
-                    (
-                        "scenarios".to_owned(),
-                        Json::Array(scenarios.iter().map(scenario_to_json).collect()),
-                    ),
-                    ("policy".to_owned(), Json::Str(policy.label().to_owned())),
+                    ("kind", Json::str("sweep")),
+                    ("gen", string_array(gen)),
+                    ("scenarios", Json::Array(scenarios.iter().map(scenario_to_json).collect())),
+                    ("policy", Json::str(policy.label())),
                 ];
                 if let Some(gate) = gate_level {
                     fields.push((
-                        "gate_level".to_owned(),
-                        Json::Object(vec![
-                            ("samples".to_owned(), Json::number(gate.samples)),
-                            ("seed".to_owned(), Json::number(gate.seed)),
+                        "gate_level",
+                        Json::object([
+                            ("samples", Json::number(gate.samples)),
+                            ("seed", Json::number(gate.seed)),
                         ]),
                     ));
                 }
-                Json::Object(fields)
+                Json::object(fields)
             }
             JobSpec::Explore { gen, requests, policy, ceiling, voltage, branch_model } => {
-                Json::Object(vec![
-                    ("kind".to_owned(), Json::Str("explore".to_owned())),
-                    ("gen".to_owned(), string_array(gen)),
-                    (
-                        "requests".to_owned(),
-                        Json::Array(requests.iter().map(request_to_json).collect()),
-                    ),
-                    ("policy".to_owned(), Json::Str(policy.label().to_owned())),
-                    ("ceiling".to_owned(), ceiling_to_json(*ceiling)),
-                    ("voltage".to_owned(), Json::Str(voltage.label().to_owned())),
-                    ("branch_model".to_owned(), Json::Str(branch_model.label())),
+                Json::object([
+                    ("kind", Json::str("explore")),
+                    ("gen", string_array(gen)),
+                    ("requests", Json::Array(requests.iter().map(request_to_json).collect())),
+                    ("policy", Json::str(policy.label())),
+                    ("ceiling", ceiling_to_json(*ceiling)),
+                    ("voltage", Json::str(voltage.label())),
+                    ("branch_model", Json::str(branch_model.label())),
                 ])
             }
-            JobSpec::Online { stream } => Json::Object(vec![
-                ("kind".to_owned(), Json::Str("online".to_owned())),
-                ("stream".to_owned(), Json::Str(stream.clone())),
-            ]),
+            JobSpec::Online { stream } => {
+                Json::object([("kind", Json::str("online")), ("stream", Json::str(stream))])
+            }
         }
     }
 
@@ -264,24 +259,24 @@ pub struct JobStatus {
 }
 
 impl JobStatus {
-    fn to_json(&self) -> Json {
+    fn to_json(&self) -> Json<'_> {
         let mut fields = vec![
-            ("id".to_owned(), Json::number(self.id)),
-            ("kind".to_owned(), Json::Str(self.kind.label().to_owned())),
-            ("state".to_owned(), Json::Str(self.state.label().to_owned())),
-            ("completed".to_owned(), Json::number(self.completed)),
-            ("total".to_owned(), Json::number(self.total)),
+            ("id", Json::number(self.id)),
+            ("kind", Json::str(self.kind.label())),
+            ("state", Json::str(self.state.label())),
+            ("completed", Json::number(self.completed)),
+            ("total", Json::number(self.total)),
         ];
         if let Some(cache) = self.job_cache {
-            fields.push(("job_cache".to_owned(), cache_to_json(cache)));
+            fields.push(("job_cache", cache_to_json(cache)));
         }
         if let Some(failures) = self.failures {
-            fields.push(("failures".to_owned(), Json::number(failures)));
+            fields.push(("failures", Json::number(failures)));
         }
         if let Some(error) = &self.error {
-            fields.push(("error".to_owned(), Json::Str(error.clone())));
+            fields.push(("error", Json::str(error)));
         }
-        Json::Object(fields)
+        Json::object(fields)
     }
 
     fn from_json(json: &Json) -> Result<JobStatus, String> {
@@ -390,22 +385,13 @@ impl Request {
     /// Emits the request as one wire line (no trailing newline).
     pub fn to_line(&self) -> String {
         let fields = match self {
-            Request::Submit(spec) => vec![
-                ("cmd".to_owned(), Json::Str("submit".to_owned())),
-                ("job".to_owned(), spec.to_json()),
-            ],
-            Request::Status { id } => vec![
-                ("cmd".to_owned(), Json::Str("status".to_owned())),
-                ("id".to_owned(), Json::number(*id)),
-            ],
-            Request::List => vec![("cmd".to_owned(), Json::Str("list".to_owned()))],
-            Request::Cancel { id } => vec![
-                ("cmd".to_owned(), Json::Str("cancel".to_owned())),
-                ("id".to_owned(), Json::number(*id)),
-            ],
-            Request::Shutdown => vec![("cmd".to_owned(), Json::Str("shutdown".to_owned()))],
+            Request::Submit(spec) => vec![("cmd", Json::str("submit")), ("job", spec.to_json())],
+            Request::Status { id } => vec![("cmd", Json::str("status")), ("id", Json::number(*id))],
+            Request::List => vec![("cmd", Json::str("list"))],
+            Request::Cancel { id } => vec![("cmd", Json::str("cancel")), ("id", Json::number(*id))],
+            Request::Shutdown => vec![("cmd", Json::str("shutdown"))],
         };
-        Json::Object(fields).emit()
+        Json::object(fields).emit()
     }
 
     /// Parses one wire line.
@@ -432,39 +418,35 @@ impl Response {
     /// Emits the response as one wire line (no trailing newline).
     pub fn to_line(&self) -> String {
         let fields = match self {
-            Response::Submitted { id } => vec![
-                ("resp".to_owned(), Json::Str("submitted".to_owned())),
-                ("id".to_owned(), Json::number(*id)),
-            ],
+            Response::Submitted { id } => {
+                vec![("resp", Json::str("submitted")), ("id", Json::number(*id))]
+            }
             Response::Rejected(rejection) => vec![
-                ("resp".to_owned(), Json::Str("rejected".to_owned())),
-                ("reason".to_owned(), Json::Str(rejection.reason.label().to_owned())),
-                ("detail".to_owned(), Json::Str(rejection.detail.clone())),
+                ("resp", Json::str("rejected")),
+                ("reason", Json::str(rejection.reason.label())),
+                ("detail", Json::str(&rejection.detail)),
             ],
-            Response::Error { detail } => vec![
-                ("resp".to_owned(), Json::Str("error".to_owned())),
-                ("detail".to_owned(), Json::Str(detail.clone())),
-            ],
+            Response::Error { detail } => {
+                vec![("resp", Json::str("error")), ("detail", Json::str(detail))]
+            }
             Response::Status { cache, job } => vec![
-                ("resp".to_owned(), Json::Str("status".to_owned())),
-                ("cache".to_owned(), cache_to_json(*cache)),
-                ("job".to_owned(), job.to_json()),
+                ("resp", Json::str("status")),
+                ("cache", cache_to_json(*cache)),
+                ("job", job.to_json()),
             ],
             Response::Jobs { cache, jobs } => vec![
-                ("resp".to_owned(), Json::Str("jobs".to_owned())),
-                ("cache".to_owned(), cache_to_json(*cache)),
-                ("jobs".to_owned(), Json::Array(jobs.iter().map(JobStatus::to_json).collect())),
+                ("resp", Json::str("jobs")),
+                ("cache", cache_to_json(*cache)),
+                ("jobs", Json::Array(jobs.iter().map(JobStatus::to_json).collect())),
             ],
             Response::Cancelled { id, state } => vec![
-                ("resp".to_owned(), Json::Str("cancelled".to_owned())),
-                ("id".to_owned(), Json::number(*id)),
-                ("state".to_owned(), Json::Str(state.label().to_owned())),
+                ("resp", Json::str("cancelled")),
+                ("id", Json::number(*id)),
+                ("state", Json::str(state.label())),
             ],
-            Response::ShuttingDown => {
-                vec![("resp".to_owned(), Json::Str("shutting-down".to_owned()))]
-            }
+            Response::ShuttingDown => vec![("resp", Json::str("shutting-down"))],
         };
-        Json::Object(fields).emit()
+        Json::object(fields).emit()
     }
 
     /// Parses one wire line.
@@ -473,15 +455,15 @@ impl Response {
     ///
     /// Returns a human-readable description of the malformation.
     pub fn parse(line: &str) -> Result<Response, String> {
-        let json = Json::parse(line)?;
-        match require_str(&json, "resp")? {
+        let mut json = Json::parse(line)?;
+        match &*take_str(&mut json, "resp")? {
             "submitted" => Ok(Response::Submitted { id: require_u64(&json, "id")? }),
             "rejected" => Ok(Response::Rejected(Rejection {
                 reason: RejectReason::parse(require_str(&json, "reason")?)
                     .ok_or("unknown reject reason")?,
-                detail: require_str(&json, "detail")?.to_owned(),
+                detail: take_str(&mut json, "detail")?.into_owned(),
             })),
-            "error" => Ok(Response::Error { detail: require_str(&json, "detail")?.to_owned() }),
+            "error" => Ok(Response::Error { detail: take_str(&mut json, "detail")?.into_owned() }),
             "status" => Ok(Response::Status {
                 cache: cache_from_json(json.get("cache").ok_or("missing `cache`")?)?,
                 job: JobStatus::from_json(json.get("job").ok_or("missing `job`")?)?,
@@ -508,51 +490,55 @@ impl Response {
 
 impl Event {
     /// Emits the event as one wire line (no trailing newline).
+    ///
+    /// Record and report payloads are escaped straight from `self`, never
+    /// cloned into an intermediate tree.
     pub fn to_line(&self) -> String {
         let fields = match self {
             Event::Progress { id, completed, total } => vec![
-                ("event".to_owned(), Json::Str("progress".to_owned())),
-                ("id".to_owned(), Json::number(*id)),
-                ("completed".to_owned(), Json::number(*completed)),
-                ("total".to_owned(), Json::number(*total)),
+                ("event", Json::str("progress")),
+                ("id", Json::number(*id)),
+                ("completed", Json::number(*completed)),
+                ("total", Json::number(*total)),
             ],
             Event::Record { id, json } => vec![
-                ("event".to_owned(), Json::Str("record".to_owned())),
-                ("id".to_owned(), Json::number(*id)),
-                ("json".to_owned(), Json::Str(json.clone())),
+                ("event", Json::str("record")),
+                ("id", Json::number(*id)),
+                ("json", Json::str(json)),
             ],
             Event::Done { id, state, failures, job_cache, report, error } => {
                 let mut fields = vec![
-                    ("event".to_owned(), Json::Str("done".to_owned())),
-                    ("id".to_owned(), Json::number(*id)),
-                    ("state".to_owned(), Json::Str(state.label().to_owned())),
+                    ("event", Json::str("done")),
+                    ("id", Json::number(*id)),
+                    ("state", Json::str(state.label())),
                 ];
                 if let Some(failures) = failures {
-                    fields.push(("failures".to_owned(), Json::number(*failures)));
+                    fields.push(("failures", Json::number(*failures)));
                 }
                 if let Some(cache) = job_cache {
-                    fields.push(("job_cache".to_owned(), cache_to_json(*cache)));
+                    fields.push(("job_cache", cache_to_json(*cache)));
                 }
                 if let Some(report) = report {
-                    fields.push(("report".to_owned(), Json::Str(report.clone())));
+                    fields.push(("report", Json::str(report)));
                 }
                 if let Some(error) = error {
-                    fields.push(("error".to_owned(), Json::Str(error.clone())));
+                    fields.push(("error", Json::str(error)));
                 }
                 fields
             }
         };
-        Json::Object(fields).emit()
+        Json::object(fields).emit()
     }
 
-    /// Parses one wire line.
+    /// Parses one wire line.  Payload strings move out of the parsed tree
+    /// instead of being copied again.
     ///
     /// # Errors
     ///
     /// Returns a human-readable description of the malformation.
     pub fn parse(line: &str) -> Result<Event, String> {
-        let json = Json::parse(line)?;
-        match require_str(&json, "event")? {
+        let mut json = Json::parse(line)?;
+        match &*take_str(&mut json, "event")? {
             "progress" => Ok(Event::Progress {
                 id: require_u64(&json, "id")?,
                 completed: require_usize(&json, "completed")?,
@@ -560,7 +546,7 @@ impl Event {
             }),
             "record" => Ok(Event::Record {
                 id: require_u64(&json, "id")?,
-                json: require_str(&json, "json")?.to_owned(),
+                json: take_str(&mut json, "json")?.into_owned(),
             }),
             "done" => Ok(Event::Done {
                 id: require_u64(&json, "id")?,
@@ -571,12 +557,12 @@ impl Event {
                     .transpose()?,
                 job_cache: json.get("job_cache").map(cache_from_json).transpose()?,
                 report: json
-                    .get("report")
-                    .map(|r| r.as_str().map(str::to_owned).ok_or("bad report"))
+                    .take("report")
+                    .map(|r| r.into_string().ok_or("bad report"))
                     .transpose()?,
                 error: json
-                    .get("error")
-                    .map(|e| e.as_str().map(str::to_owned).ok_or("bad error"))
+                    .take("error")
+                    .map(|e| e.into_string().ok_or("bad error"))
                     .transpose()?,
             }),
             other => Err(format!("unknown event `{other}`")),
@@ -608,14 +594,14 @@ pub fn parse_scheduler(label: &str) -> Result<SchedulerKind, String> {
     }
 }
 
-fn scenario_to_json(scenario: &Scenario) -> Json {
-    Json::Object(vec![
-        ("circuit".to_owned(), Json::Str(scenario.circuit.clone())),
-        ("latency".to_owned(), Json::number(scenario.latency)),
-        ("scheduler".to_owned(), Json::Str(scenario.scheduler.label().to_owned())),
-        ("pipeline_depth".to_owned(), Json::number(scenario.pipeline_depth)),
-        ("reorder".to_owned(), Json::Bool(scenario.reorder)),
-        ("branch_model".to_owned(), Json::Str(scenario.branch_model.label())),
+fn scenario_to_json(scenario: &Scenario) -> Json<'_> {
+    Json::object([
+        ("circuit", Json::str(&scenario.circuit)),
+        ("latency", Json::number(scenario.latency)),
+        ("scheduler", Json::str(scenario.scheduler.label())),
+        ("pipeline_depth", Json::number(scenario.pipeline_depth)),
+        ("reorder", Json::Bool(scenario.reorder)),
+        ("branch_model", Json::str(scenario.branch_model.label())),
     ])
 }
 
@@ -627,13 +613,10 @@ fn scenario_from_json(json: &Json) -> Result<Scenario, String> {
         .branch_model(parse_branch_model(require_str(json, "branch_model")?)?))
 }
 
-fn request_to_json(request: &ExploreRequest) -> Json {
-    Json::Object(vec![
-        ("circuit".to_owned(), Json::Str(request.circuit.clone())),
-        (
-            "budgets".to_owned(),
-            Json::Array(request.budgets.iter().map(|&b| Json::number(b)).collect()),
-        ),
+fn request_to_json(request: &ExploreRequest) -> Json<'_> {
+    Json::object([
+        ("circuit", Json::str(&request.circuit)),
+        ("budgets", Json::Array(request.budgets.iter().map(|&b| Json::number(b)).collect())),
     ])
 }
 
@@ -648,14 +631,10 @@ fn request_from_json(json: &Json) -> Result<ExploreRequest, String> {
     Ok(ExploreRequest::new(require_str(json, "circuit")?).budgets(budgets))
 }
 
-fn ceiling_to_json(ceiling: BudgetCeiling) -> Json {
+fn ceiling_to_json(ceiling: BudgetCeiling) -> Json<'static> {
     match ceiling {
-        BudgetCeiling::Absolute(steps) => {
-            Json::Object(vec![("absolute".to_owned(), Json::number(steps))])
-        }
-        BudgetCeiling::CriticalPathPlus(span) => {
-            Json::Object(vec![("cp-plus".to_owned(), Json::number(span))])
-        }
+        BudgetCeiling::Absolute(steps) => Json::object([("absolute", Json::number(steps))]),
+        BudgetCeiling::CriticalPathPlus(span) => Json::object([("cp-plus", Json::number(span))]),
     }
 }
 
@@ -669,11 +648,11 @@ fn ceiling_from_json(json: &Json) -> Result<BudgetCeiling, String> {
     Err("ceiling needs `absolute` or `cp-plus`".to_owned())
 }
 
-fn cache_to_json(cache: CacheStats) -> Json {
-    Json::Object(vec![
-        ("hits".to_owned(), Json::number(cache.hits)),
-        ("misses".to_owned(), Json::number(cache.misses)),
-        ("entries".to_owned(), Json::number(cache.entries)),
+fn cache_to_json(cache: CacheStats) -> Json<'static> {
+    Json::object([
+        ("hits", Json::number(cache.hits)),
+        ("misses", Json::number(cache.misses)),
+        ("entries", Json::number(cache.entries)),
     ])
 }
 
@@ -685,8 +664,8 @@ fn cache_from_json(json: &Json) -> Result<CacheStats, String> {
     })
 }
 
-fn string_array(items: &[String]) -> Json {
-    Json::Array(items.iter().map(|s| Json::Str(s.clone())).collect())
+fn string_array(items: &[String]) -> Json<'_> {
+    Json::Array(items.iter().map(Json::str).collect())
 }
 
 fn parse_string_array(json: &Json) -> Result<Vec<String>, String> {
@@ -699,6 +678,14 @@ fn parse_string_array(json: &Json) -> Result<Vec<String>, String> {
 
 fn require_str<'a>(json: &'a Json, key: &str) -> Result<&'a str, String> {
     json.get(key).and_then(Json::as_str).ok_or_else(|| format!("missing string `{key}`"))
+}
+
+/// Moves a string field out of `json` (see [`Json::take`]).
+fn take_str<'a>(json: &mut Json<'a>, key: &str) -> Result<Cow<'a, str>, String> {
+    match json.take(key) {
+        Some(Json::Str(text)) => Ok(text),
+        _ => Err(format!("missing string `{key}`")),
+    }
 }
 
 fn require_u64(json: &Json, key: &str) -> Result<u64, String> {

@@ -1,10 +1,15 @@
 //! Edge-case backfill: admission during shutdown observed over the wire,
-//! and per-job cache deltas ([`engine::CacheStats::since`]) staying
-//! correct across a cancelled job in between.
+//! per-job cache deltas ([`engine::CacheStats::since`]) staying correct
+//! across a cancelled job in between, and hostile request lines (too deep,
+//! too long) that must neither crash nor wedge the daemon.
 
+use std::io::{BufRead, BufReader, Read, Write};
+use std::os::unix::net::UnixStream;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 use engine::Scenario;
+use service::daemon::MAX_REQUEST_LINE;
 use service::{
     Client, Daemon, DaemonConfig, JobSpec, JobState, RejectReason, Request, Response, ServiceError,
 };
@@ -164,6 +169,87 @@ fn cancelled_jobs_do_not_leak_misses_into_the_next_jobs_delta() {
     );
     assert_eq!(third.report, first.report, "cache reuse never changes bytes");
 
+    daemon.shutdown();
+    daemon.join();
+}
+
+/// Sends `bytes` on a fresh raw connection and returns the daemon's first
+/// answer together with the connection, to read what follows.
+fn send_raw(socket: &Path, bytes: &[u8]) -> (Response, BufReader<UnixStream>) {
+    let mut stream = UnixStream::connect(socket).expect("connect");
+    stream.write_all(bytes).expect("send");
+    let mut reader = BufReader::new(stream);
+    let mut answer = String::new();
+    reader.read_line(&mut answer).expect("read the answer");
+    (Response::parse(answer.trim_end()).expect("the answer is a response line"), reader)
+}
+
+/// The daemon still serves new connections and runs jobs.
+fn assert_still_serving(socket: &Path) {
+    let response = Client::connect(socket).expect("connect").request(&Request::List);
+    assert!(matches!(response, Ok(Response::Jobs { .. })), "list answered {response:?}");
+    let outcome = Client::connect(socket)
+        .expect("connect")
+        .submit_and_wait(JobSpec::sweep(vec![Scenario::new("dealer", 4)]))
+        .expect("a job after the hostile line");
+    assert_eq!(outcome.state, JobState::Done);
+}
+
+/// A submit line of a million `[` used to recurse until the connection
+/// thread overflowed its stack and aborted the whole daemon.  It is now a
+/// typed parse error answered on the wire.
+#[test]
+fn a_million_open_brackets_get_an_error_and_the_daemon_keeps_serving() {
+    let daemon = start_daemon("deep");
+    let socket = daemon.socket().to_path_buf();
+
+    let line = format!("{{\"cmd\":\"submit\",\"job\":{}\n", "[".repeat(1_000_000));
+    let (answer, mut connection) = send_raw(&socket, line.as_bytes());
+    match answer {
+        Response::Error { detail } => assert!(detail.contains("nesting deeper than"), "{detail}"),
+        other => panic!("expected an error response, got {other:?}"),
+    }
+    // The same connection stays usable after a malformed line.
+    connection.get_mut().write_all(b"{\"cmd\":\"list\"}\n").expect("send list");
+    let mut next = String::new();
+    connection.read_line(&mut next).expect("read the list answer");
+    assert!(matches!(Response::parse(next.trim_end()), Ok(Response::Jobs { .. })), "{next}");
+
+    assert_still_serving(&socket);
+    daemon.shutdown();
+    daemon.join();
+}
+
+/// A line that reaches the cap without a newline is rejected with the
+/// typed `line-too-large` reason as soon as the cap is crossed, and the
+/// connection is closed; other connections are unaffected.
+#[test]
+fn an_over_long_request_line_is_rejected_and_its_connection_closed() {
+    let daemon = start_daemon("long-line");
+    let socket = daemon.socket().to_path_buf();
+
+    let flood = vec![b' '; MAX_REQUEST_LINE + 1];
+    let (answer, mut connection) = send_raw(&socket, &flood);
+    match answer {
+        Response::Rejected(rejection) => {
+            assert_eq!(rejection.reason, RejectReason::LineTooLarge, "{rejection}");
+            assert_eq!(rejection.reason.label(), "line-too-large");
+        }
+        other => panic!("expected a typed rejection, got {other:?}"),
+    }
+    let mut rest = Vec::new();
+    connection.read_to_end(&mut rest).expect("the daemon closes the connection");
+    assert!(rest.is_empty(), "nothing follows the rejection");
+
+    // A line of exactly the cap (newline excluded) is still read and
+    // parsed: here it is whitespace, which is a parse error, not a
+    // rejection.
+    let mut at_cap = vec![b' '; MAX_REQUEST_LINE];
+    at_cap.push(b'\n');
+    let (answer, _) = send_raw(&socket, &at_cap);
+    assert!(matches!(answer, Response::Error { .. }), "{answer:?}");
+
+    assert_still_serving(&socket);
     daemon.shutdown();
     daemon.join();
 }
