@@ -97,15 +97,21 @@ fn paper_circuits_schedule_identically() {
     }
 }
 
-/// A denser sweep over one mid-sized circuit per family: every latency from
-/// the critical path to critical path + 6.
+/// A denser sweep over one mid-sized circuit per family — every latency
+/// from the critical path to critical path + 6 — plus one wide random DAG
+/// over cp..=cp + 8, the size at which the force kernel's lower bound
+/// prunes most of its exact candidate scans.
 #[test]
 fn latency_sweep_identity_per_family() {
-    for family in Family::ALL {
-        let spec = spec_for(family, 20260729, 4);
+    let mut wide = GenSpec::new(Family::RandomDag, 20260729, 1);
+    wide.width = 24;
+    wide.depth = 8;
+    wide.mux_permille = 250;
+    let inputs = Family::ALL.into_iter().map(|family| (spec_for(family, 20260729, 4), 6));
+    for (spec, span) in inputs.chain([(wide, 8)]) {
         let bench = gen::generate_one(&spec, 0).expect("valid circuit");
         let cp = bench.cdfg.critical_path_length().max(1);
-        for latency in cp..=cp + 6 {
+        for latency in cp..=cp + span {
             let fast = force::schedule(&bench.cdfg, latency).expect("feasible");
             let slow = naive::schedule(&bench.cdfg, latency).expect("feasible");
             assert_eq!(fast, slow, "{} diverged at latency {latency}", bench.name);

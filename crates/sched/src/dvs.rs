@@ -8,10 +8,12 @@
 //! control steps it occupies and the energy factor it pays — and the
 //! duration-weighted critical path of the graph must still fit the latency
 //! budget.  [`distribute_slack`] is the deterministic greedy kernel that
-//! makes those choices, and `exact_min_energy` (compiled under
-//! `cfg(any(test, feature = "reference"))`, like `crate::naive`) is the
-//! exhaustive branch-and-bound reference that pins the greedy kernel's
-//! optimality gap on small circuits.
+//! makes those choices.  Two references are compiled under
+//! `cfg(any(test, feature = "reference"))`, like `crate::naive`:
+//! `naive_distribute_slack`, the original flat-scan form of the same greedy
+//! that pins the kernel's every choice, and `exact_min_energy`, the
+//! exhaustive branch-and-bound search that pins the greedy's optimality gap
+//! on small circuits.
 //!
 //! # The model
 //!
@@ -33,7 +35,10 @@
 //! every report built on it — is identical across runs, machines and
 //! thread counts.
 
-use cdfg::{Cdfg, NodeId};
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, VecDeque};
+
+use cdfg::{Cdfg, NodeId, Slices};
 
 use crate::error::ScheduleError;
 
@@ -80,7 +85,46 @@ pub struct Workspace {
     lst: Vec<u32>,
     /// Current level index of every slot.
     level: Vec<u32>,
+    /// `node_weight` of every functional node, by position in
+    /// [`Slices::functional`].
+    weight: Vec<f64>,
+    /// Pending promotions, one per node at its current level, best first.
+    heap: BinaryHeap<Candidate>,
+    /// Worklist scratch for the timing relaxation, and its membership flags.
+    queue: VecDeque<NodeId>,
+    queued: Vec<bool>,
 }
+
+/// A pending promotion: the functional node at `pos` in
+/// [`Slices::functional`] and the energy its next level saves.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    gain: f64,
+    pos: u32,
+}
+
+/// Heap order: larger gain first ([`f64::total_cmp`]), then the lower
+/// position — the flat scan's "strictly larger gain, ties to the lowest
+/// node id", since [`Slices::functional`] is ascending.
+impl Ord for Candidate {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.gain.total_cmp(&other.gain).then_with(|| other.pos.cmp(&self.pos))
+    }
+}
+
+impl PartialOrd for Candidate {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Candidate {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Candidate {}
 
 impl Workspace {
     /// An empty workspace; buffers grow to the graph's size on first use.
@@ -127,11 +171,9 @@ impl LevelAssignment {
     }
 }
 
-/// Recomputes earliest/latest start steps for the current durations.
-/// Requires the state to be feasible (callers establish this at nominal
-/// durations and every promotion preserves it).
-fn recompute_timing(cdfg: &Cdfg, latency: u32, ws: &mut Workspace) {
-    let slices = cdfg.slices();
+/// Earliest start step of every functional node under durations `dur`: one
+/// topological pass over functional precedence.
+fn earliest_starts(slices: &Slices, dur: &[u32], est: &mut [u32]) {
     for &n in slices.topo() {
         if !slices.is_functional(n) {
             continue;
@@ -139,11 +181,18 @@ fn recompute_timing(cdfg: &Cdfg, latency: u32, ws: &mut Workspace) {
         let mut earliest = 1;
         for &p in slices.preds(n) {
             if slices.is_functional(p) {
-                earliest = earliest.max(ws.est[p.index()] + ws.dur[p.index()]);
+                earliest = earliest.max(est[p.index()] + dur[p.index()]);
             }
         }
-        ws.est[n.index()] = earliest;
+        est[n.index()] = earliest;
     }
+}
+
+/// Latest start step of every functional node under durations `dur` and
+/// `latency`: one reverse topological pass.  Requires the state to be
+/// feasible (callers establish this at nominal durations and every
+/// promotion preserves it).
+fn latest_starts(slices: &Slices, latency: u32, dur: &[u32], lst: &mut [u32]) {
     for &n in slices.topo().iter().rev() {
         if !slices.is_functional(n) {
             continue;
@@ -151,11 +200,69 @@ fn recompute_timing(cdfg: &Cdfg, latency: u32, ws: &mut Workspace) {
         let mut latest_finish = latency;
         for &s in slices.succs(n) {
             if slices.is_functional(s) {
-                latest_finish = latest_finish.min(ws.lst[s.index()].saturating_sub(1));
+                latest_finish = latest_finish.min(lst[s.index()].saturating_sub(1));
             }
         }
-        debug_assert!(latest_finish + 1 >= ws.dur[n.index()], "feasible state");
-        ws.lst[n.index()] = latest_finish + 1 - ws.dur[n.index()];
+        debug_assert!(latest_finish + 1 >= dur[n.index()], "feasible state");
+        lst[n.index()] = latest_finish + 1 - dur[n.index()];
+    }
+}
+
+/// Fails with the typed error when the largest earliest start at nominal
+/// durations — the unit-duration critical path — exceeds `latency`.
+fn check_nominal_fit(slices: &Slices, latency: u32, est: &[u32]) -> Result<(), ScheduleError> {
+    let critical_path = slices.functional().iter().map(|&n| est[n.index()]).max().unwrap_or(0);
+    if critical_path > latency {
+        return Err(ScheduleError::LatencyTooSmall { requested: latency, critical_path });
+    }
+    Ok(())
+}
+
+/// The energy saved by moving an operation of `weight` from `level` one
+/// level deeper, if there is a deeper level and the move saves something:
+/// weightless (or degenerate, NaN) ops never consume shared slack.
+fn promotion_gain(weight: f64, levels: &[SlackLevel], level: usize) -> Option<f64> {
+    let next = levels.get(level + 1)?;
+    let gain = weight * (levels[level].energy_factor - next.energy_factor);
+    (gain > 0.0).then_some(gain)
+}
+
+/// Restores exact earliest/latest starts after `origin` was promoted (its
+/// duration grown and its own latest start lowered by the same amount):
+/// earliest starts rise along successors, latest starts fall along
+/// predecessors.  Both are longest-path closures whose only newly violated
+/// constraints lie on `origin`'s own edges, and every value only moves one
+/// way, so the worklist reaches exactly what full passes would compute.
+fn relax_from(slices: &Slices, origin: NodeId, ws: &mut Workspace) {
+    ws.queue.push_back(origin);
+    while let Some(n) = ws.queue.pop_front() {
+        ws.queued[n.index()] = false;
+        let finish = ws.est[n.index()] + ws.dur[n.index()];
+        for &s in slices.succs(n) {
+            let i = s.index();
+            if slices.is_functional(s) && finish > ws.est[i] {
+                ws.est[i] = finish;
+                if !ws.queued[i] {
+                    ws.queued[i] = true;
+                    ws.queue.push_back(s);
+                }
+            }
+        }
+    }
+    ws.queue.push_back(origin);
+    while let Some(n) = ws.queue.pop_front() {
+        ws.queued[n.index()] = false;
+        let start = ws.lst[n.index()];
+        for &p in slices.preds(n) {
+            let i = p.index();
+            if slices.is_functional(p) && start - ws.dur[i] < ws.lst[i] {
+                ws.lst[i] = start - ws.dur[i];
+                if !ws.queued[i] {
+                    ws.queued[i] = true;
+                    ws.queue.push_back(p);
+                }
+            }
+        }
     }
 }
 
@@ -172,11 +279,26 @@ fn recompute_timing(cdfg: &Cdfg, latency: u32, ws: &mut Workspace) {
 /// `pmsched`-style power-management pass produces.
 ///
 /// The kernel repeatedly promotes the operation with the strictly largest
-/// energy gain whose slack covers the extra steps (ties: lowest node id),
-/// recomputing the timing after every accepted promotion.  Promotion
-/// within slack always preserves feasibility, so the result is feasible
-/// by construction; the exact reference (`exact_min_energy`) pins how
-/// far from optimal the greedy choices land.
+/// energy gain whose slack covers the extra steps (ties: lowest node id).
+/// Promotion within slack always preserves feasibility, so the result is
+/// feasible by construction; the exact reference (`exact_min_energy`) pins
+/// how far from optimal the greedy choices land.
+///
+/// The cost is output-sensitive, and every choice equals the original
+/// flat scan's (`naive_distribute_slack`, pinned bit-for-bit by the
+/// `dvs_identity` tests):
+///
+/// * each node's weight is read once, and a node's gain depends only on
+///   its weight and level, so the pending promotions — one per node, at
+///   its current level — sit in a max-heap ordered as the scan compares
+///   them (gain by [`f64::total_cmp`], then ascending node id);
+/// * promotions only lengthen durations, so earliest starts only rise
+///   and latest starts only fall: a node's slack never grows back.  A
+///   popped promotion that no longer fits is therefore dropped for good,
+///   and the first one that fits is exactly the scan's pick;
+/// * after a promotion, earliest starts are relaxed forward and latest
+///   starts backward from the promoted node with a worklist, instead of
+///   two full timing passes.
 ///
 /// # Errors
 ///
@@ -197,6 +319,7 @@ pub fn distribute_slack(
     validate_levels(levels);
     let slices = cdfg.slices();
     let slots = slices.slot_count();
+    let functional = slices.functional();
 
     ws.dur.clear();
     ws.dur.resize(slots, 0);
@@ -206,17 +329,89 @@ pub fn distribute_slack(
     ws.lst.resize(slots, 0);
     ws.level.clear();
     ws.level.resize(slots, 0);
-    for &n in slices.functional() {
+    ws.queued.clear();
+    ws.queued.resize(slots, false);
+    ws.queue.clear();
+    ws.weight.clear();
+    ws.weight.extend(functional.iter().map(|&n| node_weight(n)));
+    for &n in functional {
         ws.dur[n.index()] = levels[0].delay_steps;
     }
 
-    // Nominal feasibility: the unit-duration critical path must fit.
-    recompute_timing(cdfg, latency.max(1), ws);
-    let critical_path = slices.functional().iter().map(|&n| ws.est[n.index()]).max().unwrap_or(0);
-    if critical_path > latency {
-        return Err(ScheduleError::LatencyTooSmall { requested: latency, critical_path });
+    earliest_starts(slices, &ws.dur, &mut ws.est);
+    check_nominal_fit(slices, latency, &ws.est)?;
+    latest_starts(slices, latency, &ws.dur, &mut ws.lst);
+
+    ws.heap.clear();
+    for (pos, &weight) in ws.weight.iter().enumerate() {
+        if let Some(gain) = promotion_gain(weight, levels, 0) {
+            ws.heap.push(Candidate { gain, pos: pos as u32 });
+        }
     }
-    recompute_timing(cdfg, latency, ws);
+
+    let mut promotions = 0u32;
+    while let Some(Candidate { pos, .. }) = ws.heap.pop() {
+        let node = functional[pos as usize];
+        let i = node.index();
+        let level = ws.level[i] as usize;
+        let delta = levels[level + 1].delay_steps - levels[level].delay_steps;
+        if ws.lst[i] - ws.est[i] < delta {
+            continue; // slack never grows back: this promotion never fits again
+        }
+        ws.level[i] += 1;
+        ws.dur[i] += delta;
+        ws.lst[i] -= delta;
+        promotions += 1;
+        relax_from(slices, node, ws);
+        if let Some(gain) = promotion_gain(ws.weight[pos as usize], levels, level + 1) {
+            ws.heap.push(Candidate { gain, pos });
+        }
+    }
+
+    let mut energy = 0.0;
+    for (&n, &weight) in functional.iter().zip(&ws.weight) {
+        energy += weight * levels[ws.level[n.index()] as usize].energy_factor;
+    }
+    Ok(LevelAssignment { level: ws.level.clone(), energy, promotions })
+}
+
+/// The original flat-scan form of [`distribute_slack`], retained as its
+/// behavioural reference in the `crate::naive` tradition: compiled only
+/// for tests and under the `reference` feature.  Every iteration rescans
+/// all functional nodes — calling `node_weight` for each — and recomputes
+/// the whole timing after each accepted promotion, an O(promotions · (V +
+/// E)) cost.  The `dvs_identity` tests pin that the kernel's levels,
+/// energy bits and promotion count equal this function's.
+///
+/// # Errors
+///
+/// Returns [`ScheduleError::LatencyTooSmall`] when even nominal durations
+/// do not fit the budget.
+///
+/// # Panics
+///
+/// Panics on invalid level tables (see [`distribute_slack`]).
+#[cfg(any(test, feature = "reference"))]
+pub fn naive_distribute_slack(
+    cdfg: &Cdfg,
+    latency: u32,
+    levels: &[SlackLevel],
+    node_weight: &dyn Fn(NodeId) -> f64,
+) -> Result<LevelAssignment, ScheduleError> {
+    validate_levels(levels);
+    let slices = cdfg.slices();
+    let slots = slices.slot_count();
+    let mut dur = vec![0u32; slots];
+    let mut est = vec![0u32; slots];
+    let mut lst = vec![0u32; slots];
+    let mut level = vec![0u32; slots];
+    for &n in slices.functional() {
+        dur[n.index()] = levels[0].delay_steps;
+    }
+
+    earliest_starts(slices, &dur, &mut est);
+    check_nominal_fit(slices, latency, &est)?;
+    latest_starts(slices, latency, &dur, &mut lst);
 
     let mut promotions = 0u32;
     loop {
@@ -224,13 +419,13 @@ pub fn distribute_slack(
         // a strictly-greater test makes the lowest node id win ties.
         let mut best: Option<(f64, NodeId)> = None;
         for &n in slices.functional() {
-            let level = ws.level[n.index()] as usize;
-            let Some(next) = levels.get(level + 1) else { continue };
-            let delta = next.delay_steps - levels[level].delay_steps;
-            if ws.lst[n.index()] - ws.est[n.index()] < delta {
+            let current = level[n.index()] as usize;
+            let Some(next) = levels.get(current + 1) else { continue };
+            let delta = next.delay_steps - levels[current].delay_steps;
+            if lst[n.index()] - est[n.index()] < delta {
                 continue;
             }
-            let gain = node_weight(n) * (levels[level].energy_factor - next.energy_factor);
+            let gain = node_weight(n) * (levels[current].energy_factor - next.energy_factor);
             if gain <= 0.0 || gain.is_nan() {
                 continue; // weightless (or degenerate) ops never consume shared slack
             }
@@ -243,18 +438,19 @@ pub fn distribute_slack(
             }
         }
         let Some((_, node)) = best else { break };
-        let next = ws.level[node.index()] + 1;
-        ws.level[node.index()] = next;
-        ws.dur[node.index()] = levels[next as usize].delay_steps;
+        let next = level[node.index()] + 1;
+        level[node.index()] = next;
+        dur[node.index()] = levels[next as usize].delay_steps;
         promotions += 1;
-        recompute_timing(cdfg, latency, ws);
+        earliest_starts(slices, &dur, &mut est);
+        latest_starts(slices, latency, &dur, &mut lst);
     }
 
     let mut energy = 0.0;
     for &n in slices.functional() {
-        energy += node_weight(n) * levels[ws.level[n.index()] as usize].energy_factor;
+        energy += node_weight(n) * levels[level[n.index()] as usize].energy_factor;
     }
-    Ok(LevelAssignment { level: ws.level.clone(), energy, promotions })
+    Ok(LevelAssignment { level, energy, promotions })
 }
 
 /// Exhaustive branch-and-bound reference for [`distribute_slack`]: the
@@ -518,6 +714,24 @@ mod tests {
                 distribute_slack(&g, latency, &three_levels(), &|_| 1.0, &mut Workspace::new())
                     .unwrap();
             assert_eq!(reused, fresh, "latency {latency}");
+        }
+    }
+
+    #[test]
+    fn heap_kernel_matches_the_flat_scan_reference() {
+        let g = abs_diff();
+        let heavy = g.functional_nodes()[2];
+        let weight = move |n: NodeId| if n == heavy { 3.0 } else { 1.0 };
+        let levels = three_levels();
+        let mut ws = Workspace::new();
+        for (g, budgets) in [(g, 2..10u32), (chain(4), 4..14u32)] {
+            for latency in budgets {
+                let fast = distribute_slack(&g, latency, &levels, &weight, &mut ws).unwrap();
+                let slow = naive_distribute_slack(&g, latency, &levels, &weight).unwrap();
+                assert_eq!(fast.levels(), slow.levels(), "{} @ {latency}", g.name());
+                assert_eq!(fast.energy().to_bits(), slow.energy().to_bits());
+                assert_eq!(fast.promotions(), slow.promotions());
+            }
         }
     }
 

@@ -28,24 +28,36 @@
 //!   are summed in ascending-node order — exactly the order the reference's
 //!   map construction uses — so the f64 values (and therefore every force
 //!   comparison) are bit-identical to the reference.
-//! * **Per-node best candidates** (step, self-force) are cached and
-//!   recomputed only for nodes whose frame or class row actually changed;
-//!   the global pick merges the cached candidates in ascending node order
-//!   with the reference's ε-tolerant comparator.  (The ε tie-break is not
-//!   transitive, so a segmented reduction could in principle diverge from
-//!   the reference's flat scan — but only if two *distinct* force values
-//!   fell within (ε, 2ε] of each other, which the rational structure of
-//!   forces on real circuits never produces; the schedule-identity
-//!   property tests pin the equality across every circuit family.)
+//! * **Per-node best candidates** (step, self-force) are cached until the
+//!   node's frame or class row changes; the global pick merges them in
+//!   ascending node order with the reference's ε-tolerant comparator.
+//!   (The ε tie-break is not transitive, so a segmented reduction could in
+//!   principle diverge from the reference's flat scan — but only if two
+//!   *distinct* force values fell within (ε, 2ε] of each other, which the
+//!   rational structure of forces on real circuits never produces; the
+//!   schedule-identity property tests pin the equality across every
+//!   circuit family.)
+//! * **A lower bound prunes the exact candidate scans.**  Any frame change
+//!   in a class invalidates every member's candidate, and an exact
+//!   candidate costs O(w²) for a frame of width w.  In real arithmetic the
+//!   self-force at step t is `DG[t] − S/w` (S the frame's DG sum), so
+//!   `min DG − S/w`, less a proven f64 rounding margin, bounds every force
+//!   in the frame in O(w).  The pick caches that bound and runs the exact
+//!   scan only when the bound lies below the incumbent's `bf − EPS`.  This
+//!   is exact: nodes are scanned in ascending id order, so a later node
+//!   loses every ε-tie against the incumbent and can only win with a force
+//!   below `bf − EPS`; a skipped node could not have changed the
+//!   incumbent, so the sequence of incumbents — and the pick — is the
+//!   unpruned scan's.
 //! * **Propagation** is a worklist relaxation seeded from the just-fixed
 //!   node instead of a whole-graph fixed point.  The earliest- and
 //!   latest-step constraint systems are independent longest-path closures,
 //!   so seeded relaxation reaches the same unique fixed point.
 //!
 //! The invariant tying it together: after every iteration, each class row
-//! equals the column sums of its members' occupation probabilities, and each
-//! cached candidate equals the reference's scan result for the node's
-//! current frame and row.
+//! equals the column sums of its members' occupation probabilities, each
+//! cached exact candidate equals the reference's scan result for the node's
+//! current frame and row, and each cached bound lies at or below it.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -112,9 +124,8 @@ pub struct Workspace {
     dg: [Vec<f64>; NUM_CLASSES],
     /// Classes whose row must be recomputed before the next pick.
     class_dirty: [bool; NUM_CLASSES],
-    /// Cached best (step, self-force) per unfixed node.
-    cand: Vec<(u32, f64)>,
-    cand_valid: Vec<bool>,
+    /// What the pick knows about each unfixed node's best candidate.
+    cand: Vec<Candidate>,
     /// Nodes whose frame changed since the last pick (deduplicated).
     changed: Vec<NodeId>,
     changed_flag: Vec<bool>,
@@ -135,6 +146,18 @@ impl Workspace {
     pub fn new() -> Self {
         Workspace::default()
     }
+}
+
+/// A node's cached best candidate for its current frame and class row.
+#[derive(Debug, Clone, Copy)]
+enum Candidate {
+    /// Unknown: the frame or the row changed since the last look.
+    Stale,
+    /// Only a lower bound on the best self-force is known
+    /// ([`Kernel::force_lower_bound`]).
+    Bound(f64),
+    /// The best (step, self-force), as [`Kernel::best_candidate`] scans it.
+    Exact(u32, f64),
 }
 
 /// Schedules `cdfg` within `latency` control steps, minimising the peak
@@ -444,9 +467,7 @@ impl<'a> Kernel<'a> {
         }
         ws.class_dirty = [true; NUM_CLASSES];
         ws.cand.clear();
-        ws.cand.resize(slots, (0, 0.0));
-        ws.cand_valid.clear();
-        ws.cand_valid.resize(slots, false);
+        ws.cand.resize(slots, Candidate::Stale);
         ws.changed.clear();
         ws.changed_flag.clear();
         ws.changed_flag.resize(slots, false);
@@ -487,7 +508,7 @@ impl<'a> Kernel<'a> {
             for k in 0..self.ws.changed.len() {
                 let m = self.ws.changed[k];
                 self.ws.class_dirty[self.ws.class_of[m.index()] as usize] = true;
-                self.ws.cand_valid[m.index()] = false;
+                self.ws.cand[m.index()] = Candidate::Stale;
                 self.ws.changed_flag[m.index()] = false;
             }
             self.ws.changed.clear();
@@ -523,16 +544,20 @@ impl<'a> Kernel<'a> {
                     row[step as usize] += p;
                 }
                 if !ws.fixed[m.index()] {
-                    ws.cand_valid[m.index()] = false;
+                    ws.cand[m.index()] = Candidate::Stale;
                 }
             }
         }
     }
 
     /// Picks the unfixed (node, step) pair with the smallest self-force,
-    /// refreshing invalidated per-node candidates on the way.  Ties within
+    /// refreshing stale per-node candidates on the way.  Ties within
     /// [`EPS`] go to the smaller (node, step) pair, like the reference's
     /// flat scan (see the module docs for the ε-chain caveat).
+    ///
+    /// A stale node's O(w²) exact candidate is computed only when its O(w)
+    /// lower bound lies below `bf − EPS`; the module docs show why that
+    /// skips nothing the unpruned scan could pick.
     fn pick(&mut self) -> (NodeId, u32) {
         let mut best: Option<(NodeId, u32, f64)> = None;
         for &n in self.slices.functional() {
@@ -540,12 +565,23 @@ impl<'a> Kernel<'a> {
             if self.ws.fixed[i] {
                 continue;
             }
-            if !self.ws.cand_valid[i] {
-                let candidate = self.best_candidate(n);
-                self.ws.cand[i] = candidate;
-                self.ws.cand_valid[i] = true;
-            }
-            let (step, force) = self.ws.cand[i];
+            let (step, force) = match self.ws.cand[i] {
+                Candidate::Exact(step, force) => (step, force),
+                cached => {
+                    let bound = match cached {
+                        Candidate::Bound(bound) => bound,
+                        _ => self.force_lower_bound(n),
+                    };
+                    if best.is_some_and(|(_, _, bf)| bound >= bf - EPS) {
+                        self.ws.cand[i] = Candidate::Bound(bound);
+                        continue;
+                    }
+                    let (step, force) = self.best_candidate(n);
+                    debug_assert!(bound <= force, "bound {bound} above force {force} at {n}");
+                    self.ws.cand[i] = Candidate::Exact(step, force);
+                    (step, force)
+                }
+            };
             let better = match best {
                 None => true,
                 Some((bn, bs, bf)) => {
@@ -577,6 +613,31 @@ impl<'a> Kernel<'a> {
             }
         }
         best.expect("frames are non-empty")
+    }
+
+    /// A lower bound on every self-force in `n`'s frame, in one O(w) pass.
+    ///
+    /// In real arithmetic the self-force at step t is
+    /// `DG[t]·(1 − 1/w) − Σ_{s≠t} DG[s]/w = DG[t] − S/w`, with `S` the
+    /// frame's DG sum and `w` its width, so `min DG − S/w` bounds them all.
+    /// The margin covers rounding on both sides: the evaluated force sums
+    /// `w` rounded products whose coefficients lie in [−1, 1], so it is
+    /// within about `(w + 2)·u·S` of the real value (`u` = `EPSILON / 2`;
+    /// DG cells are non-negative, so `S` bounds every partial sum), and
+    /// computing `S`, `S/w` and the difference here adds a few `u·S` more.
+    /// `8·(w + 4)·EPSILON·(S + 1)` is `16·(w + 4)·u·(S + 1)`, over twice
+    /// the worst case.
+    fn force_lower_bound(&self, n: NodeId) -> f64 {
+        let frame = self.ws.frames[n.index()];
+        let row = &self.ws.dg[self.ws.class_of[n.index()] as usize];
+        let (mut sum, mut min) = (0.0, f64::INFINITY);
+        for &dg in &row[frame.earliest as usize..=frame.latest as usize] {
+            sum += dg;
+            min = min.min(dg);
+        }
+        let width = f64::from(frame.width());
+        let margin = 8.0 * (width + 4.0) * f64::EPSILON * (sum + 1.0);
+        min - sum / width - margin
     }
 
     fn mark_changed(&mut self, n: NodeId) {
