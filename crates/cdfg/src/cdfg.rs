@@ -107,8 +107,9 @@ pub struct Cdfg {
     outputs: Vec<NodeId>,
     default_bitwidth: u32,
     next_label: u32,
-    /// Lazily built compact adjacency view; dropped on every structural
-    /// mutation so it can never go stale.
+    /// Lazily built compact adjacency view; patched by control-edge
+    /// insertion and dropped on every other mutation, so it can never go
+    /// stale.
     slices: OnceLock<Slices>,
 }
 
@@ -128,14 +129,14 @@ impl Cdfg {
     }
 
     /// Invalidates the cached adjacency view; called by every structural
-    /// mutation.
+    /// mutation except control-edge insertion, which patches the view.
     fn touch(&mut self) {
         self.slices = OnceLock::new();
     }
 
     /// The compact slice adjacency view (CSR arrays, cached topological
-    /// order, functional-node list), built lazily and reused until the graph
-    /// is mutated.
+    /// order, functional-node list), built lazily, patched in place by
+    /// [`Cdfg::add_control_edge`] and rebuilt after any other mutation.
     ///
     /// # Panics
     ///
@@ -319,11 +320,21 @@ impl Cdfg {
 
     /// Adds a pure precedence (control) edge `before -> after`.
     ///
+    /// The edge is patched into the cached adjacency view (built first if
+    /// missing) rather than invalidating it: a sorted insert into the two
+    /// endpoints' rows plus a Pearce–Kelly repair of the topological order,
+    /// which is also the cycle check.  An edge that already points forward
+    /// in that order costs `O(1)` besides the row inserts; otherwise the
+    /// search is bounded by the nodes positioned between the two endpoints.
+    /// Parallel edges (to an existing data or control edge) are accepted
+    /// and leave the adjacency rows unchanged.
+    ///
     /// # Errors
     ///
     /// Returns [`CdfgError::UnknownNode`] if either endpoint is stale and
-    /// [`CdfgError::CyclicGraph`] if the edge would create a cycle (the edge
-    /// is not added in that case).
+    /// [`CdfgError::CyclicGraph`] if the edge would create a cycle (a
+    /// self-loop included).  A rejected edge leaves the graph and its view
+    /// exactly as they were.
     pub fn add_control_edge(&mut self, before: NodeId, after: NodeId) -> Result<EdgeId, CdfgError> {
         if !self.graph.contains_node(before) {
             return Err(CdfgError::UnknownNode(before));
@@ -331,13 +342,12 @@ impl Cdfg {
         if !self.graph.contains_node(after) {
             return Err(CdfgError::UnknownNode(after));
         }
-        self.touch();
-        let id = self.graph.add_edge(before, after, EdgeData::control());
-        if !self.graph.is_acyclic() {
-            self.graph.remove_edge(id);
+        self.slices();
+        let slices = self.slices.get_mut().expect("view built just above");
+        if !slices.insert_edge(before, after) {
             return Err(CdfgError::CyclicGraph);
         }
-        Ok(id)
+        Ok(self.graph.add_edge(before, after, EdgeData::control()))
     }
 
     /// Removes a previously added control edge.  Data edges cannot be removed
@@ -472,7 +482,10 @@ impl Cdfg {
         OpCounts::from_cdfg(self)
     }
 
-    /// Deterministic topological order of all nodes.
+    /// A topological order of all nodes of the current graph, fixed by its
+    /// mutation history: the view's order, which control-edge insertions
+    /// repair in place instead of recomputing (see [`Slices::topo`] for the
+    /// contract and the consumers audited as order-independent).
     ///
     /// # Panics
     ///

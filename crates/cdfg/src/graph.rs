@@ -5,7 +5,6 @@
 //! rest of the synthesis flow needs: adjacency queries, removal, topological
 //! sort, cycle detection and reachability.
 
-use std::collections::VecDeque;
 use std::fmt;
 
 /// Identifier of a node inside a [`DiGraph`].
@@ -298,28 +297,32 @@ impl<N, E> DiGraph<N, E> {
     /// Returns a topological ordering of the live nodes, or `None` if the
     /// graph contains a cycle.
     ///
-    /// Ties are broken by ascending node id so the result is deterministic.
+    /// Kahn's algorithm with a FIFO ready queue: the sources first in
+    /// ascending id order, then the nodes each pop releases, one batch per
+    /// pop, each batch in ascending id order — so the result is
+    /// deterministic.
     pub fn topological_order(&self) -> Option<Vec<NodeId>> {
         let mut indegree = vec![0usize; self.nodes.len()];
         for (_, _, dst, _) in self.edges() {
             indegree[dst.index()] += 1;
         }
-        let mut ready: VecDeque<NodeId> =
-            self.node_ids().filter(|n| indegree[n.index()] == 0).collect();
+        // `order` doubles as the ready queue: `order[head..]` is what is
+        // still waiting, so the whole sort allocates two vectors.
         let mut order = Vec::with_capacity(self.node_count);
-        while let Some(n) = ready.pop_front() {
-            order.push(n);
-            // Collect first to keep deterministic ascending insertion order.
-            let mut next: Vec<NodeId> = Vec::new();
+        order.extend(self.node_ids().filter(|n| indegree[n.index()] == 0));
+        let mut head = 0;
+        while let Some(&n) = order.get(head) {
+            head += 1;
+            let batch = order.len();
             for &e in self.out_edges(n) {
                 let (_, dst) = self.edge_endpoints(e).expect("live edge");
                 indegree[dst.index()] -= 1;
                 if indegree[dst.index()] == 0 {
-                    next.push(dst);
+                    order.push(dst);
                 }
             }
-            next.sort();
-            ready.extend(next);
+            // A node is released exactly once, so the batch has no ties.
+            order[batch..].sort_unstable();
         }
         if order.len() == self.node_count {
             Some(order)
@@ -424,6 +427,49 @@ mod tests {
         assert!(pos(a) < pos(c));
         assert!(pos(b) < pos(d));
         assert!(pos(c) < pos(d));
+    }
+
+    /// Kahn's algorithm as first written: a `VecDeque` ready queue fed one
+    /// freshly collected, sorted batch per pop.
+    fn batched_kahn<N, E>(g: &DiGraph<N, E>) -> Option<Vec<NodeId>> {
+        let mut indegree = vec![0usize; g.nodes.len()];
+        for (_, _, dst, _) in g.edges() {
+            indegree[dst.index()] += 1;
+        }
+        let mut ready: std::collections::VecDeque<NodeId> =
+            g.node_ids().filter(|n| indegree[n.index()] == 0).collect();
+        let mut order = Vec::new();
+        while let Some(n) = ready.pop_front() {
+            order.push(n);
+            let mut next = Vec::new();
+            for m in g.successors(n) {
+                indegree[m.index()] -= 1;
+                if indegree[m.index()] == 0 {
+                    next.push(m);
+                }
+            }
+            next.sort();
+            ready.extend(next);
+        }
+        (order.len() == g.node_count()).then_some(order)
+    }
+
+    #[test]
+    fn topological_order_matches_batched_kahn() {
+        // Edges added out of id order, parallel edges, a removed node (a
+        // hole in the slots) and several batches per pop.
+        let mut g: DiGraph<(), ()> = DiGraph::new();
+        let n: Vec<NodeId> = (0..9).map(|_| g.add_node(())).collect();
+        for (s, d) in [(8, 3), (8, 1), (0, 5), (0, 2), (2, 7), (5, 7), (5, 7), (3, 6), (1, 6)] {
+            g.add_edge(n[s], n[d], ());
+        }
+        g.remove_node(n[4]);
+        assert_eq!(g.topological_order(), batched_kahn(&g));
+        let (diamond, _) = diamond();
+        assert_eq!(diamond.topological_order(), batched_kahn(&diamond));
+        g.add_edge(n[7], n[0], ());
+        assert_eq!(g.topological_order(), None);
+        assert_eq!(batched_kahn(&g), None);
     }
 
     #[test]

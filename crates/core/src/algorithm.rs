@@ -30,6 +30,8 @@
 //! paths to the same decisions.  Step 12 (datapath and controller generation)
 //! lives in the `binding` and `rtl` crates.
 
+use std::sync::OnceLock;
+
 use cdfg::{Cdfg, NodeId};
 use sched::hyper::{self, HyperOptions};
 use sched::{ResourceConstraint, ScheduleError, Timing, TimingDelta};
@@ -78,7 +80,9 @@ impl PowerManagementOptions {
 ///
 /// The returned [`PowerManagementResult`] contains the constrained CDFG
 /// (with control edges), the power-managed schedule, the traditional
-/// baseline schedule for the same constraints, and the per-multiplexor
+/// baseline schedule for the same constraints (computed on first read
+/// when no resource limit applies, see
+/// [`PowerManagementResult::baseline_schedule`]), and the per-multiplexor
 /// shut-down information needed by the controller generator and by the
 /// power/area reports.
 ///
@@ -95,8 +99,12 @@ pub fn power_manage(
     power_manage_with_workspace(cdfg, options, &mut workspace)
 }
 
-/// Like [`power_manage`], but warm-started: every scheduling run (the
-/// baseline and the final HYPER pass) reuses the buffers of `workspace`.
+/// Like [`power_manage`], but the final HYPER pass (step 11, plus its
+/// re-runs while a resource limit forces relaxation) reuses the buffers of
+/// `workspace`.  Nothing else touches it: the selection loop keeps its own
+/// timing analysis, the unlimited-resource baseline is scheduled on first
+/// read, and the eager baseline under a resource limit is a cold
+/// [`hyper::schedule`].
 ///
 /// This is the entry point for walking one circuit across a whole range of
 /// latency budgets (the Pareto explorer): adjacent budgets reuse the
@@ -114,12 +122,34 @@ pub fn power_manage_with_workspace(
 ) -> Result<PowerManagementResult, PowerManageError> {
     cdfg.validate()?;
 
-    // Baseline: what a traditional scheduler does with the same constraints.
-    let baseline_schedule = hyper::schedule_with_workspace(
-        cdfg,
-        &HyperOptions { latency: options.latency, resources: options.resources.clone() },
-        workspace,
-    )?;
+    // The analysis carried across the selection loop, seeded on the input
+    // graph (whose cached view the working copy then inherits).  It is also
+    // the baseline's feasibility gate.
+    let mut timing = Timing::empty();
+    timing.compute_into(cdfg, options.latency);
+    let baseline_schedule = match &options.resources {
+        // Force-directed scheduling succeeds on every graph whose timing is
+        // feasible, so a latency below the critical path is the only way
+        // the unmanaged baseline can fail — with exactly this error.  The
+        // baseline itself is scheduled only if someone reads it.
+        ResourceConstraint::Unlimited => {
+            if !timing.is_feasible() {
+                return Err(ScheduleError::LatencyTooSmall {
+                    requested: options.latency,
+                    critical_path: timing.min_latency(),
+                }
+                .into());
+            }
+            OnceLock::new()
+        }
+        // Under an allocation, list scheduling may fail where the timing
+        // test passes, and that failure is this call's error: schedule the
+        // baseline now.
+        ResourceConstraint::Limited(_) => OnceLock::from(hyper::schedule(
+            cdfg,
+            &HyperOptions { latency: options.latency, resources: options.resources.clone() },
+        )?),
+    };
 
     let mut working = cdfg.clone();
     let order = options.mux_order.order(cdfg);
@@ -127,12 +157,12 @@ pub fn power_manage_with_workspace(
     // Analysis state carried across the per-mux loop: the cone workspace is
     // prepared once (control edges never change data reachability, so its
     // dead-end set stays valid for the whole loop), and the ASAP/ALAP
-    // analysis is seeded once and then only tightened from the endpoints of
-    // each candidate's control edges.
+    // analysis seeded above is only tightened from the endpoints of each
+    // candidate's control edges.  Accepted edges are patched into the
+    // working graph's cached view, so neither the next cone analysis nor
+    // the final pass rebuilds it.
     let mut cone_ws = ConeWorkspace::new();
     cone_ws.prepare(&working);
-    let mut timing = Timing::empty();
-    timing.compute_into(&working, options.latency);
     let mut delta = TimingDelta::default();
     let mut edge_plan: Vec<(NodeId, NodeId)> = Vec::new();
 
@@ -265,8 +295,9 @@ pub(crate) fn is_resource_pressure(err: &ScheduleError) -> bool {
 /// greedy order and the inputs-first order; for designs with at most
 /// `exhaustive_limit` multiplexors every permutation is tried as well.  All
 /// candidates share one scheduling workspace, so only the first pays the
-/// buffer-growth cost; the results are bit-identical to cold per-candidate
-/// [`power_manage`] calls.
+/// buffer-growth cost, and without a resource limit only the winner's
+/// baseline is ever scheduled (when it is read); the results are
+/// bit-identical to cold per-candidate [`power_manage`] calls.
 ///
 /// # Errors
 ///

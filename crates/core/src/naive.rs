@@ -204,7 +204,7 @@ pub fn power_manage(
     Ok(PowerManagementResult {
         cdfg: working,
         schedule,
-        baseline_schedule,
+        baseline_schedule: baseline_schedule.into(),
         managed,
         latency: options.latency,
     })

@@ -2,8 +2,10 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::OnceLock;
 
 use cdfg::{Cdfg, EdgeId, NodeId, OpCounts};
+use sched::hyper::{self, HyperOptions};
 use sched::{ResourceSet, Schedule};
 
 use crate::activation::{Activation, SelectProbabilities};
@@ -49,7 +51,9 @@ impl ManagedMux {
 pub struct PowerManagementResult {
     pub(crate) cdfg: Cdfg,
     pub(crate) schedule: Schedule,
-    pub(crate) baseline_schedule: Schedule,
+    /// Set by the producer under a resource limit; without one, filled by
+    /// the first [`PowerManagementResult::baseline_schedule`] call.
+    pub(crate) baseline_schedule: OnceLock<Schedule>,
     pub(crate) managed: Vec<ManagedMux>,
     pub(crate) latency: u32,
 }
@@ -69,8 +73,23 @@ impl PowerManagementResult {
     /// The schedule a traditional (non-power-aware) run of the same
     /// scheduler produces for the same constraints — the comparison baseline
     /// of Tables II and III.
+    ///
+    /// Under a resource limit it was scheduled eagerly, because its failure
+    /// is [`crate::power_manage`]'s error.  Without one it is computed on
+    /// the first call and kept, so callers that never read it (the Pareto
+    /// explorer) never pay for it, and results shared between threads
+    /// compute it once: `hyper::schedule` on a copy of [`Self::cdfg`] with
+    /// the control edges listed in [`ManagedMux::control_edges`] removed —
+    /// the input graph.
     pub fn baseline_schedule(&self) -> &Schedule {
-        &self.baseline_schedule
+        self.baseline_schedule.get_or_init(|| {
+            let mut unmanaged = self.cdfg.clone();
+            for &edge in self.managed.iter().flat_map(|m| &m.control_edges) {
+                unmanaged.remove_control_edge(edge);
+            }
+            hyper::schedule(&unmanaged, &HyperOptions::with_latency(self.latency))
+                .expect("power_manage checked the latency against the unmanaged critical path")
+        })
     }
 
     /// The latency (control steps) both schedules were produced for.
@@ -127,7 +146,7 @@ impl PowerManagementResult {
 
     /// Execution units required by the baseline schedule.
     pub fn baseline_resource_usage(&self) -> ResourceSet {
-        self.baseline_schedule.resource_usage(&self.cdfg)
+        self.baseline_schedule().resource_usage(&self.cdfg)
     }
 
     /// Execution-unit area ratio of the power-managed allocation relative to

@@ -15,11 +15,14 @@
 //!
 //! Two things make the walk cheap and exact:
 //!
-//! * **Warm-started scheduling** — adjacent budgets share one
-//!   [`sched::force::Workspace`], so the ASAP/ALAP analysis and the force
-//!   kernel reuse the previous budget's buffers.  Reuse never changes a
-//!   result: warm schedules are bit-identical to cold per-budget runs (the
-//!   identity tests pin this against `sched::naive`).
+//! * **One force pass per budget** — each point runs the selection loop
+//!   and the final HYPER pass, and nothing else: the control edges the
+//!   loop accepts are patched into the working graph's cached adjacency
+//!   instead of rebuilding it, and the unmanaged baseline schedule, which
+//!   no point here reads, is never scheduled (it is computed on first
+//!   read).  The final pass shares one [`sched::force::Workspace`] across
+//!   adjacent budgets; reuse never changes a result (the identity tests
+//!   pin warm schedules against cold runs and `sched::naive`).
 //! * **Per-circuit independence** — circuits are explored in parallel on
 //!   the engine's [`crate::pool`], and every budget walk is sequential
 //!   inside its circuit, so the report is identical for every thread count.
