@@ -15,17 +15,12 @@
 //!   it is sampled on a few multiplexors (and skipped entirely at the sizes
 //!   where even one mux takes seconds); the bitset path is timed in full.
 //!
-//! ```text
-//! cargo run --release -p bench --bin bench_core [-- --quick] [--out PATH]
-//! ```
-//!
-//! * `--quick` — fewer repetitions and no huge circuits (CI smoke mode),
-//! * `--out PATH` — write the JSON to a file instead of stdout.
+//! `--quick` takes fewer repetitions and skips the two largest analysis
+//! circuits (see the crate docs for the command line).
 
 use std::fmt::Write as _;
-use std::process::exit;
-use std::time::Instant;
 
+use bench::{time_best, Args};
 use cdfg::Cdfg;
 use gen::{Family, GenSpec};
 use pmsched::{naive, power_manage, ConeWorkspace, MuxCones, PowerManagementOptions};
@@ -78,17 +73,6 @@ fn analysis_cases(quick: bool) -> Vec<(String, Cdfg)> {
         .collect()
 }
 
-/// Best-of-`reps` wall time of `f`, in seconds.
-fn time_best<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
-
 /// Asserts that the incremental loop and the naive reference reach the same
 /// decisions on `cdfg` at `budget` (everything except control-edge ids).
 fn assert_identity(cdfg: &Cdfg, budget: u32, name: &str) {
@@ -112,25 +96,8 @@ fn assert_identity(cdfg: &Cdfg, budget: u32, name: &str) {
 }
 
 fn main() {
-    let mut quick = false;
-    let mut out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--out" => {
-                out = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--out needs a path");
-                    exit(2);
-                }));
-            }
-            other => {
-                eprintln!("unknown argument `{other}` (expected --quick / --out PATH)");
-                exit(2);
-            }
-        }
-    }
-    let reps = if quick { 3 } else { 10 };
+    let args = Args::parse();
+    let reps = if args.quick { 3 } else { 10 };
 
     // Budget walks: incremental loop vs the naive reference.
     let mut walk_rows = String::new();
@@ -149,15 +116,12 @@ fn main() {
                 let _ = naive::power_manage(&cdfg, &options).expect("feasible");
             }
         });
-        // The fast configuration is the Pareto explorer's actual inner loop:
-        // one scheduling workspace warm-started across the whole budget
-        // range (bench_pareto pins warm == cold == naive identity).
+        // The fast configuration is the Pareto explorer's inner loop: one
+        // plain `power_manage` call per budget.
         let fast_s = time_best(reps, || {
-            let mut ws = sched::force::Workspace::new();
             for budget in budgets.clone() {
                 let options = PowerManagementOptions::with_latency(budget);
-                let _ = pmsched::power_manage_with_workspace(&cdfg, &options, &mut ws)
-                    .expect("feasible");
+                let _ = power_manage(&cdfg, &options).expect("feasible");
             }
         });
         let speedup = naive_s / fast_s.max(1e-12);
@@ -188,7 +152,7 @@ fn main() {
     // Analysis scaling: analyze_all on growing circuits, naive sampled where
     // it is still tractable.
     let mut analysis_rows = String::new();
-    for (name, cdfg) in analysis_cases(quick) {
+    for (name, cdfg) in analysis_cases(args.quick) {
         let muxes = cdfg.mux_nodes();
         let fast_all_s = time_best(reps, || {
             let _ = MuxCones::analyze_all(&cdfg);
@@ -244,20 +208,14 @@ fn main() {
          \"reps\": {reps},\n  \"walks\": [\n{walk_rows}\n  ],\n  \"headline_walk\": \
          {{\"name\": \"{headline_name}\", \"nodes\": {headline_nodes}, \
          \"speedup\": {headline_speedup:.2}}},\n  \"analysis\": [\n{analysis_rows}\n  ]\n}}\n",
-        if quick { "quick" } else { "full" },
+        if args.quick { "quick" } else { "full" },
     );
 
-    match out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(&path, &json) {
-                eprintln!("cannot write {path}: {e}");
-                exit(1);
-            }
-            eprintln!(
-                "wrote {path}: {headline_name} ({headline_nodes} nodes) walk at \
-                 {headline_speedup:.2}x over the naive reference"
-            );
-        }
-        None => print!("{json}"),
-    }
+    args.emit(
+        &json,
+        &format!(
+            "{headline_name} ({headline_nodes} nodes) walk at {headline_speedup:.2}x over the \
+             naive reference"
+        ),
+    );
 }

@@ -16,17 +16,12 @@
 //! * **Explorer parallelism** — the per-op exploration at 1 vs. N
 //!   threads, with a byte-identity assert on the JSON.
 //!
-//! ```text
-//! cargo run --release -p bench --bin bench_dvs [-- --quick] [--out PATH]
-//! ```
-//!
-//! * `--quick` — fewer repetitions and a smaller batch (CI smoke mode),
-//! * `--out PATH` — write the JSON to a file instead of stdout.
+//! `--quick` takes fewer repetitions and a smaller batch (see the crate
+//! docs for the command line).
 
 use std::fmt::Write as _;
-use std::process::exit;
-use std::time::Instant;
 
+use bench::{time_best, Args};
 use cdfg::Cdfg;
 use engine::{
     BudgetCeiling, BudgetPolicy, Engine, ExploreOptions, ExploreRequest, VoltagePolicy,
@@ -91,37 +86,9 @@ fn cases() -> Vec<Case> {
     cases
 }
 
-/// Best-of-`reps` wall time of `f`, in seconds.
-fn time_best<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
-
 fn main() {
-    let mut quick = false;
-    let mut out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--out" => {
-                out = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--out needs a path");
-                    exit(2);
-                }));
-            }
-            other => {
-                eprintln!("unknown argument `{other}` (expected --quick / --out PATH)");
-                exit(2);
-            }
-        }
-    }
-    let reps = if quick { 3 } else { 15 };
+    let args = Args::parse();
+    let reps = if args.quick { 3 } else { 15 };
 
     let weights = OpWeights::paper_power();
     let table = VoltagePreset::FiveLevel.table();
@@ -250,7 +217,7 @@ fn main() {
     }
 
     // Explorer overhead and parallelism on a generated batch.
-    let batch_size = if quick { 8 } else { 24 };
+    let batch_size = if args.quick { 8 } else { 24 };
     let mut spec = GenSpec::new(Family::RandomDag, 11, batch_size);
     spec.width = 8;
     spec.depth = 10;
@@ -290,23 +257,17 @@ fn main() {
          \"explorer\": {{\"circuits\": {batch_size}, \"threads\": {threads}, \
          \"global_ms\": {:.1}, \"per_op_ms\": {:.1}, \"per_op_overhead\": {overhead:.2}, \
          \"parallel_ms\": {:.1}, \"parallel_speedup\": {parallel_speedup:.2}}}\n}}\n",
-        if quick { "quick" } else { "full" },
+        if args.quick { "quick" } else { "full" },
         global_s * 1e3,
         per_op_s * 1e3,
         parallel_s * 1e3,
     );
 
-    match out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(&path, &json) {
-                eprintln!("cannot write {path}: {e}");
-                exit(1);
-            }
-            eprintln!(
-                "wrote {path}: per-op explorer {overhead:.2}x the global path, \
-                 {parallel_speedup:.2}x on {threads} threads, max exact gap {max_gap:.4}%"
-            );
-        }
-        None => print!("{json}"),
-    }
+    args.emit(
+        &json,
+        &format!(
+            "per-op explorer {overhead:.2}x the global path, {parallel_speedup:.2}x on \
+             {threads} threads, max exact gap {max_gap:.4}%"
+        ),
+    );
 }

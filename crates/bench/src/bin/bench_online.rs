@@ -16,17 +16,12 @@
 //! The binary *asserts* the identity and the headline economy claim
 //! (median touched ratio < 0.3 on budget-step streams) before emitting
 //! numbers — a fast kernel that drifted would make them meaningless.
-//!
-//! ```text
-//! cargo run --release -p bench --bin bench_online [-- --quick] [--out PATH]
-//! ```
-//!
-//! * `--quick` — fewer events (CI smoke mode),
-//! * `--out PATH` — write the JSON to a file instead of stdout.
+//! `--quick` replays fewer events (see the crate docs for the command
+//! line).
 
-use std::process::exit;
 use std::time::Instant;
 
+use bench::Args;
 use engine::online::{run_stream_verified, SessionState};
 use gen::StreamSpec;
 
@@ -39,25 +34,8 @@ fn stream_spec(quick: bool) -> StreamSpec {
 }
 
 fn main() {
-    let mut quick = false;
-    let mut out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--out" => {
-                out = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--out needs a path");
-                    exit(2);
-                }));
-            }
-            other => {
-                eprintln!("unknown argument `{other}` (expected --quick / --out PATH)");
-                exit(2);
-            }
-        }
-    }
-    let spec = stream_spec(quick);
+    let args = Args::parse();
+    let spec = stream_spec(args.quick);
 
     // Timed pass: repair only, no verification overhead in the loop.
     let (batch, events) = gen::stream(&spec).expect("bench stream generates");
@@ -98,7 +76,7 @@ fn main() {
          \"median_touched_ratio\": {:.4},\n  \"mean_touched_ratio\": {:.4},\n  \
          \"zero_work_events\": {},\n  \"full_recomputes\": {},\n  \
          \"nodes_touched\": {},\n  \"identity\": true\n}}\n",
-        if quick { "quick" } else { "full" },
+        if args.quick { "quick" } else { "full" },
         spec.spec_string(),
         events.len(),
         events_per_sec,
@@ -111,19 +89,12 @@ fn main() {
         summary.nodes_touched,
     );
 
-    match out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(&path, &json) {
-                eprintln!("cannot write {path}: {e}");
-                exit(1);
-            }
-            eprintln!(
-                "wrote {path}: {events_per_sec:.0} events/s, repair p50 {:.2} us, \
-                 median touched ratio {:.4}",
-                p50 * 1e6,
-                verified.median_touched_ratio
-            );
-        }
-        None => print!("{json}"),
-    }
+    args.emit(
+        &json,
+        &format!(
+            "{events_per_sec:.0} events/s, repair p50 {:.2} us, median touched ratio {:.4}",
+            p50 * 1e6,
+            verified.median_touched_ratio
+        ),
+    );
 }

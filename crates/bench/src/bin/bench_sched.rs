@@ -6,21 +6,15 @@
 //! per-case wall times and speedups plus the headline number — the speedup
 //! on the largest generated random-dag case.  Future PRs append their own
 //! measurement of the same cases to track the kernel's trajectory.
-//!
-//! ```text
-//! cargo run --release -p bench --bin bench_sched [-- --quick] [--out PATH]
-//! ```
-//!
-//! * `--quick` — fewer repetitions (CI smoke mode),
-//! * `--out PATH` — write the JSON to a file instead of stdout.
+//! `--quick` takes fewer repetitions (see the crate docs for the command
+//! line).
 //!
 //! Every case asserts schedule equality between the two kernels before
 //! timing them.
 
 use std::fmt::Write as _;
-use std::process::exit;
-use std::time::Instant;
 
+use bench::{time_best, Args};
 use cdfg::Cdfg;
 use gen::{Family, GenSpec};
 use sched::{force, naive};
@@ -54,37 +48,9 @@ fn cases() -> Vec<Case> {
     cases
 }
 
-/// Best-of-`reps` wall time of `f`, in seconds.
-fn time_best<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
-
 fn main() {
-    let mut quick = false;
-    let mut out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--out" => {
-                out = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--out needs a path");
-                    exit(2);
-                }));
-            }
-            other => {
-                eprintln!("unknown argument `{other}` (expected --quick / --out PATH)");
-                exit(2);
-            }
-        }
-    }
-    let reps = if quick { 3 } else { 15 };
+    let args = Args::parse();
+    let reps = if args.quick { 3 } else { 15 };
 
     let mut rows = String::new();
     let mut largest: Option<(String, f64)> = None;
@@ -128,19 +94,8 @@ fn main() {
         "{{\n  \"bench\": \"sched_kernel\",\n  \"schema\": 1,\n  \"mode\": \"{}\",\n  \
          \"reps\": {reps},\n  \"cases\": [\n{rows}\n  ],\n  \"largest_generated\": \
          {{\"name\": \"{largest_name}\", \"speedup\": {largest_speedup:.2}}}\n}}\n",
-        if quick { "quick" } else { "full" },
+        if args.quick { "quick" } else { "full" },
     );
 
-    match out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(&path, &json) {
-                eprintln!("cannot write {path}: {e}");
-                exit(1);
-            }
-            eprintln!(
-                "wrote {path}: largest generated case {largest_name} at {largest_speedup:.2}x"
-            );
-        }
-        None => print!("{json}"),
-    }
+    args.emit(&json, &format!("largest generated case {largest_name} at {largest_speedup:.2}x"));
 }

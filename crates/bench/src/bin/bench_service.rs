@@ -16,18 +16,12 @@
 //!
 //! Every warm report is byte-compared against the cold one before any
 //! timing is trusted — a daemon that drifted would make the numbers
-//! meaningless.
-//!
-//! ```text
-//! cargo run --release -p bench --bin bench_service [-- --quick] [--out PATH]
-//! ```
-//!
-//! * `--quick` — fewer jobs (CI smoke mode),
-//! * `--out PATH` — write the JSON to a file instead of stdout.
+//! meaningless.  `--quick` submits fewer jobs (see the crate docs for the
+//! command line).
 
-use std::process::exit;
 use std::time::Instant;
 
+use bench::Args;
 use engine::{Scenario, SchedulerKind};
 use service::{Client, Daemon, DaemonConfig, JobSpec, JobState};
 
@@ -49,25 +43,8 @@ fn matrix() -> Vec<Scenario> {
 }
 
 fn main() {
-    let mut quick = false;
-    let mut out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--out" => {
-                out = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--out needs a path");
-                    exit(2);
-                }));
-            }
-            other => {
-                eprintln!("unknown argument `{other}` (expected --quick / --out PATH)");
-                exit(2);
-            }
-        }
-    }
-    let jobs = if quick { 25 } else { 200 };
+    let args = Args::parse();
+    let jobs = if args.quick { 25 } else { 200 };
 
     let socket = std::env::temp_dir().join(format!("bench-service-{}.sock", std::process::id()));
     let daemon = Daemon::start(DaemonConfig::new(&socket)).expect("daemon starts");
@@ -110,7 +87,7 @@ fn main() {
          \"scenarios_per_job\": {},\n  \"jobs\": {jobs},\n  \"cold_ms\": {:.2},\n  \
          \"warm_p50_ms\": {:.2},\n  \"warm_p99_ms\": {:.2},\n  \"jobs_per_sec\": {:.1},\n  \
          \"warm_hit_rate\": {hit_rate}\n}}\n",
-        if quick { "quick" } else { "full" },
+        if args.quick { "quick" } else { "full" },
         matrix().len(),
         cold_s * 1e3,
         p50 * 1e3,
@@ -118,19 +95,12 @@ fn main() {
         jobs_per_sec,
     );
 
-    match out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(&path, &json) {
-                eprintln!("cannot write {path}: {e}");
-                exit(1);
-            }
-            eprintln!(
-                "wrote {path}: {jobs_per_sec:.1} jobs/s sustained, warm p50 {:.2} ms \
-                 (cold {:.2} ms)",
-                p50 * 1e3,
-                cold_s * 1e3
-            );
-        }
-        None => print!("{json}"),
-    }
+    args.emit(
+        &json,
+        &format!(
+            "{jobs_per_sec:.1} jobs/s sustained, warm p50 {:.2} ms (cold {:.2} ms)",
+            p50 * 1e3,
+            cold_s * 1e3
+        ),
+    );
 }

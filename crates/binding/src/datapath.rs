@@ -90,7 +90,7 @@ impl Datapath {
         let mut routing_map: BTreeMap<(UnitId, u16), BTreeSet<OperandSource>> = BTreeMap::new();
         let mut operand_sources: BTreeMap<(NodeId, u16), OperandSource> = BTreeMap::new();
 
-        for node in cdfg.functional_nodes() {
+        for &node in cdfg.slices().functional() {
             let unit = fu.unit_of(node).ok_or(BindError::UnscheduledNode(node))?;
             for (port, operand) in cdfg.operands(node).into_iter().enumerate() {
                 let source = source_of(cdfg, &registers, schedule, node, operand);
@@ -237,7 +237,7 @@ mod tests {
         for latency in 2..=4 {
             let s = hyper::schedule(&g, &HyperOptions::with_latency(latency)).unwrap();
             let dp = Datapath::build(&g, &s).unwrap();
-            for node in g.functional_nodes() {
+            for &node in g.slices().functional() {
                 for port in 0..g.node(node).unwrap().op.arity() as u16 {
                     assert!(
                         dp.operand_source(node, port).is_some(),

@@ -90,7 +90,7 @@ impl FuBinding {
         let mut units: Vec<FunctionalUnit> = Vec::new();
         let mut assignment: BTreeMap<NodeId, UnitId> = BTreeMap::new();
 
-        for node in cdfg.functional_nodes() {
+        for &node in cdfg.slices().functional() {
             if schedule.step_of(node).is_none() {
                 return Err(BindError::UnscheduledNode(node));
             }

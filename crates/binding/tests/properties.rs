@@ -70,7 +70,7 @@ proptest! {
             }
         }
         // Every functional node is bound exactly once.
-        for n in g.functional_nodes() {
+        for &n in g.slices().functional() {
             prop_assert!(binding.unit_of(n).is_some());
         }
     }
@@ -107,7 +107,7 @@ proptest! {
         let latency = g.critical_path_length().max(1) + recipe.extra_latency;
         let schedule = hyper::schedule(&g, &HyperOptions::with_latency(latency)).unwrap();
         let dp = Datapath::build(&g, &schedule).unwrap();
-        for node in g.functional_nodes() {
+        for &node in g.slices().functional() {
             let arity = g.node(node).unwrap().op.arity();
             for port in 0..arity as u16 {
                 prop_assert!(dp.operand_source(node, port).is_some());

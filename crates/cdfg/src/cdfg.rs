@@ -147,15 +147,13 @@ impl Cdfg {
     }
 
     /// Immediate predecessors via data or control edges as a borrowed slice
-    /// (deduplicated, ascending).  Allocation-free equivalent of
-    /// [`Cdfg::predecessors`].
+    /// (deduplicated, ascending).
     pub fn preds(&self, id: NodeId) -> &[NodeId] {
         self.slices().preds(id)
     }
 
     /// Immediate successors via data or control edges as a borrowed slice
-    /// (deduplicated, ascending).  Allocation-free equivalent of
-    /// [`Cdfg::successors`].
+    /// (deduplicated, ascending).
     pub fn succs(&self, id: NodeId) -> &[NodeId] {
         self.slices().succs(id)
     }
@@ -407,28 +405,9 @@ impl Cdfg {
         self.graph.node_ids()
     }
 
-    /// Ids of all functional (execution-unit-occupying) nodes.
-    pub fn functional_nodes(&self) -> Vec<NodeId> {
-        self.slices().functional().to_vec()
-    }
-
     /// Ids of all multiplexor nodes.
     pub fn mux_nodes(&self) -> Vec<NodeId> {
         self.graph.nodes().filter(|(_, d)| d.op.is_mux()).map(|(id, _)| id).collect()
-    }
-
-    /// Immediate predecessors via data or control edges (deduplicated,
-    /// ascending order).  Prefer [`Cdfg::preds`] in hot paths: it borrows
-    /// from the cached adjacency view instead of allocating.
-    pub fn predecessors(&self, id: NodeId) -> Vec<NodeId> {
-        self.preds(id).to_vec()
-    }
-
-    /// Immediate successors via data or control edges (deduplicated,
-    /// ascending order).  Prefer [`Cdfg::succs`] in hot paths: it borrows
-    /// from the cached adjacency view instead of allocating.
-    pub fn successors(&self, id: NodeId) -> Vec<NodeId> {
-        self.succs(id).to_vec()
     }
 
     /// The data operand feeding input port `port` of node `id`, if any.
@@ -480,19 +459,6 @@ impl Cdfg {
     /// Operation statistics over the whole design (Table I columns).
     pub fn op_counts(&self) -> OpCounts {
         OpCounts::from_cdfg(self)
-    }
-
-    /// A topological order of all nodes of the current graph, fixed by its
-    /// mutation history: the view's order, which control-edge insertions
-    /// repair in place instead of recomputing (see [`Slices::topo`] for the
-    /// contract and the consumers audited as order-independent).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph is cyclic; use [`Cdfg::validate`] first when the
-    /// graph comes from untrusted construction code.
-    pub fn topological_order(&self) -> Vec<NodeId> {
-        self.slices().topo().to_vec()
     }
 
     /// Length of the critical path measured in control steps (the minimum
@@ -571,9 +537,8 @@ impl Cdfg {
     /// Panics if `inputs` is missing a value for a primary input or if the
     /// graph fails validation assumptions (undriven ports).
     pub fn evaluate(&self, inputs: &BTreeMap<String, i64>) -> BTreeMap<String, i64> {
-        let order = self.topological_order();
         let mut values: BTreeMap<NodeId, i64> = BTreeMap::new();
-        for id in order {
+        for &id in self.slices().topo() {
             let data = self.graph.node(id).expect("live node");
             let value = match data.op {
                 Op::Input => *inputs
@@ -718,14 +683,14 @@ mod tests {
         let (mut g, gt, amb, _, m) = abs_diff();
         g.add_control_edge(gt, amb).unwrap();
         assert_eq!(g.data_successors(gt), vec![m]);
-        assert!(g.successors(gt).contains(&amb));
+        assert!(g.succs(gt).contains(&amb));
     }
 
     #[test]
     fn mux_and_functional_node_queries() {
         let (g, _, _, _, m) = abs_diff();
         assert_eq!(g.mux_nodes(), vec![m]);
-        assert_eq!(g.functional_nodes().len(), 4);
+        assert_eq!(g.slices().functional().len(), 4);
         let counts = g.op_counts();
         assert_eq!(counts.mux, 1);
         assert_eq!(counts.comp, 1);

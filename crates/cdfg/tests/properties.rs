@@ -62,7 +62,7 @@ proptest! {
     #[test]
     fn topological_order_respects_data_edges(recipe in recipe_strategy()) {
         let (g, _) = build(&recipe);
-        let order = g.topological_order();
+        let order = g.slices().topo();
         let pos: BTreeMap<NodeId, usize> = order.iter().enumerate().map(|(i, &n)| (n, i)).collect();
         for n in g.node_ids() {
             for operand in g.operands(n) {
@@ -77,7 +77,7 @@ proptest! {
     fn critical_path_is_bounded(recipe in recipe_strategy()) {
         let (g, _) = build(&recipe);
         let cp = g.critical_path_length() as usize;
-        let functional = g.functional_nodes().len();
+        let functional = g.slices().functional().len();
         prop_assert!(cp <= functional.max(1));
         if functional > 0 {
             prop_assert!(cp >= 1);
@@ -114,6 +114,6 @@ proptest! {
     #[test]
     fn op_counts_sum_to_functional_nodes(recipe in recipe_strategy()) {
         let (g, _) = build(&recipe);
-        prop_assert_eq!(g.op_counts().total(), g.functional_nodes().len());
+        prop_assert_eq!(g.op_counts().total(), g.slices().functional().len());
     }
 }

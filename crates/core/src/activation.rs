@@ -97,7 +97,7 @@ impl Activation {
         let mut probabilities: BTreeMap<NodeId, f64> = BTreeMap::new();
         let mut gating: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
         let mut classes: BTreeMap<NodeId, OpClass> = BTreeMap::new();
-        for node in cdfg.functional_nodes() {
+        for &node in cdfg.slices().functional() {
             probabilities.insert(node, 1.0);
             gating.insert(node, Vec::new());
             classes.insert(node, cdfg.node(node).expect("live node").op.class());

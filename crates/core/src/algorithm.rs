@@ -95,31 +95,6 @@ pub fn power_manage(
     cdfg: &Cdfg,
     options: &PowerManagementOptions,
 ) -> Result<PowerManagementResult, PowerManageError> {
-    let mut workspace = sched::force::Workspace::new();
-    power_manage_with_workspace(cdfg, options, &mut workspace)
-}
-
-/// Like [`power_manage`], but the final HYPER pass (step 11, plus its
-/// re-runs while a resource limit forces relaxation) reuses the buffers of
-/// `workspace`.  Nothing else touches it: the selection loop keeps its own
-/// timing analysis, the unlimited-resource baseline is scheduled on first
-/// read, and the eager baseline under a resource limit is a cold
-/// [`hyper::schedule`].
-///
-/// This is the entry point for walking one circuit across a whole range of
-/// latency budgets (the Pareto explorer): adjacent budgets reuse the
-/// previous budget's ASAP/ALAP and kernel buffers, and the results are
-/// bit-identical to per-budget [`power_manage`] calls — the warm-start
-/// identity tests pin the equality against the `sched::naive` reference.
-///
-/// # Errors
-///
-/// Same conditions as [`power_manage`].
-pub fn power_manage_with_workspace(
-    cdfg: &Cdfg,
-    options: &PowerManagementOptions,
-    workspace: &mut sched::force::Workspace,
-) -> Result<PowerManagementResult, PowerManageError> {
     cdfg.validate()?;
 
     // The analysis carried across the selection loop, seeded on the input
@@ -242,10 +217,9 @@ pub fn power_manage_with_workspace(
     // heuristics examine the most promising muxes first, so the marginal
     // acceptances are the cheapest to give back.
     let schedule = loop {
-        match hyper::schedule_with_workspace(
+        match hyper::schedule(
             &working,
             &HyperOptions { latency: options.latency, resources: options.resources.clone() },
-            workspace,
         ) {
             Ok(s) => break s,
             Err(err) => {
@@ -293,11 +267,9 @@ pub(crate) fn is_resource_pressure(err: &ScheduleError) -> bool {
 ///
 /// The candidate orders are the outputs-first default, the savings-driven
 /// greedy order and the inputs-first order; for designs with at most
-/// `exhaustive_limit` multiplexors every permutation is tried as well.  All
-/// candidates share one scheduling workspace, so only the first pays the
-/// buffer-growth cost, and without a resource limit only the winner's
-/// baseline is ever scheduled (when it is read); the results are
-/// bit-identical to cold per-candidate [`power_manage`] calls.
+/// `exhaustive_limit` multiplexors every permutation is tried as well.
+/// Without a resource limit only the winner's baseline is ever scheduled
+/// (when it is read).
 ///
 /// # Errors
 ///
@@ -315,11 +287,9 @@ pub fn power_manage_reordered(
         candidates.extend(permutations(&muxes).into_iter().map(MuxOrder::Explicit));
     }
 
-    let mut workspace = sched::force::Workspace::new();
     let mut best: Option<PowerManagementResult> = None;
     for order in candidates {
-        let run =
-            power_manage_with_workspace(cdfg, &options.clone().mux_order(order), &mut workspace)?;
+        let run = power_manage(cdfg, &options.clone().mux_order(order))?;
         let better = match &best {
             None => true,
             Some(current) => {
@@ -451,28 +421,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_workspace_runs_match_cold_runs_across_budgets() {
-        // One workspace reused across the whole budget range (the Pareto
-        // explorer's inner loop) must reproduce the cold per-budget results
-        // exactly: same schedules, same accepted muxes, same savings.
-        let (g, ..) = abs_diff();
-        let mut ws = sched::force::Workspace::new();
-        for latency in 2..8 {
-            let options = PowerManagementOptions::with_latency(latency);
-            let warm = power_manage_with_workspace(&g, &options, &mut ws).unwrap();
-            let cold = power_manage(&g, &options).unwrap();
-            assert_eq!(warm.schedule(), cold.schedule(), "latency {latency}");
-            assert_eq!(warm.baseline_schedule(), cold.baseline_schedule(), "latency {latency}");
-            assert_eq!(warm.accepted_muxes().len(), cold.accepted_muxes().len());
-            assert_eq!(
-                warm.savings().reduction_percent,
-                cold.savings().reduction_percent,
-                "bit-identical savings at latency {latency}"
-            );
-        }
-    }
-
-    #[test]
     fn reordered_search_is_at_least_as_good_as_default() {
         // Nested conditionals where processing order matters.
         let mut g = Cdfg::new("nested");
@@ -548,8 +496,8 @@ mod tests {
 
     #[test]
     fn reordered_search_matches_cold_per_order_runs() {
-        // The shared-workspace candidate loop must pick exactly the result a
-        // cold evaluation of the same candidate orders picks.
+        // The candidate loop must pick exactly the result a separate
+        // evaluation of the same candidate orders picks.
         let mut g = Cdfg::new("nested");
         let x = g.add_input("x");
         let y = g.add_input("y");
@@ -563,7 +511,7 @@ mod tests {
         g.add_output("o", outer).unwrap();
 
         let options = PowerManagementOptions::with_latency(4);
-        let warm = power_manage_reordered(&g, &options, 4).unwrap();
+        let reordered = power_manage_reordered(&g, &options, 4).unwrap();
 
         let mut candidates: Vec<MuxOrder> =
             vec![MuxOrder::OutputsFirst, MuxOrder::BySavings, MuxOrder::InputsFirst];
@@ -582,10 +530,10 @@ mod tests {
             }
         }
         let cold = cold.unwrap();
-        assert_eq!(warm.schedule(), cold.schedule());
-        assert_eq!(warm.baseline_schedule(), cold.baseline_schedule());
-        assert_eq!(warm.savings().reduction_percent, cold.savings().reduction_percent);
-        assert_eq!(warm.accepted_muxes().len(), cold.accepted_muxes().len());
+        assert_eq!(reordered.schedule(), cold.schedule());
+        assert_eq!(reordered.baseline_schedule(), cold.baseline_schedule());
+        assert_eq!(reordered.savings().reduction_percent, cold.savings().reduction_percent);
+        assert_eq!(reordered.accepted_muxes().len(), cold.accepted_muxes().len());
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub mod report;
 pub mod savings;
 
 pub use crate::activation::{Activation, SelectProbabilities};
-pub use crate::algorithm::{power_manage, power_manage_with_workspace, PowerManagementOptions};
+pub use crate::algorithm::{power_manage, PowerManagementOptions};
 pub use crate::cones::{ConeWorkspace, MuxCones};
 pub use crate::error::PowerManageError;
 pub use crate::mux_order::MuxOrder;

@@ -76,13 +76,13 @@ fn shutdown_set(
     for &o in cdfg.outputs() {
         needed.insert(o);
     }
-    for node in cdfg.functional_nodes() {
+    for &node in cdfg.slices().functional() {
         if cone::distance_to_output(cdfg, node).is_none() && needed.insert(node) {
             stack.push(node);
         }
     }
     while let Some(n) = stack.pop() {
-        for pred in cdfg.predecessors(n) {
+        for &pred in cdfg.preds(n) {
             if n == mux && cdfg.operand(mux, port) == Some(pred) {
                 let feeds_other_port =
                     (0..3u16).filter(|&p| p != port).any(|p| cdfg.operand(mux, p) == Some(pred));
@@ -117,11 +117,9 @@ pub fn power_manage(
 ) -> Result<PowerManagementResult, PowerManageError> {
     cdfg.validate()?;
 
-    let mut workspace = sched::force::Workspace::new();
-    let baseline_schedule = hyper::schedule_with_workspace(
+    let baseline_schedule = hyper::schedule(
         cdfg,
         &HyperOptions { latency: options.latency, resources: options.resources.clone() },
-        &mut workspace,
     )?;
 
     let mut working = cdfg.clone();
@@ -179,10 +177,9 @@ pub fn power_manage(
     }
 
     let schedule = loop {
-        match hyper::schedule_with_workspace(
+        match hyper::schedule(
             &working,
             &HyperOptions { latency: options.latency, resources: options.resources.clone() },
-            &mut workspace,
         ) {
             Ok(s) => break s,
             Err(err) => {

@@ -92,7 +92,7 @@ pub fn pipeline_register_estimate(
     let cdfg = result.cdfg();
     let schedule = result.schedule();
     let mut crossings = 0usize;
-    for node in cdfg.functional_nodes() {
+    for &node in cdfg.slices().functional() {
         let Some(src_step) = schedule.step_of(node) else { continue };
         for consumer in cdfg.data_successors(node) {
             if let Some(dst_step) = schedule.step_of(consumer) {

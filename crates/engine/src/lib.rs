@@ -66,7 +66,7 @@ pub mod scenario;
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::AtomicBool;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use cdfg::{Cdfg, OpClass};
 use pmsched::{
@@ -79,7 +79,7 @@ use sched::{hyper, ResourceConstraint};
 pub use crate::cache::CacheStats;
 pub use crate::error::EngineError;
 pub use crate::online::{
-    run_stream, run_stream_controlled, run_stream_verified, run_streams, EventMetrics, EventRecord,
+    run_stream, run_stream_controlled, run_stream_verified, EventMetrics, EventRecord,
     OnlineReport, OnlineSummary, SessionState, VerifiedOutcome,
 };
 pub use crate::pareto::{
@@ -99,7 +99,7 @@ const REORDER_EXHAUSTIVE_LIMIT: usize = 5;
 /// Progress of a running sweep or exploration: work items completed out of
 /// the total the (expanded) plan contains.
 ///
-/// For [`Engine::run_with_progress`] an item is one scenario (failed
+/// For [`Engine::run_controlled`] an item is one scenario (failed
 /// scenarios count too — they are part of the plan); for
 /// [`Engine::explore_controlled`] an item is one circuit walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,35 +185,17 @@ impl Engine {
             .expect("a run without a cancel flag cannot be cancelled")
     }
 
-    /// [`Engine::run`] with a progress callback: `progress` is invoked once
-    /// per completed scenario with monotonically increasing completed
-    /// counts covering `1..=total` (failed scenarios count — they are part
-    /// of the plan).  The report is identical to a plain [`Engine::run`].
-    pub fn run_with_progress<F>(
-        &self,
-        plan: &SweepPlan,
-        threads: usize,
-        progress: &mut F,
-    ) -> SweepReport
-    where
-        F: FnMut(Progress) + Send,
-    {
-        // Workers tick concurrently; the mutex serialises them into the
-        // caller's FnMut.
-        let progress = Mutex::new(progress);
-        let forward = |p: Progress| (progress.lock().expect("progress lock"))(p);
-        self.run_controlled(plan, threads, None, Some(&forward))
-            .expect("a run without a cancel flag cannot be cancelled")
-    }
-
     /// [`Engine::run`] with cooperative cancellation and progress hooks —
     /// the entry point long-running services drive.
     ///
-    /// `cancel` is checked at scenario boundaries: once set, no further
-    /// scenario starts (in-flight scenarios complete) and the run returns
-    /// `None`, discarding the partial results.  An uncancelled run returns
-    /// `Some(report)` bit-identical to a plain [`Engine::run`] — the hooks
-    /// observe the sweep, they never alter it.
+    /// `progress` is invoked once per completed scenario, concurrently from
+    /// the workers, with completed counts covering `1..=total` (failed
+    /// scenarios count — they are part of the plan).  `cancel` is checked
+    /// at scenario boundaries: once set, no further scenario starts
+    /// (in-flight scenarios complete) and the run returns `None`, discarding
+    /// the partial results.  An uncancelled run returns `Some(report)`
+    /// bit-identical to a plain [`Engine::run`] — the hooks observe the
+    /// sweep, they never alter it.
     pub fn run_controlled(
         &self,
         plan: &SweepPlan,
@@ -479,6 +461,7 @@ mod tests {
 
     #[test]
     fn run_with_progress_ticks_once_per_scenario() {
+        use std::sync::Mutex;
         let plan = SweepPlan::builder()
             .circuits(["dealer", "gcd"])
             .latencies([5, 6])
@@ -487,10 +470,10 @@ mod tests {
             .unwrap();
         let engine = Engine::new();
         for threads in [1, 3] {
-            let mut ticks = Vec::new();
-            let report = engine.run_with_progress(&plan, threads, &mut |p: Progress| {
-                ticks.push(p);
-            });
+            let ticks = Mutex::new(Vec::new());
+            let tick = |p: Progress| ticks.lock().unwrap().push(p);
+            let report = engine.run_controlled(&plan, threads, None, Some(&tick)).unwrap();
+            let ticks = ticks.into_inner().unwrap();
             assert_eq!(report.records.len(), 8);
             assert_eq!(ticks.len(), 8, "one callback per scenario (threads={threads})");
             assert!(ticks.iter().all(|p| p.total == 8));
@@ -504,12 +487,16 @@ mod tests {
 
     #[test]
     fn progress_counts_failed_scenarios_too() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
         let plan = SweepPlan::builder().case("nonexistent", 4).case("dealer", 6).build().unwrap();
         let engine = Engine::new();
-        let mut ticks = 0usize;
-        let report = engine.run_with_progress(&plan, 1, &mut |_| ticks += 1);
+        let ticks = AtomicUsize::new(0);
+        let tick = |_: Progress| {
+            ticks.fetch_add(1, Ordering::SeqCst);
+        };
+        let report = engine.run_controlled(&plan, 1, None, Some(&tick)).unwrap();
         assert_eq!(report.failure_count(), 1);
-        assert_eq!(ticks, 2);
+        assert_eq!(ticks.into_inner(), 2);
     }
 
     #[test]

@@ -30,8 +30,9 @@
 //! A session is a strictly sequential fold over the event stream (one
 //! warm workspace per circuit is mutable state — there is nothing to
 //! parallelise inside one stream), so a report is byte-identical across
-//! runs, machines and thread counts.  [`run_streams`] parallelises
-//! *across* independent streams with the engine's deterministic pool.
+//! runs, machines and thread counts.  Callers with several independent
+//! streams run them in parallel, one stream per worker (as `onlineweep`
+//! does).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -45,7 +46,6 @@ use power::dvs::{allotted_delays_into, DelayScaling};
 use sched::force::{repair, RepairStats, RepairWorkspace};
 use sched::{force, Schedule};
 
-use crate::pool::{parallel_map_controlled, MapControl};
 use crate::report::{json_number, json_string};
 use crate::Progress;
 
@@ -535,30 +535,6 @@ pub fn run_stream_controlled(
     Ok(Some(OnlineReport::from_records(spec, records)))
 }
 
-/// Runs several independent streams on the engine's deterministic pool,
-/// returning reports in input order.  `threads` sizes the pool (0 = all
-/// cores); each individual stream stays strictly sequential, so the
-/// reports are byte-identical at any thread count.
-///
-/// # Errors
-///
-/// Returns the first generator failure in input order.
-pub fn run_streams(specs: &[StreamSpec], threads: usize) -> Result<Vec<OnlineReport>, GenError> {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        threads
-    };
-    let results = parallel_map_controlled(
-        specs.to_vec(),
-        threads,
-        &|spec: StreamSpec| run_stream(&spec),
-        MapControl::default(),
-    )
-    .expect("a map without a cancel flag cannot be cancelled");
-    results.into_iter().collect()
-}
-
 /// The outcome of a verified replay: the report plus the
 /// identity-vs-cold-recompute audit the online mode's contract rests on.
 #[derive(Debug, Clone, PartialEq)]
@@ -725,21 +701,6 @@ mod tests {
         }
         let unknown = StreamEvent::BudgetChanged { circuit: "nope".into(), budget: 3 };
         assert!(state.apply(2, &unknown).outcome.is_err());
-    }
-
-    #[test]
-    fn run_streams_parallelises_without_changing_bytes() {
-        let specs: Vec<StreamSpec> = [3u64, 4, 5]
-            .iter()
-            .map(|seed| {
-                spec(&format!("family=mux-tree,seed={seed},count=2;events=30,eseed={seed}"))
-            })
-            .collect();
-        let solo = run_streams(&specs, 1).unwrap();
-        let wide = run_streams(&specs, 4).unwrap();
-        let solo_json: Vec<String> = solo.iter().map(OnlineReport::to_json).collect();
-        let wide_json: Vec<String> = wide.iter().map(OnlineReport::to_json).collect();
-        assert_eq!(solo_json, wide_json);
     }
 
     #[test]

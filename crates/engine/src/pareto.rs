@@ -20,9 +20,8 @@
 //!   loop accepts are patched into the working graph's cached adjacency
 //!   instead of rebuilding it, and the unmanaged baseline schedule, which
 //!   no point here reads, is never scheduled (it is computed on first
-//!   read).  The final pass shares one [`sched::force::Workspace`] across
-//!   adjacent budgets; reuse never changes a result (the identity tests
-//!   pin warm schedules against cold runs and `sched::naive`).
+//!   read).  The identity tests pin the final schedule of every point
+//!   against `sched::naive` on the power-managed graph.
 //! * **Per-circuit independence** — circuits are explored in parallel on
 //!   the engine's [`crate::pool`], and every budget walk is sequential
 //!   inside its circuit, so the report is identical for every thread count.
@@ -31,10 +30,9 @@ use std::fmt;
 use std::fmt::Write as _;
 
 use binding::{AreaModel, Datapath};
-use pmsched::{power_manage_with_workspace, OpWeights, PowerManagementOptions};
+use pmsched::{power_manage, OpWeights, PowerManagementOptions};
 use power::dvs::scaled_delay_estimate_into;
 use power::voltage::{voltage_scaled_estimate, VoltageAssignment};
-use sched::force::Workspace;
 
 use crate::report::{csv_field, json_number, json_string};
 use crate::scenario::BranchModel;
@@ -424,7 +422,7 @@ impl Engine {
     /// returns the per-circuit points and fronts.
     ///
     /// Circuits run in parallel on `threads` workers (0 = one per CPU);
-    /// each circuit's budget walk is sequential and warm-started, so the
+    /// each circuit's budget walk is sequential, so the
     /// report — like the sweep report — is identical for every thread
     /// count.  Failures (unknown circuits, degenerate estimates) are
     /// recorded per budget, never aborting the exploration.
@@ -490,8 +488,8 @@ impl Engine {
     }
 }
 
-/// Walks one circuit across its budget range with a warm-started
-/// scheduling workspace.
+/// Walks one circuit across its budget range, one `power_manage` call
+/// per budget, reusing the DVS kernel's buffers across the walk.
 fn explore_circuit(
     engine: &Engine,
     request: &ExploreRequest,
@@ -520,14 +518,13 @@ fn explore_circuit(
 
     let weights = OpWeights::paper_power();
     let area_model = AreaModel::new();
-    let mut workspace = Workspace::new();
     let mut dvs_workspace = sched::dvs::Workspace::new();
     let mut delays: Vec<(cdfg::NodeId, u32)> = Vec::new();
     let mut points = Vec::with_capacity(budgets.len());
     let mut failures = Vec::new();
     for budget in budgets {
         let pm_options = PowerManagementOptions::with_latency(budget);
-        let result = match power_manage_with_workspace(cdfg, &pm_options, &mut workspace) {
+        let result = match power_manage(cdfg, &pm_options) {
             Ok(result) => result,
             Err(e) => {
                 failures.push((budget, e.to_string()));

@@ -210,7 +210,7 @@ pub fn run_dvsweep(small: bool, threads: usize) -> Result<DvsweepOutcome, Experi
     let mut skipped = Vec::new();
     let mut ws = sched::dvs::Workspace::new();
     for (name, cdfg) in gap_circuits()? {
-        let functional = cdfg.functional_nodes().len();
+        let functional = cdfg.slices().functional().len();
         if functional > EXACT_NODE_CAP {
             skipped.push((name, functional));
             continue;

@@ -4,7 +4,7 @@
 //! Where [`crate::sweep`] samples the paper's hand-picked budget lists,
 //! this module turns the repro into a continuous design-space explorer: it
 //! walks every circuit (the paper's four, or generated workloads) across
-//! its full feasible budget range on the engine's warm-started
+//! its full feasible budget range on the engine's
 //! [`engine::Engine::explore`] path and reports the latency–power fronts
 //! under the scaled-delay (DVS-style) energy model.
 

@@ -19,8 +19,10 @@ fn pick(rng: &mut StdRng, items: &[NodeId]) -> NodeId {
 fn emit_sinks(b: &mut CdfgBuilder) -> usize {
     let sinks: Vec<NodeId> = b
         .cdfg()
-        .functional_nodes()
-        .into_iter()
+        .slices()
+        .functional()
+        .iter()
+        .copied()
         .filter(|&n| b.cdfg().data_successors(n).is_empty())
         .collect();
     for (i, sink) in sinks.iter().enumerate() {

@@ -68,7 +68,7 @@ proptest! {
         let bench = gen::generate_one(&spec, 0).expect("generator produces valid circuits");
         // Cap the exact search's input size; the smoke knobs stay under
         // this for every family, so nothing is silently skipped.
-        let functional = bench.cdfg.functional_nodes().len();
+        let functional = bench.cdfg.slices().functional().len();
         prop_assert!(functional <= 24, "spec produced {functional} functional nodes");
 
         let budget = bench.cdfg.critical_path_length().max(1) + slack;

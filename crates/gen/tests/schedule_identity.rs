@@ -9,9 +9,10 @@
 //! observable behaviour and these tests fail before any JSON does.
 
 use gen::{Family, GenSpec};
+use pmsched::{power_manage, PowerManagementOptions};
 use proptest::prelude::*;
 use sched::error::ScheduleError;
-use sched::{force, naive};
+use sched::{force, naive, repair, RepairWorkspace};
 
 /// Builds the spec for one generated circuit of the given family with
 /// family-appropriate size knobs.
@@ -100,7 +101,10 @@ fn paper_circuits_schedule_identically() {
 /// A denser sweep over one mid-sized circuit per family — every latency
 /// from the critical path to critical path + 6 — plus one wide random DAG
 /// over cp..=cp + 8, the size at which the force kernel's lower bound
-/// prunes most of its exact candidate scans.
+/// prunes most of its exact candidate scans.  At every latency the final
+/// schedule of `power_manage` is checked too: the kernel scheduled the
+/// power-managed graph, control edges included, so naive must agree on
+/// that graph as well.
 #[test]
 fn latency_sweep_identity_per_family() {
     let mut wide = GenSpec::new(Family::RandomDag, 20260729, 1);
@@ -115,32 +119,44 @@ fn latency_sweep_identity_per_family() {
             let fast = force::schedule(&bench.cdfg, latency).expect("feasible");
             let slow = naive::schedule(&bench.cdfg, latency).expect("feasible");
             assert_eq!(fast, slow, "{} diverged at latency {latency}", bench.name);
+
+            let options = PowerManagementOptions::with_latency(latency);
+            let managed = power_manage(&bench.cdfg, &options).expect("feasible");
+            let slow = naive::schedule(managed.cdfg(), latency).expect("feasible");
+            assert_eq!(
+                managed.schedule(),
+                &slow,
+                "{} diverged at latency {latency} on the power-managed graph",
+                bench.name
+            );
         }
     }
 }
 
-/// The Pareto explorer's warm-started full-range walk: one reused
-/// workspace across the whole budget range of a circuit must produce
-/// schedules bit-identical to cold per-budget runs of the naive reference,
-/// on every family.
+/// Reused kernel buffers: one `RepairWorkspace` (the only owner of
+/// buffers that outlive a call) walked down the whole budget range of
+/// every family's circuit, rebinding from one circuit to the next, must
+/// produce schedules bit-identical to cold per-budget runs of the naive
+/// reference.  Far above the critical path every node is mobile and
+/// `repair` recomputes in full on the reused buffers; near it the walk
+/// takes the warm delta path.
 #[test]
 fn warm_started_full_range_walks_match_cold_naive_runs() {
+    let mut rw = RepairWorkspace::new();
     for family in Family::ALL {
         let spec = spec_for(family, 20260729, 3);
         let bench = gen::generate_one(&spec, 0).expect("valid circuit");
         let cp = bench.cdfg.critical_path_length().max(1);
-        let mut ws = force::Workspace::new();
-        for latency in cp..=cp + 6 {
-            let warm =
-                force::schedule_with_workspace(&bench.cdfg, latency, &mut ws).expect("feasible");
+        for latency in (cp..=cp + 6).rev() {
+            let (warm, _) = repair(&bench.cdfg, latency, &mut rw);
             let cold = naive::schedule(&bench.cdfg, latency).expect("feasible");
-            assert_eq!(warm, cold, "{} warm walk diverged at latency {latency}", bench.name);
+            assert_eq!(
+                warm.expect("feasible"),
+                cold,
+                "{} warm walk diverged at latency {latency}",
+                bench.name
+            );
         }
-        // Reusing the workspace for a *different* circuit (here: the next
-        // family's, and re-running the first latency after a whole walk)
-        // must not leak state between runs either.
-        let warm = force::schedule_with_workspace(&bench.cdfg, cp, &mut ws).expect("feasible");
-        assert_eq!(warm, naive::schedule(&bench.cdfg, cp).expect("feasible"), "{}", bench.name);
     }
 }
 
@@ -148,7 +164,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Randomised version of the warm-walk identity across families, seeds
-    /// and sizes — the acceptance gate for warm-start reuse.
+    /// and sizes — the acceptance gate for kernel-buffer reuse.
     #[test]
     fn warm_walks_equal_naive_on_random_circuits(
         family in family_strategy(),
@@ -158,13 +174,12 @@ proptest! {
         let spec = spec_for(family, seed, size);
         let bench = gen::generate_one(&spec, 0).expect("generator produces valid circuits");
         let cp = bench.cdfg.critical_path_length().max(1);
-        let mut ws = force::Workspace::new();
-        for latency in cp..=cp + 3 {
-            let warm = force::schedule_with_workspace(&bench.cdfg, latency, &mut ws)
-                .expect("feasible latency");
+        let mut rw = RepairWorkspace::new();
+        for latency in (cp..=cp + 3).rev() {
+            let (warm, _) = repair(&bench.cdfg, latency, &mut rw);
             let cold = naive::schedule(&bench.cdfg, latency).expect("feasible latency");
             prop_assert_eq!(
-                &warm, &cold,
+                &warm.expect("feasible latency"), &cold,
                 "{} warm walk diverged at latency {}", bench.name, latency
             );
         }

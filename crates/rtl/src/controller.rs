@@ -67,7 +67,7 @@ impl Controller {
         let schedule = result.schedule();
         let mut enables: BTreeMap<NodeId, OperationEnable> = BTreeMap::new();
 
-        for node in cdfg.functional_nodes() {
+        for &node in cdfg.slices().functional() {
             let step = schedule.step_of(node).unwrap_or(0);
             enables.insert(node, OperationEnable { node, step, conditions: Vec::new() });
         }
@@ -103,7 +103,7 @@ impl Controller {
     /// Table III.
     pub fn ungated(cdfg: &cdfg::Cdfg, schedule: &sched::Schedule) -> Self {
         let mut enables: BTreeMap<NodeId, OperationEnable> = BTreeMap::new();
-        for node in cdfg.functional_nodes() {
+        for &node in cdfg.slices().functional() {
             let step = schedule.step_of(node).unwrap_or(0);
             enables.insert(node, OperationEnable { node, step, conditions: Vec::new() });
         }
@@ -218,6 +218,6 @@ mod tests {
         let result = power_manage(&g, &PowerManagementOptions::with_latency(3)).unwrap();
         let ctrl = Controller::generate(&result);
         let total: usize = (1..=3).map(|s| ctrl.enables_in_step(s).len()).sum();
-        assert_eq!(total, g.functional_nodes().len());
+        assert_eq!(total, g.slices().functional().len());
     }
 }

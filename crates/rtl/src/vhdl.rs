@@ -59,7 +59,7 @@ pub fn emit(result: &PowerManagementResult, controller: &Controller) -> String {
     let _ = writeln!(out);
     let _ = writeln!(out, "architecture rtl of {name} is");
     let _ = writeln!(out, "  signal state : natural range 1 to {};", controller.num_steps());
-    for node in cdfg.functional_nodes() {
+    for &node in cdfg.slices().functional() {
         let _ =
             writeln!(out, "  signal {} : signed({} downto 0);", value_name(cdfg, node), bits - 1);
     }

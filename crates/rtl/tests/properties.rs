@@ -96,7 +96,7 @@ proptest! {
                 prop_assert!(all_shutdown.contains(gated), "{gated} gated but never a candidate");
             }
             // Everything scheduled is either executed or gated.
-            prop_assert_eq!(run.executed.len() + run.gated.len(), g.functional_nodes().len());
+            prop_assert_eq!(run.executed.len() + run.gated.len(), g.slices().functional().len());
         }
     }
 

@@ -71,10 +71,11 @@ fn validate_levels(levels: &[SlackLevel]) {
     }
 }
 
-/// Reusable buffers for [`distribute_slack`], in the style of
-/// [`crate::force::Workspace`]: create once, pass to every call, and the
-/// per-call cost is a handful of `clear`/`resize` operations instead of
-/// fresh allocations — the shape the explorer's warm budget walk needs.
+/// Reusable buffers for [`distribute_slack`]: create once, pass to every
+/// call, and the per-call cost is a handful of `clear`/`resize` operations
+/// instead of fresh allocations.  The explorer's budget walk and
+/// `dvsweep` keep one per circuit; a fresh workspace gives the same
+/// result.
 #[derive(Debug, Clone, Default)]
 pub struct Workspace {
     /// Current duration (steps) of every slot; 0 for structural nodes.
@@ -659,7 +660,8 @@ mod tests {
         let mut ws = Workspace::new();
         let a = distribute_slack(&g, 4, &three_levels(), &|_| 1.0, &mut ws).unwrap();
         let chain_steps: u32 = g
-            .functional_nodes()
+            .slices()
+            .functional()
             .iter()
             .map(|&n| three_levels()[a.level_of(n) as usize].delay_steps)
             .sum();
@@ -673,7 +675,7 @@ mod tests {
         // Same chain, but the middle op is 10× heavier: the single spare
         // step must go to it.
         let g = chain(3);
-        let heavy: NodeId = g.functional_nodes()[1];
+        let heavy: NodeId = g.slices().functional()[1];
         let mut ws = Workspace::new();
         let weight = move |n: NodeId| if n == heavy { 10.0 } else { 1.0 };
         let a = distribute_slack(&g, 4, &three_levels(), &weight, &mut ws).unwrap();
@@ -720,7 +722,7 @@ mod tests {
     #[test]
     fn heap_kernel_matches_the_flat_scan_reference() {
         let g = abs_diff();
-        let heavy = g.functional_nodes()[2];
+        let heavy = g.slices().functional()[2];
         let weight = move |n: NodeId| if n == heavy { 3.0 } else { 1.0 };
         let levels = three_levels();
         let mut ws = Workspace::new();

@@ -96,21 +96,12 @@ impl Frame {
     }
 }
 
-/// Reusable buffers for force-directed scheduling runs — the warm-start
-/// entry point the full-range Pareto explorer drives.
-///
-/// One workspace can be reused across any sequence of circuits and
-/// latencies: every buffer (the ASAP/ALAP analysis included) is resized and
-/// reinitialised per run, so a warm run performs no allocation once the
-/// buffers have grown to the largest graph seen, and the produced schedules
-/// are **bit-identical** to cold runs — reuse changes where the f64s live,
-/// never how they are computed (the warm-start identity tests pin this
-/// against `sched::naive`).
+/// The kernel's scratch buffers.  [`schedule`] makes a fresh one per call;
+/// [`RepairWorkspace`] keeps one warm across the events of an online
+/// session.  Every buffer is resized and reinitialised per run, so reuse
+/// changes where the f64s live, never how they are computed.
 #[derive(Debug, Default)]
-pub struct Workspace {
-    /// ASAP/ALAP analysis reused across runs (also lent to the `hyper`
-    /// entry points so feasibility checks share the same buffers).
-    pub(crate) timing: Timing,
+pub(crate) struct Workspace {
     /// Current time frame of each functional node.
     frames: Vec<Frame>,
     /// Whether the node's step has been fixed (its frame is then width 1).
@@ -141,13 +132,6 @@ pub struct Workspace {
     rebuilt: usize,
 }
 
-impl Workspace {
-    /// An empty workspace; buffers grow on first use.
-    pub fn new() -> Self {
-        Workspace::default()
-    }
-}
-
 /// A node's cached best candidate for its current frame and class row.
 #[derive(Debug, Clone, Copy)]
 enum Candidate {
@@ -168,41 +152,19 @@ enum Candidate {
 /// Returns [`ScheduleError::LatencyTooSmall`] if the latency is below the
 /// critical path (taking control edges into account).
 pub fn schedule(cdfg: &Cdfg, latency: u32) -> Result<Schedule, ScheduleError> {
-    let mut ws = Workspace::new();
-    schedule_with_workspace(cdfg, latency, &mut ws)
-}
-
-/// Like [`schedule`], but warm-started: timing analysis and kernel state
-/// reuse the buffers of `ws`.  Intended for walking a circuit across a
-/// whole budget range (the Pareto explorer's inner loop); results are
-/// bit-identical to [`schedule`].
-///
-/// # Errors
-///
-/// Returns [`ScheduleError::LatencyTooSmall`] if the latency is below the
-/// critical path (taking control edges into account).
-pub fn schedule_with_workspace(
-    cdfg: &Cdfg,
-    latency: u32,
-    ws: &mut Workspace,
-) -> Result<Schedule, ScheduleError> {
-    let mut timing = std::mem::take(&mut ws.timing);
-    timing.compute_into(cdfg, latency);
-    let result = if timing.is_feasible() {
-        schedule_with_timing_into(cdfg, &timing, ws)
-    } else {
-        Err(ScheduleError::LatencyTooSmall {
+    let timing = Timing::compute(cdfg, latency);
+    if !timing.is_feasible() {
+        return Err(ScheduleError::LatencyTooSmall {
             requested: latency,
             critical_path: timing.min_latency(),
-        })
-    };
-    ws.timing = timing;
-    result
+        });
+    }
+    schedule_with_timing_into(cdfg, &timing, &mut Workspace::default())
 }
 
 /// Runs the kernel against a timing analysis the caller already computed
 /// for this `cdfg` and latency (the analysis must be feasible), on
-/// caller-owned buffers (`ws.timing` is not consulted).
+/// caller-owned buffers.
 pub(crate) fn schedule_with_timing_into(
     cdfg: &Cdfg,
     timing: &Timing,
@@ -240,10 +202,11 @@ pub struct RepairStats {
     pub full_recompute: bool,
 }
 
-/// Warm per-circuit state for the online repair path: the kernel
-/// [`Workspace`] plus the latency-independent invariants that let a budget
-/// event skip the timing analysis, and a schedule memo over budgets already
-/// visited.
+/// Warm per-circuit state for the online repair path: the kernel's scratch
+/// buffers and timing analysis, kept across events, plus the
+/// latency-independent invariants that let a budget event skip the timing
+/// analysis, and a schedule memo over budgets already visited.  This is the
+/// only place the kernel's buffers outlive one call.
 ///
 /// A workspace binds itself to the first circuit it sees (keyed by name and
 /// slot count, the same identity the engine's caches use) and rebinds —
@@ -269,6 +232,8 @@ pub struct RepairStats {
 #[derive(Debug, Default)]
 pub struct RepairWorkspace {
     ws: Workspace,
+    /// The ASAP/ALAP analysis of the last kernel run, rebuilt in place.
+    timing: Timing,
     /// Name of the bound circuit (`None` until first use).
     circuit: Option<String>,
     /// Slot count of the bound circuit, guarding against name reuse across
@@ -384,10 +349,10 @@ pub fn repair(
     // Warm path: rebuild the analysis from the cached invariants (no
     // per-node re-derivation) and run the kernel, which fixes every
     // width-1 frame up front and only works the mobile cascade.
-    let mut timing = std::mem::take(&mut rw.ws.timing);
+    let mut timing = std::mem::take(&mut rw.timing);
     timing.rebuild_from_heights(latency, &rw.asap, &rw.height);
     let result = schedule_with_timing_into(cdfg, &timing, &mut rw.ws);
-    rw.ws.timing = timing;
+    rw.timing = timing;
     let stats = RepairStats {
         nodes_touched: rw.ws.touched,
         classes_rebuilt: rw.ws.rebuilt,
@@ -401,13 +366,13 @@ pub fn repair(
 
 /// The full-recompute path of [`repair`]: a cold timing analysis plus a
 /// kernel run on warm buffers, refreshing the cached invariants on the way.
-/// Bit-identical to [`schedule_with_workspace`] by construction.
+/// Bit-identical to [`schedule`] by construction.
 fn repair_full(
     cdfg: &Cdfg,
     latency: u32,
     rw: &mut RepairWorkspace,
 ) -> (Result<Schedule, ScheduleError>, RepairStats) {
-    let mut timing = std::mem::take(&mut rw.ws.timing);
+    let mut timing = std::mem::take(&mut rw.timing);
     timing.compute_into(cdfg, latency);
     let result = if timing.is_feasible() {
         rw.cache_invariants(cdfg, &timing);
@@ -422,7 +387,7 @@ fn repair_full(
         rw.ws.rebuilt = 0;
         Err(ScheduleError::LatencyTooSmall { requested: latency, critical_path })
     };
-    rw.ws.timing = timing;
+    rw.timing = timing;
     let stats = RepairStats {
         nodes_touched: rw.functional + rw.ws.touched,
         classes_rebuilt: rw.ws.rebuilt,
@@ -892,7 +857,7 @@ mod tests {
         g.add_output("o", d).unwrap();
 
         let timing = Timing::compute(&g, 6);
-        let mut ws = Workspace::new();
+        let mut ws = Workspace::default();
         let mut kernel = Kernel::init(&g, &timing, &mut ws);
         // Simulate a (buggy) late fix: d pinned to step 2 even though three
         // predecessors must run first.
@@ -903,35 +868,6 @@ mod tests {
         let err = kernel.propagate_from(d).unwrap_err();
         assert!(matches!(err, ScheduleError::InfeasiblePropagation { .. }));
         assert!(kernel.ws.queue.is_empty(), "worklist drained on error");
-    }
-
-    #[test]
-    fn warm_workspace_runs_are_bit_identical_to_cold_runs() {
-        // One workspace reused across circuits and latencies — including an
-        // infeasible one in the middle — must reproduce every cold schedule
-        // exactly and keep erroring where cold runs error.
-        let (g, ..) = abs_diff();
-        let (mut h, gt, amb, bma, _) = abs_diff();
-        h.add_control_edge(gt, amb).unwrap();
-        h.add_control_edge(gt, bma).unwrap();
-
-        let mut ws = Workspace::new();
-        for latency in 2..8 {
-            assert_eq!(
-                schedule_with_workspace(&g, latency, &mut ws).unwrap(),
-                schedule(&g, latency).unwrap(),
-                "unconstrained, latency {latency}"
-            );
-        }
-        let err = schedule_with_workspace(&h, 2, &mut ws).unwrap_err();
-        assert!(matches!(err, ScheduleError::LatencyTooSmall { requested: 2, critical_path: 3 }));
-        for latency in 3..8 {
-            assert_eq!(
-                schedule_with_workspace(&h, latency, &mut ws).unwrap(),
-                schedule(&h, latency).unwrap(),
-                "constrained, latency {latency}"
-            );
-        }
     }
 
     #[test]

@@ -48,39 +48,7 @@ impl HyperOptions {
 /// * [`ScheduleError::LatencyExceeded`] / [`ScheduleError::InsufficientResources`]
 ///   when an explicit resource constraint cannot meet the latency.
 pub fn schedule(cdfg: &Cdfg, options: &HyperOptions) -> Result<Schedule, ScheduleError> {
-    let mut ws = force::Workspace::new();
-    schedule_with_workspace(cdfg, options, &mut ws)
-}
-
-/// Like [`schedule`], but warm-started: the timing analysis and the
-/// force-directed kernel reuse the buffers of `ws`, so repeated
-/// resource-unconstrained calls (the Pareto explorer walking a circuit
-/// across its whole budget range) allocate nothing once the buffers have
-/// grown.  The [`ResourceConstraint::Limited`] path still runs list
-/// scheduling with its own per-call state — only the force-directed side
-/// is warm.  Results are bit-identical to [`schedule`] either way.
-///
-/// # Errors
-///
-/// Same conditions as [`schedule`].
-pub fn schedule_with_workspace(
-    cdfg: &Cdfg,
-    options: &HyperOptions,
-    ws: &mut force::Workspace,
-) -> Result<Schedule, ScheduleError> {
-    let mut timing = std::mem::take(&mut ws.timing);
-    timing.compute_into(cdfg, options.latency);
-    let result = schedule_with_timing(cdfg, options, &timing, ws);
-    ws.timing = timing;
-    result
-}
-
-fn schedule_with_timing(
-    cdfg: &Cdfg,
-    options: &HyperOptions,
-    timing: &Timing,
-    ws: &mut force::Workspace,
-) -> Result<Schedule, ScheduleError> {
+    let timing = Timing::compute(cdfg, options.latency);
     if !timing.is_feasible() {
         return Err(ScheduleError::LatencyTooSmall {
             requested: options.latency,
@@ -90,7 +58,9 @@ fn schedule_with_timing(
     match &options.resources {
         // The timing analysis above is already feasible; hand it to the
         // force-directed kernel instead of recomputing it.
-        ResourceConstraint::Unlimited => force::schedule_with_timing_into(cdfg, timing, ws),
+        ResourceConstraint::Unlimited => {
+            force::schedule_with_timing_into(cdfg, &timing, &mut force::Workspace::default())
+        }
         constraint @ ResourceConstraint::Limited(set) => {
             match list::schedule_with_latency(cdfg, constraint, options.latency) {
                 Ok(s) => Ok(s),
@@ -100,7 +70,11 @@ fn schedule_with_timing(
                     // the resource-minimising schedule as a fallback — if it
                     // happens to fit inside the allocation, it is a valid
                     // answer.
-                    let fallback = force::schedule_with_timing_into(cdfg, timing, ws)?;
+                    let fallback = force::schedule_with_timing_into(
+                        cdfg,
+                        &timing,
+                        &mut force::Workspace::default(),
+                    )?;
                     if fallback.resource_usage(cdfg).fits_within(set) {
                         Ok(fallback)
                     } else {
@@ -186,30 +160,6 @@ mod tests {
             ResourceConstraint::limited([(OpClass::Sub, 2), (OpClass::Comp, 1), (OpClass::Mux, 1)]);
         let err = schedule(&g, &HyperOptions::with_resources(2, constraint)).unwrap_err();
         assert!(matches!(err, ScheduleError::LatencyTooSmall { requested: 2, critical_path: 3 }));
-    }
-
-    #[test]
-    fn warm_workspace_matches_cold_runs_across_constraints() {
-        let (g, ..) = abs_diff();
-        let mut ws = crate::force::Workspace::new();
-        for latency in 2..6 {
-            let options = HyperOptions::with_latency(latency);
-            assert_eq!(
-                schedule_with_workspace(&g, &options, &mut ws).unwrap(),
-                schedule(&g, &options).unwrap(),
-                "unlimited, latency {latency}"
-            );
-        }
-        let constraint =
-            ResourceConstraint::limited([(OpClass::Sub, 1), (OpClass::Comp, 1), (OpClass::Mux, 1)]);
-        for latency in 3..6 {
-            let options = HyperOptions::with_resources(latency, constraint.clone());
-            assert_eq!(
-                schedule_with_workspace(&g, &options, &mut ws).unwrap(),
-                schedule(&g, &options).unwrap(),
-                "limited, latency {latency}"
-            );
-        }
     }
 
     #[test]

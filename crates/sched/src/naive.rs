@@ -70,7 +70,7 @@ pub fn schedule(cdfg: &Cdfg, latency: u32) -> Result<Schedule, ScheduleError> {
         });
     }
 
-    let functional = cdfg.functional_nodes();
+    let functional = cdfg.slices().functional();
     let mut frames: BTreeMap<NodeId, Frame> = functional
         .iter()
         .map(|&n| (n, Frame { earliest: timing.asap(n), latest: timing.alap(n) }))
@@ -97,7 +97,7 @@ pub fn schedule(cdfg: &Cdfg, latency: u32) -> Result<Schedule, ScheduleError> {
 
         // Pick the unfixed (node, step) pair with the smallest self-force.
         let mut best: Option<(NodeId, u32, f64)> = None;
-        for &n in &functional {
+        for &n in functional {
             if fixed.contains_key(&n) {
                 continue;
             }
@@ -164,17 +164,17 @@ fn propagate(
     fixed: &BTreeMap<NodeId, u32>,
 ) -> Result<(), ScheduleError> {
     // Iterate to a fixed point; graphs are small (tens to hundreds of nodes).
-    let order = cdfg.topological_order();
+    let order = cdfg.slices().topo();
     loop {
         let mut changed = false;
         // Forward: earliest = max(pred earliest + 1).
-        for &n in &order {
+        for &n in order {
             if !frames.contains_key(&n) {
                 continue;
             }
             let mut earliest = frames[&n].earliest;
-            for p in cdfg.predecessors(n) {
-                if let Some(pf) = frames.get(&p) {
+            for p in cdfg.preds(n) {
+                if let Some(pf) = frames.get(p) {
                     earliest = earliest.max(pf.earliest + 1);
                 }
             }
@@ -196,8 +196,8 @@ fn propagate(
                 continue;
             }
             let mut latest = frames[&n].latest;
-            for s in cdfg.successors(n) {
-                if let Some(sf) = frames.get(&s) {
+            for s in cdfg.succs(n) {
+                if let Some(sf) = frames.get(s) {
                     latest = latest.min(sf.latest.saturating_sub(1));
                 }
             }
@@ -269,9 +269,10 @@ mod tests {
 
         let timing = Timing::compute(&g, 6);
         let mut frames: BTreeMap<NodeId, Frame> = g
-            .functional_nodes()
-            .into_iter()
-            .map(|n| (n, Frame { earliest: timing.asap(n), latest: timing.alap(n) }))
+            .slices()
+            .functional()
+            .iter()
+            .map(|&n| (n, Frame { earliest: timing.asap(n), latest: timing.alap(n) }))
             .collect();
         // Simulate a (buggy) late fix: d pinned to step 2, far below the
         // depth of its predecessor chain.

@@ -118,7 +118,7 @@ impl Schedule {
         constraint: &ResourceConstraint,
     ) -> Result<(), ScheduleError> {
         // Completeness and bounds.
-        for node in cdfg.functional_nodes() {
+        for &node in cdfg.slices().functional() {
             match self.step_of(node) {
                 None => return Err(ScheduleError::MissingNode(node)),
                 Some(step) if step == 0 || step > self.num_steps => {
@@ -133,9 +133,9 @@ impl Schedule {
         }
         // Precedence over both data and control edges: a functional
         // predecessor must finish strictly before its consumer starts.
-        for node in cdfg.functional_nodes() {
+        for &node in cdfg.slices().functional() {
             let step = self.step_of(node).expect("checked above");
-            for pred in cdfg.predecessors(node) {
+            for &pred in cdfg.preds(node) {
                 let pred_data = cdfg.node(pred).expect("live node");
                 if !pred_data.op.is_functional() {
                     continue;
