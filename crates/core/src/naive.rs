@@ -7,7 +7,8 @@
 //! [`power_manage`] for the whole selection loop — exactly as it was, as an
 //! executable specification.  The cone-identity property tests in
 //! `crates/gen/tests/` pin the bitset path against it on every generated
-//! circuit family, and `bench_core` measures the speedup against it.
+//! circuit family, and the `bench` emitter's `power_manage` and
+//! `mux_analysis` rows measure the speedup against it.
 //!
 //! Like `sched::naive`, the module is compiled for tests and behind the
 //! `reference` feature only; production builds never pay for it.

@@ -559,8 +559,8 @@ pub struct VerifiedOutcome {
 /// parameters and byte-compared, failed events are checked to fail cold
 /// with the same message, and every repair's touched-node count is set
 /// against the cold run's.  This costs a cold recompute per event — it is
-/// the *measurement* of what repair saves, used by `onlineweep` and
-/// `bench_online`; production paths use [`run_stream`].
+/// the *measurement* of what repair saves, used by `onlineweep` and the
+/// repair-economy tests; production paths use [`run_stream`].
 ///
 /// # Errors
 ///

@@ -31,7 +31,7 @@ use std::fmt::Write as _;
 
 use binding::{AreaModel, Datapath};
 use pmsched::{power_manage, OpWeights, PowerManagementOptions};
-use power::dvs::scaled_delay_estimate_into;
+use power::dvs::scaled_delay_estimate;
 use power::voltage::{voltage_scaled_estimate, VoltageAssignment};
 
 use crate::report::{csv_field, json_number, json_string};
@@ -428,8 +428,8 @@ impl Engine {
     /// recorded per budget, never aborting the exploration.
     ///
     /// Unlike [`Engine::run`], this path bypasses the prefix memo cache:
-    /// the budget walk reuses scheduling buffers instead, which is what
-    /// makes visiting *every* budget affordable.
+    /// each budget point is computed from scratch (one selection loop and
+    /// the final HYPER pass) and shares no state with the next.
     pub fn explore(
         &self,
         requests: &[ExploreRequest],
@@ -489,7 +489,7 @@ impl Engine {
 }
 
 /// Walks one circuit across its budget range, one `power_manage` call
-/// per budget, reusing the DVS kernel's buffers across the walk.
+/// per budget.
 fn explore_circuit(
     engine: &Engine,
     request: &ExploreRequest,
@@ -518,8 +518,6 @@ fn explore_circuit(
 
     let weights = OpWeights::paper_power();
     let area_model = AreaModel::new();
-    let mut dvs_workspace = sched::dvs::Workspace::new();
-    let mut delays: Vec<(cdfg::NodeId, u32)> = Vec::new();
     let mut points = Vec::with_capacity(budgets.len());
     let mut failures = Vec::new();
     for budget in budgets {
@@ -532,16 +530,14 @@ fn explore_circuit(
             }
         };
         let probs = select_probabilities(&result, options.branch_model);
-        let mut score = || -> Result<ExplorePoint, String> {
+        let score = || -> Result<ExplorePoint, String> {
             let (shutdown, slowdown, combined, energy, area) = match options.voltage {
                 VoltagePolicy::Global(scaling) => {
-                    // The single-curve path, with the allotted-delay buffer
-                    // reused across the budget walk.  All operations sit at
-                    // one voltage, so the plain (unpartitioned) binding
-                    // prices the area.
-                    let report =
-                        scaled_delay_estimate_into(&result, &probs, &weights, scaling, &mut delays)
-                            .map_err(|e| e.to_string())?;
+                    // The single-curve path.  All operations sit at one
+                    // voltage, so the plain (unpartitioned) binding prices
+                    // the area.
+                    let report = scaled_delay_estimate(&result, &probs, &weights, scaling)
+                        .map_err(|e| e.to_string())?;
                     let datapath = Datapath::build(result.cdfg(), result.schedule())
                         .map_err(|e| e.to_string())?;
                     (
@@ -570,7 +566,7 @@ fn explore_circuit(
                         result.latency(),
                         &levels,
                         &node_weight,
-                        &mut dvs_workspace,
+                        &mut sched::dvs::Workspace::new(),
                     )
                     .map_err(|e| e.to_string())?;
                     let assignment = VoltageAssignment::from_levels(picked.levels().to_vec());

@@ -104,9 +104,8 @@ pub fn allotted_delays(cdfg: &Cdfg, schedule: &Schedule, latency: u32) -> Vec<(c
 
 /// Buffer-reusing variant of [`allotted_delays`]: clears `out` and fills it
 /// with the same pairs in the same order, without allocating when the
-/// buffer's capacity already covers the graph.  The warm-workspace paths
-/// (the Pareto explorer's per-budget walk, the online session's metric
-/// recomputation) call this with a long-lived buffer.
+/// buffer's capacity already covers the graph.  The online session's
+/// metric recomputation calls this with a long-lived buffer.
 pub fn allotted_delays_into(
     cdfg: &Cdfg,
     schedule: &Schedule,
@@ -173,25 +172,6 @@ impl fmt::Display for ScaledDelayReport {
 /// allotted delays from the final schedule, energies from `weights` scaled
 /// by `scaling`.
 ///
-/// # Errors
-///
-/// Returns [`EstimateError::DegenerateBaseline`] when the design's weighted
-/// baseline energy is not strictly positive (no operation carries weight),
-/// which would make every reduction ratio divide by zero.
-pub fn scaled_delay_estimate(
-    result: &PowerManagementResult,
-    probs: &SelectProbabilities,
-    weights: &OpWeights,
-    scaling: DelayScaling,
-) -> Result<ScaledDelayReport, EstimateError> {
-    let mut delays = Vec::new();
-    scaled_delay_estimate_into(result, probs, weights, scaling, &mut delays)
-}
-
-/// Buffer-reusing variant of [`scaled_delay_estimate`] for warm-workspace
-/// paths: `delays` is a long-lived allotted-delay buffer refilled via
-/// [`allotted_delays_into`] on every call.
-///
 /// Since the per-operation voltage refactor this *is* the single-curve
 /// path: the curve is re-expressed as a degenerate
 /// [`VoltageTable`] (one level per allotted
@@ -205,18 +185,18 @@ pub fn scaled_delay_estimate(
 /// # Errors
 ///
 /// Returns [`EstimateError::DegenerateBaseline`] when the design's weighted
-/// baseline energy is not strictly positive.
-pub fn scaled_delay_estimate_into(
+/// baseline energy is not strictly positive (no operation carries weight),
+/// which would make every reduction ratio divide by zero.
+pub fn scaled_delay_estimate(
     result: &PowerManagementResult,
     probs: &SelectProbabilities,
     weights: &OpWeights,
     scaling: DelayScaling,
-    delays: &mut Vec<(cdfg::NodeId, u32)>,
 ) -> Result<ScaledDelayReport, EstimateError> {
-    allotted_delays_into(result.cdfg(), result.schedule(), result.latency(), delays);
+    let delays = allotted_delays(result.cdfg(), result.schedule(), result.latency());
     let table = VoltageTable::from_scaling(scaling, result.latency().max(1));
     let assignment =
-        VoltageAssignment::from_delays(&table, delays, result.cdfg().slices().slot_count());
+        VoltageAssignment::from_delays(&table, &delays, result.cdfg().slices().slot_count());
     let estimate = voltage_scaled_estimate(result, probs, weights, &table, &assignment)?;
     Ok(ScaledDelayReport {
         scaling,

@@ -52,8 +52,7 @@ pub mod vectors;
 pub mod voltage;
 
 pub use crate::dvs::{
-    allotted_delays, allotted_delays_into, scaled_delay_estimate, scaled_delay_estimate_into,
-    DelayScaling, ScaledDelayReport,
+    allotted_delays, allotted_delays_into, scaled_delay_estimate, DelayScaling, ScaledDelayReport,
 };
 /// Alias for the crate's error type under the name downstream code (and the
 /// issue tracker) uses for it.

@@ -184,9 +184,9 @@ const CASCADE_NUM: usize = 3;
 const CASCADE_DEN: usize = 4;
 
 /// Per-event cost accounting for [`repair`]: how much of the graph one
-/// incremental step actually re-derived.  The online engine and
-/// `bench_online` aggregate these into the touched-nodes ratio against a
-/// cold recompute.
+/// incremental step actually re-derived.  The online engine's audited
+/// replay (`engine::online::run_stream_verified`) aggregates these into
+/// the touched-nodes ratio against a cold recompute.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepairStats {
     /// Nodes whose schedule-relevant state was re-derived: kernel frame
