@@ -90,12 +90,21 @@ impl PowerManagementOptions {
 ///
 /// * [`PowerManageError::InvalidCdfg`] if the input graph fails validation,
 /// * [`PowerManageError::Scheduling`] if even the baseline schedule cannot
-///   meet the latency / resource constraints.
+///   meet the latency / resource constraints (a zero latency included).
 pub fn power_manage(
     cdfg: &Cdfg,
     options: &PowerManagementOptions,
 ) -> Result<PowerManagementResult, PowerManageError> {
     cdfg.validate()?;
+    // The timing analysis needs at least one control step; report a zero
+    // latency the way the schedulers do.
+    if options.latency == 0 {
+        return Err(ScheduleError::LatencyTooSmall {
+            requested: 0,
+            critical_path: cdfg.critical_path_length(),
+        }
+        .into());
+    }
 
     // The analysis carried across the selection loop, seeded on the input
     // graph (whose cached view the working copy then inherits).  It is also
@@ -391,6 +400,19 @@ mod tests {
         let (g, ..) = abs_diff();
         let err = power_manage(&g, &PowerManagementOptions::with_latency(1)).unwrap_err();
         assert!(matches!(err, PowerManageError::Scheduling(_)));
+    }
+
+    #[test]
+    fn zero_latency_is_a_typed_error_not_a_panic() {
+        let (g, ..) = abs_diff();
+        let err = power_manage(&g, &PowerManagementOptions::with_latency(0)).unwrap_err();
+        assert_eq!(
+            err,
+            PowerManageError::Scheduling(ScheduleError::LatencyTooSmall {
+                requested: 0,
+                critical_path: 2
+            })
+        );
     }
 
     #[test]

@@ -713,6 +713,21 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_budget_is_a_recorded_failure_not_a_panic() {
+        let engine = Engine::new();
+        let report = engine.explore(
+            &[ExploreRequest::new("dealer").budgets([0, 6])],
+            &ExploreOptions::new(),
+            1,
+        );
+        let dealer = report.circuit("dealer").unwrap();
+        assert_eq!(dealer.failures.len(), 1);
+        assert_eq!(dealer.failures[0].0, 0);
+        assert!(dealer.failures[0].1.contains("latency of 0"), "{:?}", dealer.failures);
+        assert_eq!(dealer.points.len(), 1, "budget 6 still succeeds");
+    }
+
+    #[test]
     fn reports_are_identical_across_thread_counts() {
         let engine = Engine::new();
         let requests: Vec<ExploreRequest> =

@@ -195,3 +195,33 @@ fn family_streams_and_rebinds_stay_cold_identical() {
         }
     }
 }
+
+/// The repair kernel's work counters over one fixed stream, pinned: a
+/// change that makes the kernel fix, propagate or rebuild more (or less)
+/// than before fails here even when every schedule stays identical.
+#[test]
+fn work_counters_over_a_fixed_stream_are_pinned() {
+    let text = "family=random-dag,seed=3,count=3;events=200,eseed=7,churn=150,rescale=100";
+    let stream = StreamSpec::parse(text).expect("stream spec parses");
+    let (batch, events) = gen::stream(&stream).expect("stream generates");
+    let pool: BTreeMap<String, cdfg::Cdfg> = batch.into_iter().map(|b| (b.name, b.cdfg)).collect();
+    let mut live: BTreeMap<String, RepairWorkspace> = BTreeMap::new();
+    let (mut touched, mut rebuilt, mut full) = (0usize, 0usize, 0usize);
+    for event in &events {
+        match event {
+            StreamEvent::CircuitArrived { circuit, budget }
+            | StreamEvent::BudgetChanged { circuit, budget } => {
+                let rw = live.entry(circuit.clone()).or_default();
+                let (_, stats) = repair(&pool[circuit], *budget, rw);
+                touched += stats.nodes_touched;
+                rebuilt += stats.classes_rebuilt;
+                full += usize::from(stats.full_recompute);
+            }
+            StreamEvent::CircuitRetired { circuit } => {
+                live.remove(circuit);
+            }
+            StreamEvent::ScalingChanged { .. } => {}
+        }
+    }
+    assert_eq!((touched, rebuilt, full), (5759, 2980, 47), "nodes touched, rows rebuilt, full");
+}

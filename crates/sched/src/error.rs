@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use cdfg::NodeId;
+use cdfg::{Cdfg, NodeId};
 
 /// Errors produced while computing or validating a schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,6 +71,14 @@ pub enum ScheduleError {
         /// The node whose time frame collapsed.
         node: NodeId,
     },
+}
+
+impl ScheduleError {
+    /// The error the schedulers return for a latency of zero, checked before
+    /// any timing analysis (which needs at least one control step).
+    pub(crate) fn zero_latency(cdfg: &Cdfg) -> Self {
+        ScheduleError::LatencyTooSmall { requested: 0, critical_path: cdfg.critical_path_length() }
+    }
 }
 
 impl fmt::Display for ScheduleError {

@@ -28,38 +28,64 @@
 //!   are summed in ascending-node order — exactly the order the reference's
 //!   map construction uses — so the f64 values (and therefore every force
 //!   comparison) are bit-identical to the reference.
-//! * **Per-node best candidates** (step, self-force) are cached until the
-//!   node's frame or class row changes; the global pick merges them in
-//!   ascending node order with the reference's ε-tolerant comparator.
-//!   (The ε tie-break is not transitive, so a segmented reduction could in
-//!   principle diverge from the reference's flat scan — but only if two
-//!   *distinct* force values fell within (ε, 2ε] of each other, which the
-//!   rational structure of forces on real circuits never produces; the
-//!   schedule-identity property tests pin the equality across every
-//!   circuit family.)
+//! * **One best candidate per (class, frame) group.**  Two unfixed nodes of
+//!   the same class with the same frame read the same DG cells, so they
+//!   share one cached (step, self-force), kept until the class row
+//!   changes; a node whose frame shrinks moves to the group of its new
+//!   frame, and a fixed node leaves its group.  The global pick merges the
+//!   candidates in ascending node order with the reference's ε-tolerant
+//!   comparator.  (The ε tie-break is not transitive, so a segmented
+//!   reduction could in principle diverge from the reference's flat scan —
+//!   but only if two *distinct* force values fell within (ε, 2ε] of each
+//!   other, which the rational structure of forces on real circuits never
+//!   produces; the schedule-identity property tests pin the equality across
+//!   every circuit family.  That caveat is about reducing each node over its
+//!   steps before merging, against the reference's flat scan over (node,
+//!   step) pairs; grouping changes neither side of that comparison, so it
+//!   adds no caveat of its own.)
+//! * **The pick visits one head per group.**  The scan runs in ascending
+//!   node id, so its tie clause `(n, step) < (bn, bs)` never fires for a
+//!   later node, and the incumbent's force only falls.  Once a group's
+//!   lowest-id unfixed member — its *head* — has been scanned with the
+//!   group's force `f`, the incumbent's force `bf` is at most `f + EPS`
+//!   and only falls from there; a later member reads the same `f` and
+//!   would win only if `f < bf − EPS`, which is then impossible.  So
+//!   scanning heads only, in ascending id, yields the same incumbents — and
+//!   the same pick — as scanning every unfixed node.  This drops only nodes
+//!   that cannot win, so it sidesteps the ε-chain problem.  The heads sit in
+//!   a slot bitset walked word by word, and each group links its members in
+//!   ascending id, so fixing a head finds the next one in O(1).  The index
+//!   costs O(slots + groups) memory: a hash map from (class, frame) to a
+//!   dense group id, a group id and two member links per slot, and one
+//!   candidate per group.
 //! * **A lower bound prunes the exact candidate scans.**  Any frame change
-//!   in a class invalidates every member's candidate, and an exact
+//!   in a class invalidates every group's candidate there, and an exact
 //!   candidate costs O(w²) for a frame of width w.  In real arithmetic the
 //!   self-force at step t is `DG[t] − S/w` (S the frame's DG sum), so
 //!   `min DG − S/w`, less a proven f64 rounding margin, bounds every force
-//!   in the frame in O(w).  The pick caches that bound and runs the exact
-//!   scan only when the bound lies below the incumbent's `bf − EPS`.  This
-//!   is exact: nodes are scanned in ascending id order, so a later node
-//!   loses every ε-tie against the incumbent and can only win with a force
-//!   below `bf − EPS`; a skipped node could not have changed the
-//!   incumbent, so the sequence of incumbents — and the pick — is the
-//!   unpruned scan's.
+//!   in the frame in O(w).  The pick caches that bound as the group's
+//!   candidate and runs the exact scan only when the bound lies below the
+//!   incumbent's `bf − EPS`.  This is exact: heads are scanned in ascending
+//!   id order, so a later head loses every ε-tie against the incumbent and
+//!   can only win with a force below `bf − EPS`; a skipped head could not
+//!   have changed the incumbent, so the sequence of incumbents — and the
+//!   pick — is the unpruned scan's.  Debug builds check every pick against
+//!   the scan without pruning or grouping.
 //! * **Propagation** is a worklist relaxation seeded from the just-fixed
 //!   node instead of a whole-graph fixed point.  The earliest- and
 //!   latest-step constraint systems are independent longest-path closures,
 //!   so seeded relaxation reaches the same unique fixed point.
 //!
 //! The invariant tying it together: after every iteration, each class row
-//! equals the column sums of its members' occupation probabilities, each
-//! cached exact candidate equals the reference's scan result for the node's
-//! current frame and row, and each cached bound lies at or below it.
+//! equals the column sums of its members' occupation probabilities, every
+//! unfixed node sits in the group of its class and current frame, each
+//! group's head is its lowest-id member, each cached exact candidate equals
+//! the reference's scan result for the group's frame and row, and each
+//! cached bound lies at or below it.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use cdfg::{Cdfg, NodeId, OpClass, Slices};
 
@@ -74,9 +100,12 @@ const EPS: f64 = 1e-9;
 /// Number of functional operation classes (the DG row count).
 const NUM_CLASSES: usize = OpClass::FUNCTIONAL.len();
 
+/// End of a group's member list, and the group of a node in none.
+const NONE: u32 = u32::MAX;
+
 /// Mutable time frame `[earliest, latest]` of an operation during
 /// force-directed scheduling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Frame {
     earliest: u32,
     latest: u32,
@@ -115,8 +144,17 @@ pub(crate) struct Workspace {
     dg: [Vec<f64>; NUM_CLASSES],
     /// Classes whose row must be recomputed before the next pick.
     class_dirty: [bool; NUM_CLASSES],
-    /// What the pick knows about each unfixed node's best candidate.
-    cand: Vec<Candidate>,
+    /// Each unfixed node's group and its neighbours in the group's member
+    /// list.
+    links: Vec<Link>,
+    /// Dense id of each non-empty group, by class and frame.
+    group_ids: HashMap<GroupKey, u32, BuildHasherDefault<KeyHasher>>,
+    /// The groups, by dense id; emptied ones wait in `free_groups` for
+    /// reuse, so there are never more groups than unfixed nodes.
+    groups: Vec<Group>,
+    free_groups: Vec<u32>,
+    /// One bit per slot, set at each group's head: the nodes the pick visits.
+    heads: Vec<u64>,
     /// Nodes whose frame changed since the last pick (deduplicated).
     changed: Vec<NodeId>,
     changed_flag: Vec<bool>,
@@ -132,10 +170,74 @@ pub(crate) struct Workspace {
     rebuilt: usize,
 }
 
-/// A node's cached best candidate for its current frame and class row.
+/// A slot's place in the group index: the group of an unfixed node (the
+/// unfixed nodes of one class with one frame, which share a candidate), and
+/// the next and previous member in ascending id ([`NONE`] past either end).
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    group: u32,
+    next: u32,
+    prev: u32,
+}
+
+/// What identifies a group: a class and a frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct GroupKey {
+    class: u8,
+    frame: Frame,
+}
+
+/// The unfixed nodes of one class whose frames are equal, linked in
+/// ascending id through their [`Link`]s.
+#[derive(Debug, Clone, Copy)]
+struct Group {
+    key: GroupKey,
+    /// Lowest-id member ([`NONE`] once the group is empty).
+    head: u32,
+    /// Highest-id member.
+    tail: u32,
+    /// What the pick knows about every member's best candidate.
+    cand: Candidate,
+}
+
+/// The rotate-xor-multiply step of rustc's FxHash, for [`GroupKey`]s.  The
+/// keys are frames the kernel's own timing analysis derives, not values
+/// read from input, and SipHash's per-lookup cost showed on small graphs.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.add(u64::from(byte));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn finish(&self) -> u64 {
+        // The table indexes by the low bits, which a product mixes least.
+        self.0.rotate_left(26)
+    }
+}
+
+/// A group's cached best candidate for its frame and class row.
 #[derive(Debug, Clone, Copy)]
 enum Candidate {
-    /// Unknown: the frame or the row changed since the last look.
+    /// Unknown: the group is new, or its class row changed since the last
+    /// look.
     Stale,
     /// Only a lower bound on the best self-force is known
     /// ([`Kernel::force_lower_bound`]).
@@ -144,14 +246,106 @@ enum Candidate {
     Exact(u32, f64),
 }
 
+impl Workspace {
+    /// Adds unfixed node `n` to the group of its class and current frame,
+    /// keeping the member list ascending.
+    fn join_group(&mut self, n: NodeId) {
+        let i = n.index();
+        let key = GroupKey { class: self.class_of[i], frame: self.frames[i] };
+        let g = match self.group_ids.entry(key) {
+            Entry::Occupied(entry) => *entry.get(),
+            Entry::Vacant(entry) => {
+                let group = Group { key, head: NONE, tail: NONE, cand: Candidate::Stale };
+                let g = match self.free_groups.pop() {
+                    Some(g) => {
+                        self.groups[g as usize] = group;
+                        g
+                    }
+                    None => {
+                        self.groups.push(group);
+                        (self.groups.len() - 1) as u32
+                    }
+                };
+                *entry.insert(g)
+            }
+        };
+        self.links[i].group = g;
+        let id = i as u32;
+        let group = &mut self.groups[g as usize];
+        if group.head == NONE {
+            (group.head, group.tail) = (id, id);
+            (self.links[i].prev, self.links[i].next) = (NONE, NONE);
+            set_bit(&mut self.heads, i);
+        } else if id > group.tail {
+            (self.links[i].prev, self.links[i].next) = (group.tail, NONE);
+            self.links[group.tail as usize].next = id;
+            group.tail = id;
+        } else if id < group.head {
+            (self.links[i].prev, self.links[i].next) = (NONE, group.head);
+            self.links[group.head as usize].prev = id;
+            clear_bit(&mut self.heads, group.head as usize);
+            set_bit(&mut self.heads, i);
+            group.head = id;
+        } else {
+            // Strictly between head and tail: the walk stops before the tail.
+            let mut at = group.head;
+            while self.links[at as usize].next < id {
+                at = self.links[at as usize].next;
+            }
+            let after = self.links[at as usize].next;
+            (self.links[i].prev, self.links[i].next) = (at, after);
+            self.links[at as usize].next = id;
+            self.links[after as usize].prev = id;
+        }
+    }
+
+    /// Removes `n` from its group, promoting the next member to head when
+    /// `n` was the head and freeing the group when it empties.
+    fn leave_group(&mut self, n: NodeId) {
+        let i = n.index();
+        let Link { group, next, prev } = self.links[i];
+        let g = group as usize;
+        if prev == NONE {
+            self.groups[g].head = next;
+            clear_bit(&mut self.heads, i);
+            if next != NONE {
+                set_bit(&mut self.heads, next as usize);
+            }
+        } else {
+            self.links[prev as usize].next = next;
+        }
+        if next == NONE {
+            self.groups[g].tail = prev;
+        } else {
+            self.links[next as usize].prev = prev;
+        }
+        if self.groups[g].head == NONE {
+            self.group_ids.remove(&self.groups[g].key);
+            self.free_groups.push(g as u32);
+        }
+        self.links[i].group = NONE;
+    }
+}
+
+fn set_bit(bits: &mut [u64], i: usize) {
+    bits[i / 64] |= 1 << (i % 64);
+}
+
+fn clear_bit(bits: &mut [u64], i: usize) {
+    bits[i / 64] &= !(1 << (i % 64));
+}
+
 /// Schedules `cdfg` within `latency` control steps, minimising the peak
 /// number of simultaneously busy execution units per class.
 ///
 /// # Errors
 ///
-/// Returns [`ScheduleError::LatencyTooSmall`] if the latency is below the
-/// critical path (taking control edges into account).
+/// Returns [`ScheduleError::LatencyTooSmall`] if the latency is zero or
+/// below the critical path (taking control edges into account).
 pub fn schedule(cdfg: &Cdfg, latency: u32) -> Result<Schedule, ScheduleError> {
+    if latency == 0 {
+        return Err(ScheduleError::zero_latency(cdfg));
+    }
     let timing = Timing::compute(cdfg, latency);
     if !timing.is_feasible() {
         return Err(ScheduleError::LatencyTooSmall {
@@ -302,12 +496,17 @@ impl RepairWorkspace {
 /// # Errors
 ///
 /// Returns [`ScheduleError::LatencyTooSmall`] — with the same fields a cold
-/// run reports — if the latency is below the circuit's critical path.
+/// run reports — if the latency is zero or below the circuit's critical
+/// path.  A zero latency is rejected before anything else, at zero work,
+/// and leaves the workspace as it was.
 pub fn repair(
     cdfg: &Cdfg,
     latency: u32,
     rw: &mut RepairWorkspace,
 ) -> (Result<Schedule, ScheduleError>, RepairStats) {
+    if latency == 0 {
+        return (Err(ScheduleError::zero_latency(cdfg)), RepairStats::default());
+    }
     let slices = cdfg.slices();
     let bound = rw.circuit.as_deref() == Some(cdfg.name()) && rw.slots == slices.slot_count();
     if !bound {
@@ -431,8 +630,13 @@ impl<'a> Kernel<'a> {
             row.resize(latency as usize + 1, 0.0);
         }
         ws.class_dirty = [true; NUM_CLASSES];
-        ws.cand.clear();
-        ws.cand.resize(slots, Candidate::Stale);
+        ws.links.clear();
+        ws.links.resize(slots, Link { group: NONE, next: NONE, prev: NONE });
+        ws.group_ids.clear();
+        ws.groups.clear();
+        ws.free_groups.clear();
+        ws.heads.clear();
+        ws.heads.resize(slots.div_ceil(64), 0);
         ws.changed.clear();
         ws.changed_flag.clear();
         ws.changed_flag.resize(slots, false);
@@ -445,13 +649,15 @@ impl<'a> Kernel<'a> {
             let i = n.index();
             let frame = Frame { earliest: timing.asap(n), latest: timing.alap(n) };
             ws.frames[i] = frame;
-            if frame.width() == 1 {
-                ws.fixed[i] = true;
-                ws.fixed_count += 1;
-            }
             let class = data.op.class().dense_index();
             ws.class_of[i] = class as u8;
             ws.class_members[class].push(n);
+            if frame.width() == 1 {
+                ws.fixed[i] = true;
+                ws.fixed_count += 1;
+            } else {
+                ws.join_group(n);
+            }
         }
 
         Kernel { slices, latency, ws }
@@ -468,13 +674,18 @@ impl<'a> Kernel<'a> {
             self.ws.frames[i] = Frame { earliest: step, latest: step };
             self.mark_changed(node);
             self.propagate_from(node)?;
-            // Frame changes dirty the owning class's DG row and the node's
-            // cached candidate.
+            // Frame changes dirty the owning class's DG row (whose refresh
+            // stales the class's candidates) and move the node out of its
+            // group: into the group of its new frame, or out for good once
+            // fixed.
             for k in 0..self.ws.changed.len() {
                 let m = self.ws.changed[k];
                 self.ws.class_dirty[self.ws.class_of[m.index()] as usize] = true;
-                self.ws.cand[m.index()] = Candidate::Stale;
                 self.ws.changed_flag[m.index()] = false;
+                self.ws.leave_group(m);
+                if !self.ws.fixed[m.index()] {
+                    self.ws.join_group(m);
+                }
             }
             self.ws.changed.clear();
         }
@@ -487,7 +698,7 @@ impl<'a> Kernel<'a> {
     }
 
     /// Rebuilds the DG rows of dirty classes and drops the cached candidates
-    /// of their unfixed members.  Cells are summed over members in ascending
+    /// of their groups.  Cells are summed over members in ascending
     /// node order — the reference implementation's map-construction order —
     /// so the resulting f64 values are bit-identical to a full rebuild.
     fn refresh_dirty_rows(&mut self) {
@@ -509,51 +720,69 @@ impl<'a> Kernel<'a> {
                     row[step as usize] += p;
                 }
                 if !ws.fixed[m.index()] {
-                    ws.cand[m.index()] = Candidate::Stale;
+                    ws.groups[ws.links[m.index()].group as usize].cand = Candidate::Stale;
                 }
             }
         }
     }
 
     /// Picks the unfixed (node, step) pair with the smallest self-force,
-    /// refreshing stale per-node candidates on the way.  Ties within
-    /// [`EPS`] go to the smaller (node, step) pair, like the reference's
-    /// flat scan (see the module docs for the ε-chain caveat).
+    /// refreshing stale group candidates on the way.  Ties within [`EPS`] go
+    /// to the smaller (node, step) pair, like the reference's flat scan (see
+    /// the module docs for the ε-chain caveat).
     ///
-    /// A stale node's O(w²) exact candidate is computed only when its O(w)
-    /// lower bound lies below `bf − EPS`; the module docs show why that
-    /// skips nothing the unpruned scan could pick.
+    /// Only group heads are visited, in ascending id, and a stale group's
+    /// O(w²) exact candidate is computed only when its O(w) lower bound lies
+    /// below `bf − EPS`; the module docs show why neither skips anything the
+    /// scan over every unfixed node could pick, and debug builds assert it
+    /// against [`Kernel::flat_pick`].
     fn pick(&mut self) -> (NodeId, u32) {
         let mut best: Option<(NodeId, u32, f64)> = None;
+        for w in 0..self.ws.heads.len() {
+            let mut word = self.ws.heads[w];
+            while word != 0 {
+                let i = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                let n = NodeId::new(i as u32);
+                let g = self.ws.links[i].group as usize;
+                let (step, force) = match self.ws.groups[g].cand {
+                    Candidate::Exact(step, force) => (step, force),
+                    cached => {
+                        let bound = match cached {
+                            Candidate::Bound(bound) => bound,
+                            _ => self.force_lower_bound(n),
+                        };
+                        if best.is_some_and(|(_, _, bf)| bound >= bf - EPS) {
+                            self.ws.groups[g].cand = Candidate::Bound(bound);
+                            continue;
+                        }
+                        let (step, force) = self.best_candidate(n);
+                        debug_assert!(bound <= force, "bound {bound} above force {force} at {n}");
+                        self.ws.groups[g].cand = Candidate::Exact(step, force);
+                        (step, force)
+                    }
+                };
+                if beats(best, n, step, force) {
+                    best = Some((n, step, force));
+                }
+            }
+        }
+        let (node, step, _) = best.expect("at least one unfixed node");
+        debug_assert_eq!((node, step), self.flat_pick(), "grouped pick left the flat scan");
+        (node, step)
+    }
+
+    /// The pick without pruning or grouping: every unfixed node's exact
+    /// candidate, merged in ascending id with the comparator
+    /// [`Kernel::pick`] uses.  The debug-build oracle for that pick.
+    fn flat_pick(&self) -> (NodeId, u32) {
+        let mut best: Option<(NodeId, u32, f64)> = None;
         for &n in self.slices.functional() {
-            let i = n.index();
-            if self.ws.fixed[i] {
+            if self.ws.fixed[n.index()] {
                 continue;
             }
-            let (step, force) = match self.ws.cand[i] {
-                Candidate::Exact(step, force) => (step, force),
-                cached => {
-                    let bound = match cached {
-                        Candidate::Bound(bound) => bound,
-                        _ => self.force_lower_bound(n),
-                    };
-                    if best.is_some_and(|(_, _, bf)| bound >= bf - EPS) {
-                        self.ws.cand[i] = Candidate::Bound(bound);
-                        continue;
-                    }
-                    let (step, force) = self.best_candidate(n);
-                    debug_assert!(bound <= force, "bound {bound} above force {force} at {n}");
-                    self.ws.cand[i] = Candidate::Exact(step, force);
-                    (step, force)
-                }
-            };
-            let better = match best {
-                None => true,
-                Some((bn, bs, bf)) => {
-                    force < bf - EPS || ((force - bf).abs() <= EPS && (n, step) < (bn, bs))
-                }
-            };
-            if better {
+            let (step, force) = self.best_candidate(n);
+            if beats(best, n, step, force) {
                 best = Some((n, step, force));
             }
         }
@@ -668,6 +897,18 @@ impl<'a> Kernel<'a> {
             }
         }
         Ok(())
+    }
+}
+
+/// Whether candidate (`n`, `step`, `force`) displaces the incumbent `best`
+/// of a pick: a force lower by more than [`EPS`], or a tie within it broken
+/// towards the smaller (node, step) pair.
+fn beats(best: Option<(NodeId, u32, f64)>, n: NodeId, step: u32, force: f64) -> bool {
+    match best {
+        None => true,
+        Some((bn, bs, bf)) => {
+            force < bf - EPS || ((force - bf).abs() <= EPS && (n, step) < (bn, bs))
+        }
     }
 }
 
@@ -962,6 +1203,121 @@ mod tests {
         let (_, warm) = repair(&g, 2, &mut rw);
         assert!(!warm.full_recompute, "at the critical path the cascade is bounded");
         assert!(warm.nodes_touched < full.nodes_touched, "warm {warm:?} vs full {full:?}");
+    }
+
+    #[test]
+    fn zero_latency_is_a_typed_error_not_a_panic() {
+        let (g, ..) = abs_diff();
+        let expected = ScheduleError::LatencyTooSmall { requested: 0, critical_path: 2 };
+        assert_eq!(schedule(&g, 0).unwrap_err(), expected);
+        // Unbound and bound workspaces alike: zero work, nothing rebound.
+        let mut rw = RepairWorkspace::new();
+        assert_eq!(repair(&g, 0, &mut rw), (Err(expected.clone()), RepairStats::default()));
+        assert_eq!(rw.bound_circuit(), None);
+        assert_eq!(repair(&g, 3, &mut rw).0.unwrap(), schedule(&g, 3).unwrap());
+        assert_eq!(repair(&g, 0, &mut rw), (Err(expected), RepairStats::default()));
+        assert_eq!(repair(&g, 4, &mut rw).0.unwrap(), schedule(&g, 4).unwrap());
+    }
+
+    #[test]
+    fn one_group_spanning_three_head_words_matches_the_naive_reference() {
+        // 140 independent additions share one frame, so they form a single
+        // group whose members span three 64-bit words of the head bitset;
+        // every fix moves the head on to the next member.
+        let mut g = Cdfg::new("wide_adds");
+        let a = g.add_input("a");
+        let b = g.add_input("b");
+        for i in 0..140 {
+            let sum = g.add_op(Op::Add, &[a, b]).unwrap();
+            g.add_output(format!("o{i}"), sum).unwrap();
+        }
+        let cp = g.critical_path_length();
+        for latency in cp..=cp + 4 {
+            if latency > 1 {
+                let timing = Timing::compute(&g, latency);
+                let mut ws = Workspace::default();
+                let kernel = Kernel::init(&g, &timing, &mut ws);
+                assert_eq!(kernel.ws.group_ids.len(), 1, "one group at latency {latency}");
+                let group = kernel.ws.groups[0];
+                assert!(group.tail / 64 - group.head / 64 >= 2, "the group spans three words");
+            }
+            assert_eq!(
+                schedule(&g, latency).unwrap(),
+                naive::schedule(&g, latency).unwrap(),
+                "latency {latency}"
+            );
+        }
+    }
+
+    #[test]
+    fn members_moving_between_groups_mid_run_match_the_naive_reference() {
+        // A multiplier chain feeds two interleaved fans of additions, one
+        // from each of its first two nodes.  Six earlier multipliers share
+        // the chain head's frame, so the head is often fixed late; that
+        // pushes its fan's earliest step out, and the fan's members leave
+        // their group mid-run for one whose members interleave with theirs
+        // (inserted before its head and between its members).
+        let mut g = Cdfg::new("chain_fans");
+        let x = g.add_input("x");
+        let y = g.add_input("y");
+        for i in 0..6 {
+            let m = g.add_op(Op::Mul, &[x, y]).unwrap();
+            let n1 = g.add_op(Op::Neg, &[m]).unwrap();
+            let n2 = g.add_op(Op::Neg, &[n1]).unwrap();
+            g.add_output(format!("p{i}"), n2).unwrap();
+        }
+        let c1 = g.add_op(Op::Mul, &[x, y]).unwrap();
+        let c2 = g.add_op(Op::Mul, &[c1, y]).unwrap();
+        let c3 = g.add_op(Op::Mul, &[c2, y]).unwrap();
+        g.add_output("c", c3).unwrap();
+        for i in 0..12 {
+            let a = g.add_op(Op::Add, &[c1, x]).unwrap();
+            let b = g.add_op(Op::Add, &[c2, x]).unwrap();
+            g.add_output(format!("a{i}"), a).unwrap();
+            g.add_output(format!("b{i}"), b).unwrap();
+        }
+        let cp = g.critical_path_length();
+        let mut moved = false;
+        for latency in cp..=cp + 4 {
+            let timing = Timing::compute(&g, latency);
+            let mut ws = Workspace::default();
+            let unfixed = {
+                let kernel = Kernel::init(&g, &timing, &mut ws);
+                g.slices().functional().len() - kernel.ws.fixed_count
+            };
+            let fast = Kernel::init(&g, &timing, &mut ws).run().unwrap();
+            // Beyond one touch per fix, every touch is a propagation move.
+            moved |= ws.touched > unfixed;
+            assert_eq!(fast, naive::schedule(&g, latency).unwrap(), "latency {latency}");
+        }
+        assert!(moved, "propagation never moved a member between groups");
+    }
+
+    #[test]
+    fn a_repair_workspace_rebinds_across_head_bitset_sizes() {
+        // A circuit of more than 64 slots, then a smaller one, then back:
+        // the head bitset and group index shrink and grow with the slots.
+        let mut big = Cdfg::new("big");
+        let a = big.add_input("a");
+        let b = big.add_input("b");
+        let mut acc = big.add_op(Op::Add, &[a, b]).unwrap();
+        for i in 0..40 {
+            let side = big.add_op(Op::Mul, &[a, b]).unwrap();
+            acc = big.add_op(if i % 2 == 0 { Op::Add } else { Op::Sub }, &[acc, side]).unwrap();
+        }
+        big.add_output("o", acc).unwrap();
+        assert!(big.slices().slot_count() > 64);
+        let (small, ..) = abs_diff();
+
+        let mut rw = RepairWorkspace::new();
+        let big_cp = big.critical_path_length();
+        for (g, latency) in
+            [(&big, big_cp + 3), (&small, 4), (&big, big_cp + 2), (&small, 3), (&big, big_cp + 3)]
+        {
+            let (got, stats) = repair(g, latency, &mut rw);
+            assert_eq!(got.unwrap(), schedule(g, latency).unwrap(), "{} at {latency}", g.name());
+            assert!(stats.full_recompute, "every switch rebinds");
+        }
     }
 
     #[test]

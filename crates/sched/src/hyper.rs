@@ -43,11 +43,14 @@ impl HyperOptions {
 ///
 /// # Errors
 ///
-/// * [`ScheduleError::LatencyTooSmall`] when the latency is below the
-///   critical path (including control edges),
+/// * [`ScheduleError::LatencyTooSmall`] when the latency is zero or below
+///   the critical path (including control edges),
 /// * [`ScheduleError::LatencyExceeded`] / [`ScheduleError::InsufficientResources`]
 ///   when an explicit resource constraint cannot meet the latency.
 pub fn schedule(cdfg: &Cdfg, options: &HyperOptions) -> Result<Schedule, ScheduleError> {
+    if options.latency == 0 {
+        return Err(ScheduleError::zero_latency(cdfg));
+    }
     let timing = Timing::compute(cdfg, options.latency);
     if !timing.is_feasible() {
         return Err(ScheduleError::LatencyTooSmall {
@@ -138,6 +141,13 @@ mod tests {
         let (g, ..) = abs_diff();
         let err = schedule(&g, &HyperOptions::with_latency(1)).unwrap_err();
         assert!(matches!(err, ScheduleError::LatencyTooSmall { .. }));
+    }
+
+    #[test]
+    fn zero_latency_is_a_typed_error_not_a_panic() {
+        let (g, ..) = abs_diff();
+        let err = schedule(&g, &HyperOptions::with_latency(0)).unwrap_err();
+        assert_eq!(err, ScheduleError::LatencyTooSmall { requested: 0, critical_path: 2 });
     }
 
     #[test]

@@ -55,10 +55,7 @@ pub fn schedule(
     // old `priority_latency.max(1)` clamp quietly scheduled against a
     // meaningless one-step ALAP analysis.
     if priority_latency == 0 {
-        return Err(ScheduleError::LatencyTooSmall {
-            requested: 0,
-            critical_path: cdfg.critical_path_length(),
-        });
+        return Err(ScheduleError::zero_latency(cdfg));
     }
     let timing = Timing::compute(cdfg, priority_latency);
     if let Some(&node) = timing.infeasible_nodes().first() {

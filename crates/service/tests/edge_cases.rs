@@ -253,3 +253,25 @@ fn an_over_long_request_line_is_rejected_and_its_connection_closed() {
     daemon.shutdown();
     daemon.join();
 }
+
+/// A zero budget accepted from the wire is that budget's failure, not the
+/// job's: the job ends `Done` with budget 0 listed among the walk's
+/// failures, where a panic inside the timing analysis used to end it
+/// `Failed` through the executor's panic containment.
+#[test]
+fn a_zero_explore_budget_fails_that_budget_not_the_job() {
+    let daemon = start_daemon("zero-budget");
+    let outcome = Client::connect(daemon.socket())
+        .expect("connect")
+        .submit_and_wait(JobSpec::explore(vec![
+            engine::ExploreRequest::new("dealer").budgets([0, 6])
+        ]))
+        .expect("job outcome");
+    assert_eq!(outcome.state, JobState::Done, "{:?}", outcome.error);
+    assert_eq!(outcome.failures, Some(1));
+    let report = outcome.report.expect("done jobs carry a report");
+    assert!(report.contains(r#"{"budget": 0, "error": "scheduling failed: "#), "{report}");
+    assert!(report.contains(r#"{"budget": 6, "#), "{report}");
+    daemon.shutdown();
+    daemon.join();
+}
