@@ -101,7 +101,8 @@ const REORDER_EXHAUSTIVE_LIMIT: usize = 5;
 ///
 /// For [`Engine::run_controlled`] an item is one scenario (failed
 /// scenarios count too — they are part of the plan); for
-/// [`Engine::explore_controlled`] an item is one circuit walk.
+/// [`Engine::explore_controlled`] an item is one (circuit, budget) point
+/// (failed budgets count too; an unknown circuit contributes none).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Progress {
     /// Items finished so far.
@@ -203,29 +204,12 @@ impl Engine {
         cancel: Option<&AtomicBool>,
         progress: Option<&(dyn Fn(Progress) + Sync)>,
     ) -> Option<SweepReport> {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, usize::from)
-        } else {
-            threads
-        };
         let gate = plan.gate_level();
-        let forward;
-        let ctl = pool::MapControl {
-            cancel,
-            progress: match progress {
-                Some(tick) => {
-                    forward =
-                        move |completed: usize, total: usize| tick(Progress { completed, total });
-                    Some(&forward as &(dyn Fn(usize, usize) + Sync))
-                }
-                None => None,
-            },
-        };
         let records = pool::parallel_map_controlled(
             self.expand_scenarios(plan),
             threads,
             &|scenario| self.run_scenario(scenario, gate),
-            ctl,
+            pool::MapControl { cancel, progress },
         )?;
         let report = SweepReport::from_records(records);
         Some(match plan.budget_policy() {

@@ -22,19 +22,23 @@
 //!   no point here reads, is never scheduled (it is computed on first
 //!   read).  The identity tests pin the final schedule of every point
 //!   against `sched::naive` on the power-managed graph.
-//! * **Per-circuit independence** — circuits are explored in parallel on
-//!   the engine's [`crate::pool`], and every budget walk is sequential
-//!   inside its circuit, so the report is identical for every thread count.
+//! * **Per-point independence** — every (circuit, budget) point reads only
+//!   the circuit, its budget and the options, so the points of all
+//!   circuits run in parallel on the engine's [`crate::pool`] and are
+//!   assembled in request order, then budget order: the report is
+//!   identical for every thread count.
 
 use std::fmt;
 use std::fmt::Write as _;
+use std::sync::atomic::AtomicBool;
 
 use binding::{AreaModel, Datapath};
+use cdfg::Cdfg;
 use pmsched::{power_manage, OpWeights, PowerManagementOptions};
 use power::dvs::scaled_delay_estimate;
 use power::voltage::{voltage_scaled_estimate, VoltageAssignment};
 
-use crate::report::{csv_field, json_number, json_string};
+use crate::report::{csv_field, dominates, json_number, json_string};
 use crate::scenario::BranchModel;
 use crate::{pool, select_probabilities, Engine};
 
@@ -391,28 +395,17 @@ impl ParetoReport {
     }
 }
 
-/// True when `a` dominates `b` in the 3-objective sense: no worse on every
-/// minimised objective (budget, energy, area) and strictly better on at
-/// least one.  Float comparisons use [`f64::total_cmp`] so even non-finite
-/// values rank deterministically.
-fn dominates(a: &ExplorePoint, b: &ExplorePoint) -> bool {
-    let le = |x: f64, y: f64| x.total_cmp(&y).is_le();
-    let lt = |x: f64, y: f64| x.total_cmp(&y).is_lt();
-    a.budget <= b.budget
-        && le(a.energy, b.energy)
-        && le(a.area, b.area)
-        && (a.budget < b.budget || lt(a.energy, b.energy) || lt(a.area, b.area))
-}
-
 /// Marks the non-dominated points of a budget walk under the 3-objective
-/// (budget ↓, energy ↓, area ↓) order — O(n²) pairwise, which is exact and
-/// cheap at budget-walk sizes.  With only the energy objective varying
-/// this degenerates to the old 2-objective rule (reduction strictly
-/// improving with the budget); area keeps otherwise-dominated points alive
-/// when a longer budget buys a smaller datapath.
+/// (budget ↓, energy ↓, area ↓) order of [`dominates`] — O(n²) pairwise,
+/// which is exact and cheap at budget-walk sizes.  With only the energy
+/// objective varying this degenerates to the 2-objective rule (reduction
+/// strictly improving with the budget); area keeps otherwise-dominated
+/// points alive when a longer budget buys a smaller datapath.
 fn mark_front(points: &mut [ExplorePoint]) {
+    let objectives = |p: &ExplorePoint| [f64::from(p.budget), p.energy, p.area];
     for i in 0..points.len() {
-        let dominated = (0..points.len()).any(|j| j != i && dominates(&points[j], &points[i]));
+        let point = objectives(&points[i]);
+        let dominated = points.iter().any(|other| dominates(objectives(other), point));
         points[i].on_front = !dominated;
     }
 }
@@ -421,11 +414,12 @@ impl Engine {
     /// Explores the latency–power trade-off of every requested circuit and
     /// returns the per-circuit points and fronts.
     ///
-    /// Circuits run in parallel on `threads` workers (0 = one per CPU);
-    /// each circuit's budget walk is sequential, so the
-    /// report — like the sweep report — is identical for every thread
-    /// count.  Failures (unknown circuits, degenerate estimates) are
-    /// recorded per budget, never aborting the exploration.
+    /// Every (circuit, budget) point is one task on `threads` workers
+    /// (0 = one per CPU), and the points are assembled in request order,
+    /// then budget order, so the report — like the sweep report — is
+    /// identical for every thread count.  Failures (unknown circuits,
+    /// degenerate estimates) are recorded per budget, never aborting the
+    /// exploration.
     ///
     /// Unlike [`Engine::run`], this path bypasses the prefix memo cache:
     /// each budget point is computed from scratch (one selection loop and
@@ -443,42 +437,79 @@ impl Engine {
     /// [`Engine::explore`] with cooperative cancellation and progress hooks
     /// (the service entry point, mirroring [`Engine::run_controlled`]).
     ///
-    /// One progress item is one circuit walk.  `cancel` is checked at
-    /// circuit boundaries: once set, no further circuit starts and the
-    /// exploration returns `None`; an uncancelled exploration returns a
-    /// report bit-identical to [`Engine::explore`]'s.
+    /// One progress item is one (circuit, budget) point; an unknown circuit
+    /// contributes none.  `cancel` is checked at point boundaries: once
+    /// set, no further point starts and the exploration returns `None`; an
+    /// uncancelled exploration returns a report bit-identical to
+    /// [`Engine::explore`]'s.
     pub fn explore_controlled(
         &self,
         requests: &[ExploreRequest],
         options: &ExploreOptions,
         threads: usize,
-        cancel: Option<&std::sync::atomic::AtomicBool>,
+        cancel: Option<&AtomicBool>,
         progress: Option<&(dyn Fn(crate::Progress) + Sync)>,
     ) -> Option<ParetoReport> {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, usize::from)
-        } else {
-            threads
-        };
-        let forward;
-        let ctl = pool::MapControl {
-            cancel,
-            progress: match progress {
-                Some(tick) => {
-                    forward = move |completed: usize, total: usize| {
-                        tick(crate::Progress { completed, total })
-                    };
-                    Some(&forward as &(dyn Fn(usize, usize) + Sync))
+        // Plan every point: request order, then ascending budget order.
+        let mut points: Vec<(&Cdfg, u32)> = Vec::new();
+        let walks: Vec<Option<(u32, usize)>> = requests
+            .iter()
+            .map(|request| {
+                let cdfg: &Cdfg = self.circuit(&request.circuit)?;
+                let critical_path = cdfg.critical_path_length();
+                let planned = points.len();
+                match options.policy {
+                    BudgetPolicy::Fixed => {
+                        let mut budgets = request.budgets.clone();
+                        budgets.sort_unstable();
+                        budgets.dedup();
+                        points.extend(budgets.into_iter().map(|budget| (cdfg, budget)));
+                    }
+                    BudgetPolicy::FullRange | BudgetPolicy::Pareto => {
+                        let ceiling = options.ceiling.resolve(critical_path);
+                        points.extend((critical_path..=ceiling).map(|budget| (cdfg, budget)));
+                    }
                 }
-                None => None,
-            },
-        };
-        let circuits = pool::parallel_map_controlled(
-            requests.to_vec(),
+                Some((critical_path, points.len() - planned))
+            })
+            .collect();
+        let mut outcomes = pool::parallel_map_controlled(
+            points,
             threads,
-            &|request| explore_circuit(self, &request, options),
-            ctl,
-        )?;
+            &|(cdfg, budget)| (budget, explore_point(cdfg, budget, options)),
+            pool::MapControl { cancel, progress },
+        )?
+        .into_iter();
+
+        let circuits = requests
+            .iter()
+            .zip(walks)
+            .map(|(request, walk)| {
+                let circuit = request.circuit.clone();
+                let Some((critical_path, planned)) = walk else {
+                    let failures = vec![(0, format!("unknown circuit `{circuit}`"))];
+                    return CircuitExploration {
+                        circuit,
+                        critical_path: 0,
+                        points: Vec::new(),
+                        failures,
+                    };
+                };
+                let mut points = Vec::with_capacity(planned);
+                let mut failures = Vec::new();
+                for (budget, outcome) in outcomes.by_ref().take(planned) {
+                    match outcome {
+                        Ok(point) => points.push(point),
+                        Err(e) => failures.push((budget, e)),
+                    }
+                }
+                mark_front(&mut points);
+                if options.policy == BudgetPolicy::Pareto {
+                    points.retain(|p| p.on_front);
+                }
+                CircuitExploration { circuit, critical_path, points, failures }
+            })
+            .collect();
         Some(ParetoReport {
             policy: options.policy,
             voltage: options.voltage,
@@ -488,126 +519,82 @@ impl Engine {
     }
 }
 
-/// Walks one circuit across its budget range, one `power_manage` call
-/// per budget.
-fn explore_circuit(
-    engine: &Engine,
-    request: &ExploreRequest,
+/// Scores one (circuit, budget) point: one `power_manage` call, then the
+/// energy and area under the voltage policy.  It reads nothing but its
+/// arguments, so points may run in any order on any worker.
+fn explore_point(
+    cdfg: &Cdfg,
+    budget: u32,
     options: &ExploreOptions,
-) -> CircuitExploration {
-    let Some(cdfg) = engine.circuit(&request.circuit) else {
-        return CircuitExploration {
-            circuit: request.circuit.clone(),
-            critical_path: 0,
-            points: Vec::new(),
-            failures: vec![(0, format!("unknown circuit `{}`", request.circuit))],
-        };
-    };
-    let critical_path = cdfg.critical_path_length();
-    let budgets: Vec<u32> = match options.policy {
-        BudgetPolicy::Fixed => {
-            let mut budgets = request.budgets.clone();
-            budgets.sort_unstable();
-            budgets.dedup();
-            budgets
-        }
-        BudgetPolicy::FullRange | BudgetPolicy::Pareto => {
-            (critical_path..=options.ceiling.resolve(critical_path)).collect()
-        }
-    };
-
+) -> Result<ExplorePoint, String> {
+    let result = power_manage(cdfg, &PowerManagementOptions::with_latency(budget))
+        .map_err(|e| e.to_string())?;
     let weights = OpWeights::paper_power();
     let area_model = AreaModel::new();
-    let mut points = Vec::with_capacity(budgets.len());
-    let mut failures = Vec::new();
-    for budget in budgets {
-        let pm_options = PowerManagementOptions::with_latency(budget);
-        let result = match power_manage(cdfg, &pm_options) {
-            Ok(result) => result,
-            Err(e) => {
-                failures.push((budget, e.to_string()));
-                continue;
-            }
-        };
-        let probs = select_probabilities(&result, options.branch_model);
-        let score = || -> Result<ExplorePoint, String> {
-            let (shutdown, slowdown, combined, energy, area) = match options.voltage {
-                VoltagePolicy::Global(scaling) => {
-                    // The single-curve path.  All operations sit at one
-                    // voltage, so the plain (unpartitioned) binding prices
-                    // the area.
-                    let report = scaled_delay_estimate(&result, &probs, &weights, scaling)
-                        .map_err(|e| e.to_string())?;
-                    let datapath = Datapath::build(result.cdfg(), result.schedule())
-                        .map_err(|e| e.to_string())?;
-                    (
-                        report.shutdown_reduction_percent,
-                        report.slowdown_reduction_percent,
-                        report.combined_reduction_percent,
-                        report.scaled_weighted,
-                        area_model.estimate(&datapath).total(),
-                    )
-                }
-                VoltagePolicy::PerOp(preset) => {
-                    // Per-op levels from the slack-distribution kernel,
-                    // priced by expected execution (weight × activation
-                    // probability), then a voltage-partitioned binding:
-                    // units are shared only within one level.
-                    let table = preset.table();
-                    let levels = table.slack_levels();
-                    let activation = result.activation(&probs);
-                    let pm_cdfg = result.cdfg();
-                    let node_weight = |n: cdfg::NodeId| {
-                        let class = pm_cdfg.node(n).expect("live node").op.class();
-                        weights.weight(class) * activation.probability(n)
-                    };
-                    let picked = sched::dvs::distribute_slack(
-                        pm_cdfg,
-                        result.latency(),
-                        &levels,
-                        &node_weight,
-                        &mut sched::dvs::Workspace::new(),
-                    )
-                    .map_err(|e| e.to_string())?;
-                    let assignment = VoltageAssignment::from_levels(picked.levels().to_vec());
-                    let estimate =
-                        voltage_scaled_estimate(&result, &probs, &weights, &table, &assignment)
-                            .map_err(|e| e.to_string())?;
-                    let datapath = Datapath::build_partitioned(pm_cdfg, result.schedule(), &|n| {
-                        picked.level_of(n)
-                    })
-                    .map_err(|e| e.to_string())?;
-                    (
-                        estimate.shutdown_reduction_percent,
-                        estimate.slowdown_reduction_percent,
-                        estimate.combined_reduction_percent,
-                        estimate.scaled_weighted,
-                        area_model.estimate(&datapath).total(),
-                    )
-                }
-            };
-            Ok(ExplorePoint {
-                budget,
-                schedule_steps: result.schedule().num_steps(),
-                pm_muxes: result.managed_mux_count(),
-                shutdown_reduction: shutdown,
-                slowdown_reduction: slowdown,
-                combined_reduction: combined,
-                energy,
-                area,
-                on_front: false,
-            })
-        };
-        match score() {
-            Ok(point) => points.push(point),
-            Err(e) => failures.push((budget, e)),
+    let probs = select_probabilities(&result, options.branch_model);
+    let (shutdown, slowdown, combined, energy, area) = match options.voltage {
+        VoltagePolicy::Global(scaling) => {
+            // The single-curve path.  All operations sit at one voltage, so
+            // the plain (unpartitioned) binding prices the area.
+            let report = scaled_delay_estimate(&result, &probs, &weights, scaling)
+                .map_err(|e| e.to_string())?;
+            let datapath =
+                Datapath::build(result.cdfg(), result.schedule()).map_err(|e| e.to_string())?;
+            (
+                report.shutdown_reduction_percent,
+                report.slowdown_reduction_percent,
+                report.combined_reduction_percent,
+                report.scaled_weighted,
+                area_model.estimate(&datapath).total(),
+            )
         }
-    }
-    mark_front(&mut points);
-    if options.policy == BudgetPolicy::Pareto {
-        points.retain(|p| p.on_front);
-    }
-    CircuitExploration { circuit: request.circuit.clone(), critical_path, points, failures }
+        VoltagePolicy::PerOp(preset) => {
+            // Per-op levels from the slack-distribution kernel, priced by
+            // expected execution (weight × activation probability), then a
+            // voltage-partitioned binding: units are shared only within one
+            // level.
+            let table = preset.table();
+            let levels = table.slack_levels();
+            let activation = result.activation(&probs);
+            let pm_cdfg = result.cdfg();
+            let node_weight = |n: cdfg::NodeId| {
+                let class = pm_cdfg.node(n).expect("live node").op.class();
+                weights.weight(class) * activation.probability(n)
+            };
+            let picked = sched::dvs::distribute_slack(
+                pm_cdfg,
+                result.latency(),
+                &levels,
+                &node_weight,
+                &mut sched::dvs::Workspace::new(),
+            )
+            .map_err(|e| e.to_string())?;
+            let assignment = VoltageAssignment::from_levels(picked.levels().to_vec());
+            let estimate = voltage_scaled_estimate(&result, &probs, &weights, &table, &assignment)
+                .map_err(|e| e.to_string())?;
+            let datapath =
+                Datapath::build_partitioned(pm_cdfg, result.schedule(), &|n| picked.level_of(n))
+                    .map_err(|e| e.to_string())?;
+            (
+                estimate.shutdown_reduction_percent,
+                estimate.slowdown_reduction_percent,
+                estimate.combined_reduction_percent,
+                estimate.scaled_weighted,
+                area_model.estimate(&datapath).total(),
+            )
+        }
+    };
+    Ok(ExplorePoint {
+        budget,
+        schedule_steps: result.schedule().num_steps(),
+        pm_muxes: result.managed_mux_count(),
+        shutdown_reduction: shutdown,
+        slowdown_reduction: slowdown,
+        combined_reduction: combined,
+        energy,
+        area,
+        on_front: false,
+    })
 }
 
 #[cfg(test)]
@@ -746,6 +733,66 @@ mod tests {
             assert_eq!(one.to_json(), eight.to_json());
             assert_eq!(one.to_csv(), eight.to_csv());
         }
+    }
+
+    #[test]
+    fn explore_progress_ticks_once_per_budget_point() {
+        use std::sync::Mutex;
+        let engine = Engine::new();
+        let requests: Vec<ExploreRequest> =
+            ["dealer", "gcd", "nonexistent"].map(ExploreRequest::new).to_vec();
+        let options =
+            full_range(DelayScaling::Quadratic).ceiling(BudgetCeiling::CriticalPathPlus(3));
+        let plain = engine.explore(&requests, &options, 1).to_json();
+        for threads in [1, 3] {
+            let ticks = Mutex::new(Vec::new());
+            let tick = |p: crate::Progress| ticks.lock().unwrap().push(p);
+            let report =
+                engine.explore_controlled(&requests, &options, threads, None, Some(&tick)).unwrap();
+            let ticks = ticks.into_inner().unwrap();
+            // dealer and gcd walk cp..=cp+3; the unknown circuit adds none.
+            assert_eq!(ticks.len(), 8, "one callback per budget point (threads={threads})");
+            assert!(ticks.iter().all(|p| p.total == 8));
+            let mut completed: Vec<usize> = ticks.iter().map(|p| p.completed).collect();
+            completed.sort_unstable();
+            assert_eq!(completed, (1..=8).collect::<Vec<_>>());
+            assert_eq!(report.to_json(), plain, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn cancelled_exploration_returns_none_and_a_clear_flag_changes_nothing() {
+        use std::sync::atomic::Ordering;
+        let engine = Engine::new();
+        let requests: Vec<ExploreRequest> = ["dealer", "gcd"].map(ExploreRequest::new).to_vec();
+        let options = full_range(DelayScaling::Linear);
+        let cancel = AtomicBool::new(true);
+        assert!(engine.explore_controlled(&requests, &options, 2, Some(&cancel), None).is_none());
+        cancel.store(false, Ordering::SeqCst);
+        let controlled =
+            engine.explore_controlled(&requests, &options, 2, Some(&cancel), None).unwrap();
+        assert_eq!(controlled.to_json(), engine.explore(&requests, &options, 1).to_json());
+    }
+
+    #[test]
+    fn cancelling_mid_walk_stops_at_a_budget_point_boundary() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let engine = Engine::new();
+        let requests = [ExploreRequest::new("dealer")];
+        let options =
+            full_range(DelayScaling::Quadratic).ceiling(BudgetCeiling::CriticalPathPlus(8));
+        let cancel = AtomicBool::new(false);
+        let seen = AtomicUsize::new(0);
+        let tick = |p: crate::Progress| {
+            seen.fetch_max(p.completed, Ordering::SeqCst);
+            if p.completed >= 2 {
+                cancel.store(true, Ordering::SeqCst);
+            }
+        };
+        let out = engine.explore_controlled(&requests, &options, 1, Some(&cancel), Some(&tick));
+        assert!(out.is_none(), "cancellation discards the partial walk");
+        let seen = seen.load(Ordering::SeqCst);
+        assert!((2..9).contains(&seen), "stopped after the boundary tick, before the end: {seen}");
     }
 
     #[test]

@@ -17,9 +17,12 @@
 //! determinism tests pin down.
 
 use std::collections::VecDeque;
+use std::panic;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
+
+use crate::Progress;
 
 /// Cooperative controls threaded through [`parallel_map_controlled`]: an
 /// optional cancellation flag checked before each item and an optional
@@ -27,17 +30,17 @@ use std::thread;
 ///
 /// Both hooks are observed at *item boundaries* only — an in-flight item
 /// always finishes — which is what lets callers cancel a sweep without ever
-/// tearing a scenario in half.
+/// tearing a scenario or budget point in half.
 #[derive(Clone, Copy, Default)]
 pub struct MapControl<'a> {
     /// Checked before a worker picks up its next item; once set, no further
     /// items start (in-flight items still complete).
     pub cancel: Option<&'a AtomicBool>,
-    /// Called after each completed item with `(completed, total)`.  The
-    /// callback runs on whichever worker finished the item, so it must be
-    /// `Sync`; completed counts are unique and cover `1..=total` exactly
-    /// once on an uncancelled run.
-    pub progress: Option<&'a (dyn Fn(usize, usize) + Sync)>,
+    /// Called after each completed item with the items completed so far
+    /// out of the total.  The callback runs on whichever worker finished
+    /// the item, so it must be `Sync`; completed counts are unique and
+    /// cover `1..=total` exactly once on an uncancelled run.
+    pub progress: Option<&'a (dyn Fn(Progress) + Sync)>,
 }
 
 impl MapControl<'_> {
@@ -47,7 +50,7 @@ impl MapControl<'_> {
 
     fn tick(&self, completed: usize, total: usize) {
         if let Some(progress) = self.progress {
-            progress(completed, total);
+            progress(Progress { completed, total });
         }
     }
 }
@@ -55,9 +58,11 @@ impl MapControl<'_> {
 /// Applies `f` to every item on `threads` worker threads and returns the
 /// results in input order.
 ///
-/// `threads` is clamped to `1..=items.len()`; with one thread (or one item)
-/// everything runs on the calling thread, which keeps single-threaded runs
-/// free of synchronisation entirely.
+/// `threads == 0` means one worker per available CPU, and the count is then
+/// capped at `items.len()`; with one thread (or one item) everything runs
+/// on the calling thread, which keeps single-threaded runs free of
+/// synchronisation entirely.  A panicking item re-raises its own panic on
+/// the calling thread once the workers have stopped.
 pub fn parallel_map<T, R, F>(items: Vec<T>, threads: usize, f: &F) -> Vec<R>
 where
     T: Send,
@@ -89,7 +94,11 @@ where
     if jobs == 0 {
         return Some(Vec::new());
     }
-    let threads = threads.max(1).min(jobs);
+    let threads = match threads {
+        0 => thread::available_parallelism().map_or(1, usize::from),
+        n => n,
+    }
+    .min(jobs);
     if threads == 1 {
         if ctl.cancel.is_none() && ctl.progress.is_none() {
             return Some(items.into_iter().map(f).collect());
@@ -140,7 +149,8 @@ where
             })
             .collect();
         for handle in handles {
-            for (index, result) in handle.join().expect("worker thread panicked") {
+            let local = handle.join().unwrap_or_else(|payload| panic::resume_unwind(payload));
+            for (index, result) in local {
                 debug_assert!(results[index].is_none(), "job {index} ran twice");
                 results[index] = Some(result);
             }
@@ -218,18 +228,38 @@ mod tests {
     }
 
     #[test]
-    fn zero_threads_is_clamped_to_one() {
+    fn zero_threads_means_one_worker_per_cpu() {
         let out = parallel_map(vec![1, 2, 3], 0, &|x| x);
         assert_eq!(out, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn a_worker_panic_keeps_its_own_message() {
+        for threads in [2, 4] {
+            let caught = std::panic::catch_unwind(|| {
+                parallel_map((0..16).collect::<Vec<u32>>(), threads, &|x| {
+                    if x == 7 {
+                        panic!("item {x}: boom");
+                    }
+                    x
+                })
+            })
+            .expect_err("item 7 panics");
+            let message = caught
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| caught.downcast_ref::<&str>().copied());
+            assert_eq!(message, Some("item 7: boom"), "threads={threads}");
+        }
     }
 
     #[test]
     fn progress_ticks_cover_every_item_exactly_once() {
         for threads in [1, 4] {
             let seen = Mutex::new(Vec::new());
-            let tick = |done: usize, total: usize| {
-                assert_eq!(total, 20);
-                seen.lock().unwrap().push(done);
+            let tick = |p: Progress| {
+                assert_eq!(p.total, 20);
+                seen.lock().unwrap().push(p.completed);
             };
             let ctl = MapControl { cancel: None, progress: Some(&tick) };
             let out = parallel_map_controlled((0..20).collect::<Vec<u32>>(), threads, &|x| x, ctl)
@@ -268,8 +298,8 @@ mod tests {
         let cancel = AtomicBool::new(false);
         let started = AtomicUsize::new(0);
         let finished = AtomicUsize::new(0);
-        let tick = |done: usize, _total: usize| {
-            if done >= 3 {
+        let tick = |p: Progress| {
+            if p.completed >= 3 {
                 cancel.store(true, Ordering::SeqCst);
             }
         };
@@ -294,8 +324,8 @@ mod tests {
     #[test]
     fn cancel_after_completion_still_returns_full_results() {
         let cancel = AtomicBool::new(false);
-        let tick = |done: usize, total: usize| {
-            if done == total {
+        let tick = |p: Progress| {
+            if p.completed == p.total {
                 cancel.store(true, Ordering::SeqCst);
             }
         };

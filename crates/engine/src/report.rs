@@ -402,29 +402,31 @@ fn summarize(
     })
 }
 
-/// Extracts the Pareto-optimal points: a scenario is dominated when another
-/// one achieves at least its power reduction at no more control steps (with
-/// at least one strict improvement).  Exact ties keep only the first point
-/// in plan order.
+/// True when the objective vector `a` dominates `b`: no worse on every
+/// minimised objective and strictly better on at least one.
 ///
-/// Reductions are ranked with [`f64::total_cmp`], like every other place
-/// the report orders them: plain `>`/`==` comparisons would let a NaN
-/// reduction (e.g. from a degenerate gate-level baseline before that became
-/// a typed error) be incomparable to everything — never dominated, never a
-/// tie — and quietly pollute the front.  Under `total_cmp` even non-finite
-/// values rank deterministically.
+/// Objectives compare with [`f64::total_cmp`], like every other place the
+/// reports order floats: plain `<`/`==` would make a NaN incomparable to
+/// everything — never dominated, never a tie — so it would quietly
+/// pollute a front.  A maximised objective enters negated, which is exact:
+/// negation reverses `total_cmp` for every bit pattern, ±0 and NaN of
+/// either sign included.
+pub(crate) fn dominates<const N: usize>(a: [f64; N], b: [f64; N]) -> bool {
+    a.iter().zip(&b).all(|(x, y)| x.total_cmp(y).is_le())
+        && a.iter().zip(&b).any(|(x, y)| x.total_cmp(y).is_lt())
+}
+
+/// Extracts the Pareto-optimal points over (effective latency ↓, power
+/// reduction ↑), per [`dominates`].  Exact ties keep only the first point
+/// in plan order.
 fn pareto_front(circuit: &str, successes: &[(&Scenario, &ScenarioMetrics)]) -> Vec<ParetoPoint> {
+    let objectives = |m: &ScenarioMetrics| [f64::from(m.effective_latency), -m.power_reduction];
     let mut front = Vec::new();
     for (i, (scenario, metrics)) in successes.iter().enumerate() {
+        let point = objectives(metrics);
         let dominated = successes.iter().enumerate().any(|(j, (_, other))| {
-            let reduction = other.power_reduction.total_cmp(&metrics.power_reduction);
-            let strictly_better =
-                other.effective_latency < metrics.effective_latency || reduction.is_gt();
-            let no_worse =
-                other.effective_latency <= metrics.effective_latency && reduction.is_ge();
-            let earlier_tie =
-                j < i && other.effective_latency == metrics.effective_latency && reduction.is_eq();
-            (no_worse && strictly_better) || earlier_tie
+            let other = objectives(other);
+            dominates(other, point) || (j < i && other.map(f64::to_bits) == point.map(f64::to_bits))
         });
         if !dominated {
             front.push(ParetoPoint {
@@ -656,6 +658,29 @@ mod tests {
         assert!(report.pareto[0].power_reduction.is_nan());
         // Byte-identical across re-emissions, NaN and all.
         assert_eq!(report.to_json(), report.to_json());
+    }
+
+    #[test]
+    fn dominates_matches_the_two_objective_latency_reduction_rule() {
+        // The sweep front's rule before domination was shared with the
+        // explorer, kept here as the oracle: at no more latency, at least
+        // the reduction, and strictly better on one of the two.
+        let oracle = |(lat_a, red_a): (u32, f64), (lat_b, red_b): (u32, f64)| {
+            let reduction = red_a.total_cmp(&red_b);
+            let strictly_better = lat_a < lat_b || reduction.is_gt();
+            let no_worse = lat_a <= lat_b && reduction.is_ge();
+            no_worse && strictly_better
+        };
+        let reductions =
+            [f64::NEG_INFINITY, -1.0, -0.0, 0.0, 1.0, f64::INFINITY, f64::NAN, -f64::NAN];
+        let points: Vec<(u32, f64)> =
+            [3, 4].into_iter().flat_map(|lat| reductions.map(|red| (lat, red))).collect();
+        for &a in &points {
+            for &b in &points {
+                let key = |(lat, red): (u32, f64)| [f64::from(lat), -red];
+                assert_eq!(dominates(key(a), key(b)), oracle(a, b), "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

@@ -265,14 +265,6 @@ pub fn run_dvsweep(small: bool, threads: usize) -> Result<DvsweepOutcome, Experi
     Ok(DvsweepOutcome { span, policy_rows, gap_rows, skipped })
 }
 
-fn preset_label(preset: VoltagePreset) -> &'static str {
-    match preset {
-        VoltagePreset::TwoLevel => "per-op-2",
-        VoltagePreset::ThreeLevel => "per-op-3",
-        VoltagePreset::FiveLevel => "per-op-5",
-    }
-}
-
 /// Renders both tables as fixed-width text.
 pub fn render(outcome: &DvsweepOutcome) -> String {
     let mut out = String::new();
@@ -311,7 +303,7 @@ pub fn render(outcome: &DvsweepOutcome) -> String {
             out,
             "{:<14} {:<9} {:>6} {:>10.4} {:>10.4} {:>8.3}",
             row.circuit,
-            preset_label(row.preset),
+            VoltagePolicy::PerOp(row.preset).label(),
             row.budget,
             row.heuristic,
             row.exact,
@@ -362,7 +354,7 @@ pub fn to_json(outcome: &DvsweepOutcome) -> String {
             "    {{\"circuit\": \"{}\", \"preset\": \"{}\", \"budget\": {}, \
              \"heuristic\": {}, \"exact\": {}, \"gap_percent\": {}}}{comma}",
             row.circuit,
-            preset_label(row.preset),
+            VoltagePolicy::PerOp(row.preset).label(),
             row.budget,
             json_number(row.heuristic),
             json_number(row.exact),

@@ -14,7 +14,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 use engine::report::{json_number, json_string};
-use engine::{CacheStats, Engine, SchedulerKind, SweepPlan, SweepReport};
+use engine::{CacheStats, Engine, SweepPlan, SweepReport};
 use gen::{Family, GenSpec};
 
 use crate::ExperimentError;
@@ -72,26 +72,10 @@ pub fn default_specs(seed: u64, count: usize) -> Vec<GenSpec> {
         .collect()
 }
 
-/// The sweep plan for an already generated batch: each circuit at every
-/// one of its derived budgets, under both schedulers.
-///
-/// # Errors
-///
-/// Propagates plan validation (an empty batch yields an empty plan).
-pub fn batch_plan(batch: &[circuits::Benchmark]) -> Result<SweepPlan, ExperimentError> {
-    let mut builder = SweepPlan::builder();
-    for bench in batch {
-        for &steps in &bench.control_steps {
-            builder = builder.case(bench.name.as_str(), steps);
-        }
-    }
-    builder = builder.schedulers([SchedulerKind::ForceDirected, SchedulerKind::List]);
-    Ok(builder.build()?)
-}
-
 /// Builds the engine (with every generated circuit registered) and the
-/// deduplicated plan via [`batch_plan`]; each spec's circuits are generated
-/// exactly once.
+/// deduplicated plan over [`service::plans::batch_scenarios`] — each
+/// circuit at every one of its derived budgets, under both schedulers;
+/// each spec's circuits are generated exactly once.
 ///
 /// # Errors
 ///
@@ -109,7 +93,8 @@ pub fn generated_setup(
         }
         full_batch.extend(batch);
     }
-    let plan = batch_plan(&full_batch)?;
+    let plan =
+        SweepPlan::builder().scenarios(service::plans::batch_scenarios(&full_batch)).build()?;
     engine.register_benchmarks(full_batch);
     Ok((engine, plan, family_of))
 }

@@ -17,7 +17,6 @@
 //! | Full scenario matrix (all of the above dimensions at once) | [`sweep`] | `--bin sweep` |
 //! | Generated-workload distributions (beyond the paper) | [`genweep`] | `--bin genweep` |
 //! | Latency–power Pareto fronts over the full budget range (beyond the paper) | [`pareto`] | `--bin pareto` |
-//! | Sweep-service determinism smoke (beyond the paper) | [`serviceweep`] | `--bin serviceweep` |
 //! | Online incremental-repair study (beyond the paper) | [`onlineweep`] | `--bin onlineweep` |
 //! | Fine-grained DVS policies & kernel optimality gap (beyond the paper) | [`dvsweep`] | `--bin dvsweep` |
 //!
@@ -45,7 +44,6 @@ pub mod genweep;
 pub mod onlineweep;
 pub mod pareto;
 pub mod sensitivity;
-pub mod serviceweep;
 pub mod sweep;
 pub mod table1;
 pub mod table2;

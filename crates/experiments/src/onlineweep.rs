@@ -23,7 +23,7 @@
 use std::fmt::Write as _;
 
 use engine::online::{run_stream_verified, VerifiedOutcome};
-use engine::pool::{parallel_map_controlled, MapControl};
+use engine::pool::parallel_map;
 use engine::report::json_number;
 use gen::{Family, StreamSpec};
 
@@ -106,18 +106,9 @@ pub fn run_onlineweep(small: bool, threads: usize) -> Result<OnlineweepOutcome, 
         .into_iter()
         .map(|family| family_spec(family, small))
         .collect::<Result<Vec<_>, _>>()?;
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        threads
-    };
-    let outcomes = parallel_map_controlled(
-        specs,
-        threads,
-        &|spec: StreamSpec| run_stream_verified(&spec).map(|v| (spec.spec_string(), v)),
-        MapControl::default(),
-    )
-    .expect("a map without a cancel flag cannot be cancelled");
+    let outcomes = parallel_map(specs, threads, &|spec: StreamSpec| {
+        run_stream_verified(&spec).map(|v| (spec.spec_string(), v))
+    });
 
     let mut rows = Vec::with_capacity(outcomes.len());
     for (family, outcome) in Family::ALL.into_iter().zip(outcomes) {

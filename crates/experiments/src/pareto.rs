@@ -69,11 +69,7 @@ pub fn explore_generated(
     let mut requests = Vec::new();
     for spec in specs {
         let batch = gen::generate(spec)?;
-        for bench in &batch {
-            requests.push(
-                ExploreRequest::new(bench.name.as_str()).budgets(bench.control_steps.clone()),
-            );
-        }
+        requests.extend(service::plans::batch_requests(&batch));
         engine.register_benchmarks(batch);
     }
     Ok(engine.explore(&requests, options, threads))

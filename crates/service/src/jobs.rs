@@ -136,7 +136,8 @@ pub struct ClaimedJob {
     pub id: u64,
     /// The (consumed) specification.
     pub spec: JobSpec,
-    /// Cooperative cancellation flag, checked at scenario boundaries.
+    /// Cooperative cancellation flag, checked between work items: sweep
+    /// scenarios, exploration budget points or online events.
     pub cancel: Arc<AtomicBool>,
     /// Shared completion counters.
     pub progress: Arc<JobProgress>,
@@ -151,7 +152,7 @@ pub enum CancelOutcome {
     /// any) is handed back so the daemon can send it a terminal event.
     WasQueued(Option<Sender<Event>>),
     /// The job is running; its cancel flag has been raised and the executor
-    /// will finalize it at the next scenario boundary.
+    /// will finalize it at the next work-item boundary.
     RunningFlagRaised,
     /// The job had already reached this terminal state.
     AlreadyFinished(JobState),

@@ -3,9 +3,10 @@
 //! The wire protocol carries jobs **fully explicit** — every sweep scenario
 //! or explore request spelled out — so the daemon never has to guess how a
 //! client meant to expand a generator spec.  These helpers do that
-//! expansion, mirroring the experiment crate's conventions exactly: each
-//! generated circuit is swept at every one of its derived budgets under
-//! both schedulers, and explored across its own budget list.
+//! expansion, and the experiment crate's in-process `--gen` paths call the
+//! same helpers: each generated circuit is swept at every one of its
+//! derived budgets under both schedulers, and explored across its own
+//! budget list.
 //!
 //! Both the client and the daemon call [`generate_batch`] on the *same*
 //! spec strings; the generator is seeded and deterministic, so both sides

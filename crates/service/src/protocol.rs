@@ -136,10 +136,11 @@ impl JobSpec {
         }
     }
 
-    /// Admission size: scenarios for a sweep, circuit walks for an
-    /// exploration (pre-expansion in both cases), events for an online
-    /// session (0 if the spec does not parse — execution rejects it with a
-    /// typed failure anyway).
+    /// Admission size: scenarios for a sweep, explore requests for an
+    /// exploration (pre-expansion in both cases, so this is not the number
+    /// of progress items: an exploration ticks once per budget point),
+    /// events for an online session (0 if the spec does not parse —
+    /// execution rejects it with a typed failure anyway).
     pub fn size(&self) -> usize {
         match self {
             JobSpec::Sweep { scenarios, .. } => scenarios.len(),
@@ -329,7 +330,7 @@ pub enum Response {
         jobs: Vec<JobStatus>,
     },
     /// Cancellation was processed; `state` is the job's state afterwards
-    /// (a running job stays `running` until its next scenario boundary).
+    /// (a running job stays `running` until its next work-item boundary).
     Cancelled {
         /// The job id.
         id: u64,
