@@ -112,11 +112,6 @@ impl Datapath {
         &self.fu
     }
 
-    /// The register allocation.
-    pub fn register_allocation(&self) -> &RegisterAllocation {
-        &self.registers
-    }
-
     /// The physical execution units.
     pub fn units(&self) -> &[crate::fu::FunctionalUnit] {
         self.fu.units()

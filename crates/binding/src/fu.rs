@@ -96,11 +96,11 @@ impl FuBinding {
             }
         }
 
-        for step in 1..=schedule.num_steps() {
+        for (_, nodes) in schedule.by_step() {
             // Operations of this step grouped by class and partition, in
             // node order for determinism.
             let mut by_key: BTreeMap<(OpClass, u32), Vec<NodeId>> = BTreeMap::new();
-            for node in schedule.nodes_in_step(step) {
+            for node in nodes {
                 if let Some(data) = cdfg.node(node) {
                     if data.op.is_functional() {
                         by_key.entry((data.op.class(), partition(node))).or_default().push(node);

@@ -16,7 +16,8 @@ use crate::activation::Activation;
 /// Relative per-operation weights (power or area) indexed by [`OpClass`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct OpWeights {
-    weights: BTreeMap<OpClass, f64>,
+    /// One weight per class, indexed by the class's declaration order.
+    weights: [f64; OpClass::Structural as usize + 1],
 }
 
 impl OpWeights {
@@ -52,13 +53,18 @@ impl OpWeights {
     }
 
     /// Builds weights from `(class, weight)` pairs; unlisted classes weigh 0.
+    /// A class listed twice takes its last weight.
     pub fn from_pairs<I: IntoIterator<Item = (OpClass, f64)>>(pairs: I) -> Self {
-        OpWeights { weights: pairs.into_iter().collect() }
+        let mut weights = [0.0; OpClass::Structural as usize + 1];
+        for (class, weight) in pairs {
+            weights[class as usize] = weight;
+        }
+        OpWeights { weights }
     }
 
     /// The weight of `class` (0 when unlisted).
     pub fn weight(&self, class: OpClass) -> f64 {
-        self.weights.get(&class).copied().unwrap_or(0.0)
+        self.weights[class as usize]
     }
 
     /// Weighted sum of an operation-count vector.
@@ -159,6 +165,27 @@ mod tests {
         assert_eq!(w.weight(OpClass::Mul), 20.0);
         assert_eq!(w.weight(OpClass::Structural), 0.0);
         assert_eq!(OpWeights::default(), w);
+    }
+
+    #[test]
+    fn weight_reads_back_from_pairs_for_every_class_and_the_last_duplicate_wins() {
+        let classes: Vec<OpClass> =
+            OpClass::FUNCTIONAL.into_iter().chain([OpClass::Structural]).collect();
+        for (k, &listed) in classes.iter().enumerate() {
+            // One class listed twice, every other class unlisted.
+            let w = OpWeights::from_pairs([(listed, -1.0), (listed, k as f64 + 0.5)]);
+            for &class in &classes {
+                let expected = if class == listed { k as f64 + 0.5 } else { 0.0 };
+                assert_eq!(w.weight(class), expected, "{class:?} with {listed:?} listed");
+            }
+        }
+        // Every class listed, in reverse order.
+        let all: Vec<(OpClass, f64)> =
+            classes.iter().enumerate().map(|(k, &c)| (c, 10.0 * k as f64 + 1.0)).collect();
+        let w = OpWeights::from_pairs(all.iter().rev().copied());
+        for (class, weight) in all {
+            assert_eq!(w.weight(class), weight, "{class:?}");
+        }
     }
 
     #[test]

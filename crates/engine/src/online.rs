@@ -147,11 +147,6 @@ impl SessionState {
         }
     }
 
-    /// Number of currently live circuits.
-    pub fn live_count(&self) -> usize {
-        self.live.len()
-    }
-
     /// The current budget of a live circuit.
     pub fn budget_of(&self, circuit: &str) -> Option<u32> {
         self.live.get(circuit).map(|s| s.budget)
@@ -173,7 +168,7 @@ impl SessionState {
     /// the generated streams never produce them, but a wire client could.
     pub fn apply(&mut self, index: usize, event: &StreamEvent) -> EventRecord {
         let (stats, outcome) = self.apply_inner(event);
-        EventRecord { index, event: clone_event(event), stats, outcome }
+        EventRecord { index, event: event.clone(), stats, outcome }
     }
 
     fn apply_inner(&mut self, event: &StreamEvent) -> (RepairStats, Result<EventMetrics, String>) {
@@ -294,12 +289,6 @@ fn metrics_for(
         savings_gap,
         offline_recomputed,
     }
-}
-
-/// StreamEvent is deliberately not `Clone` in a hidden way — gen derives
-/// Clone, this helper just keeps the call sites tidy.
-fn clone_event(event: &StreamEvent) -> StreamEvent {
-    event.clone()
 }
 
 /// Aggregates of one stream's records.

@@ -97,7 +97,8 @@ pub struct SampleResult {
 #[derive(Debug, Clone)]
 pub struct Simulator {
     cdfg: Cdfg,
-    schedule: Schedule,
+    /// The scheduled nodes by step, then node id: the execution order.
+    order: Vec<NodeId>,
     controller: Controller,
     datapath: Datapath,
     mask: i64,
@@ -127,7 +128,7 @@ impl Simulator {
             if cdfg.default_bitwidth() >= 64 { -1 } else { (1i64 << cdfg.default_bitwidth()) - 1 };
         Ok(Simulator {
             cdfg: cdfg.clone(),
-            schedule: schedule.clone(),
+            order: schedule.by_step().into_iter().flat_map(|(_, nodes)| nodes).collect(),
             controller: controller.clone(),
             datapath,
             mask,
@@ -179,73 +180,70 @@ impl Simulator {
         let mut executed = Vec::new();
         let mut gated = Vec::new();
 
-        for step in 1..=self.schedule.num_steps() {
-            // Deterministic order within the step.
-            for node in self.schedule.nodes_in_step(step) {
-                let Some(enable) = self.controller.enable(node) else { continue };
-                // Evaluate the gating conjunction using values recorded in
-                // earlier steps.
-                let mut active = true;
-                for cond in &enable.conditions {
-                    let cond_value = values.get(&cond.condition).copied().unwrap_or(0) != 0;
-                    if cond_value != cond.active_when_one {
-                        active = false;
-                        break;
-                    }
+        for &node in &self.order {
+            let Some(enable) = self.controller.enable(node) else { continue };
+            // Evaluate the gating conjunction using values recorded in
+            // earlier steps.
+            let mut active = true;
+            for cond in &enable.conditions {
+                let cond_value = values.get(&cond.condition).copied().unwrap_or(0) != 0;
+                if cond_value != cond.active_when_one {
+                    active = false;
+                    break;
                 }
-                if !active {
-                    gated.push(node);
-                    if let Some(unit) = self.datapath.fu_binding().unit_of(node) {
-                        self.activity.entry(unit).or_default().gated_cycles += 1;
-                    }
-                    continue;
+            }
+            if !active {
+                gated.push(node);
+                if let Some(unit) = self.datapath.fu_binding().unit_of(node) {
+                    self.activity.entry(unit).or_default().gated_cycles += 1;
                 }
+                continue;
+            }
 
-                // Gather operand values.
-                let operands = self.cdfg.operands(node);
-                let mut args = Vec::with_capacity(operands.len());
-                for operand in &operands {
-                    match values.get(operand) {
-                        Some(&v) => args.push(v),
-                        None => {
-                            // The mux is special: only the selected data
-                            // input needs a value (the other one may have
-                            // been shut down).
-                            if self.cdfg.op(node) == Op::Mux {
-                                args.push(0);
-                            } else {
-                                return Err(SimError::MissingValue { node, operand: *operand });
-                            }
+            // Gather operand values.
+            let operands = self.cdfg.operands(node);
+            let mut args = Vec::with_capacity(operands.len());
+            for operand in &operands {
+                match values.get(operand) {
+                    Some(&v) => args.push(v),
+                    None => {
+                        // The mux is special: only the selected data
+                        // input needs a value (the other one may have
+                        // been shut down).
+                        if self.cdfg.op(node) == Op::Mux {
+                            args.push(0);
+                        } else {
+                            return Err(SimError::MissingValue { node, operand: *operand });
                         }
                     }
                 }
-                let result = if self.cdfg.op(node) == Op::Mux {
-                    // Re-read the selected input explicitly so a missing
-                    // discarded input cannot corrupt the result.
-                    let select = args[0];
-                    let chosen = if select != 0 { operands[2] } else { operands[1] };
-                    match values.get(&chosen) {
-                        Some(&v) => v,
-                        None => return Err(SimError::MissingValue { node, operand: chosen }),
-                    }
-                } else {
-                    self.cdfg.op(node).eval(&args)
-                };
-                values.insert(node, result);
-                executed.push(node);
-
-                // Switching accounting on the unit executing this node,
-                // restricted to the datapath word width.
-                if let Some(unit) = self.datapath.fu_binding().unit_of(node) {
-                    let mut snapshot: Vec<i64> = args.iter().map(|v| v & self.mask).collect();
-                    snapshot.push(result & self.mask);
-                    let entry = self.activity.entry(unit).or_default();
-                    entry.active_cycles += 1;
-                    let previous = self.op_state.entry(node).or_default();
-                    let toggles = hamming(previous, &snapshot);
-                    entry.toggled_bits += toggles;
-                    *previous = snapshot;
+            }
+            let result = if self.cdfg.op(node) == Op::Mux {
+                // Re-read the selected input explicitly so a missing
+                // discarded input cannot corrupt the result.
+                let select = args[0];
+                let chosen = if select != 0 { operands[2] } else { operands[1] };
+                match values.get(&chosen) {
+                    Some(&v) => v,
+                    None => return Err(SimError::MissingValue { node, operand: chosen }),
                 }
+            } else {
+                self.cdfg.op(node).eval(&args)
+            };
+            values.insert(node, result);
+            executed.push(node);
+
+            // Switching accounting on the unit executing this node,
+            // restricted to the datapath word width.
+            if let Some(unit) = self.datapath.fu_binding().unit_of(node) {
+                let mut snapshot: Vec<i64> = args.iter().map(|v| v & self.mask).collect();
+                snapshot.push(result & self.mask);
+                let entry = self.activity.entry(unit).or_default();
+                entry.active_cycles += 1;
+                let previous = self.op_state.entry(node).or_default();
+                let toggles = hamming(previous, &snapshot);
+                entry.toggled_bits += toggles;
+                *previous = snapshot;
             }
         }
 

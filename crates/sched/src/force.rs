@@ -690,7 +690,7 @@ impl<'a> Kernel<'a> {
             self.ws.changed.clear();
         }
 
-        let mut schedule = Schedule::new(self.latency);
+        let mut schedule = Schedule::with_slots(self.latency, self.slices.slot_count());
         for &n in self.slices.functional() {
             schedule.assign(n, self.ws.frames[n.index()].earliest);
         }

@@ -131,7 +131,7 @@ pub fn schedule(
     }
 
     let num_steps = functional.iter().map(|&n| steps[n.index()]).max().unwrap_or(0).max(1);
-    let mut schedule = Schedule::new(num_steps);
+    let mut schedule = Schedule::with_slots(num_steps, steps.len());
     for &n in functional {
         schedule.assign(n, steps[n.index()]);
     }
@@ -156,7 +156,7 @@ pub fn schedule_with_latency(
     }
     // Re-span the schedule over the full latency so idle tail steps are kept
     // (the controller still has `latency` states).
-    let mut spanned = Schedule::new(latency);
+    let mut spanned = Schedule::with_slots(latency, cdfg.slices().slot_count());
     for (n, step) in s.iter() {
         spanned.assign(n, step);
     }

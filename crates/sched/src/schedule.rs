@@ -11,16 +11,31 @@ use crate::resource::{ResourceConstraint, ResourceSet};
 
 /// An operation schedule: every functional node is assigned to exactly one
 /// control step in `1..=num_steps`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// The assignment is a step array indexed by [`NodeId::index`], where 0
+/// means "unscheduled" (steps start at 1), so [`Schedule::step_of`] is one
+/// array read.  The array grows to the highest node assigned.  Two
+/// schedules are equal when they have the same step count and the same
+/// assignments, whatever their array lengths.
+#[derive(Clone, Default)]
 pub struct Schedule {
     num_steps: u32,
-    steps: BTreeMap<NodeId, u32>,
+    /// `steps[n.index()]` is node `n`'s step, or 0 when unscheduled.
+    steps: Vec<u32>,
+    /// Number of nonzero entries of `steps`.
+    len: usize,
 }
 
 impl Schedule {
     /// Creates an empty schedule spanning `num_steps` control steps.
     pub fn new(num_steps: u32) -> Self {
-        Schedule { num_steps, steps: BTreeMap::new() }
+        Schedule { num_steps, steps: Vec::new(), len: 0 }
+    }
+
+    /// An empty schedule whose step array already spans `slots` node slots,
+    /// so a scheduler assigning every node of a graph allocates once.
+    pub(crate) fn with_slots(num_steps: u32, slots: usize) -> Self {
+        Schedule { num_steps, steps: vec![0; slots], len: 0 }
     }
 
     /// Number of control steps (the throughput constraint of the design).
@@ -35,65 +50,83 @@ impl Schedule {
     /// Panics if `step` is zero or exceeds [`Schedule::num_steps`].
     pub fn assign(&mut self, node: NodeId, step: u32) {
         assert!(step >= 1 && step <= self.num_steps, "step {step} outside 1..={}", self.num_steps);
-        self.steps.insert(node, step);
+        let slot = node.index();
+        if slot >= self.steps.len() {
+            self.steps.resize(slot + 1, 0);
+        }
+        if self.steps[slot] == 0 {
+            self.len += 1;
+        }
+        self.steps[slot] = step;
     }
 
     /// The control step assigned to `node`, if any.
     pub fn step_of(&self, node: NodeId) -> Option<u32> {
-        self.steps.get(&node).copied()
+        self.steps.get(node.index()).copied().filter(|&step| step != 0)
     }
 
     /// Number of scheduled operations.
     pub fn len(&self) -> usize {
-        self.steps.len()
+        self.len
     }
 
     /// Returns `true` if no operation has been scheduled yet.
     pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
+        self.len == 0
     }
 
     /// Iterates over `(node, step)` assignments in node-id order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, u32)> + '_ {
-        self.steps.iter().map(|(&n, &s)| (n, s))
+        self.steps
+            .iter()
+            .enumerate()
+            .filter(|&(_, &step)| step != 0)
+            .map(|(slot, &step)| (NodeId::new(slot as u32), step))
     }
 
-    /// All nodes assigned to `step`, in node-id order.
-    pub fn nodes_in_step(&self, step: u32) -> Vec<NodeId> {
-        self.steps.iter().filter(|(_, &s)| s == step).map(|(&n, _)| n).collect()
+    /// The scheduled nodes grouped by step: one `(step, nodes)` entry per
+    /// step that holds a node, in step order, each step's nodes in node-id
+    /// order.  It takes one sort of the scheduled nodes and its size is
+    /// their number, whatever the step count.
+    pub fn by_step(&self) -> Vec<(u32, Vec<NodeId>)> {
+        let mut order: Vec<(NodeId, u32)> = self.iter().collect();
+        // `iter` yields node-id order and the sort is stable.
+        order.sort_by_key(|&(_, step)| step);
+        let mut groups: Vec<(u32, Vec<NodeId>)> = Vec::new();
+        for (node, step) in order {
+            match groups.last_mut() {
+                Some((last, nodes)) if *last == step => nodes.push(node),
+                _ => groups.push((step, vec![node])),
+            }
+        }
+        groups
     }
 
     /// The highest step actually used (0 when empty).  This can be smaller
     /// than [`Schedule::num_steps`] if the tail steps are idle.
     pub fn last_used_step(&self) -> u32 {
-        self.steps.values().copied().max().unwrap_or(0)
+        self.steps.iter().copied().max().unwrap_or(0)
     }
 
     /// Per-class resource usage of each step and the element-wise maximum
     /// over all steps — the number of execution units an allocation needs to
     /// provide for this schedule.
     pub fn resource_usage(&self, cdfg: &Cdfg) -> ResourceSet {
-        let mut max = ResourceSet::new();
-        for step in 1..=self.num_steps {
-            let mut used = ResourceSet::new();
-            for node in self.nodes_in_step(step) {
+        let mut max = [0usize; OpClass::FUNCTIONAL.len()];
+        for (_, nodes) in self.by_step() {
+            let mut used = [0usize; OpClass::FUNCTIONAL.len()];
+            for node in nodes {
                 if let Some(data) = cdfg.node(node) {
                     if data.op.is_functional() {
-                        used.bump(data.op.class());
+                        used[data.op.class().dense_index()] += 1;
                     }
                 }
             }
-            max = max.max(&used);
+            for (peak, count) in max.iter_mut().zip(used) {
+                *peak = (*peak).max(count);
+            }
         }
-        max
-    }
-
-    /// Number of operations of `class` scheduled in `step`.
-    pub fn class_usage_in_step(&self, cdfg: &Cdfg, step: u32, class: OpClass) -> usize {
-        self.nodes_in_step(step)
-            .into_iter()
-            .filter(|&n| cdfg.node(n).map(|d| d.op.class() == class).unwrap_or(false))
-            .count()
+        ResourceSet::from_pairs(OpClass::FUNCTIONAL.into_iter().zip(max))
     }
 
     /// Checks that the schedule is complete and respects precedence, step
@@ -121,7 +154,7 @@ impl Schedule {
         for &node in cdfg.slices().functional() {
             match self.step_of(node) {
                 None => return Err(ScheduleError::MissingNode(node)),
-                Some(step) if step == 0 || step > self.num_steps => {
+                Some(step) if step > self.num_steps => {
                     return Err(ScheduleError::StepOutOfRange {
                         node,
                         step,
@@ -147,9 +180,9 @@ impl Schedule {
             }
         }
         // Resources.
-        for step in 1..=self.num_steps {
+        for (step, nodes) in self.by_step() {
             let mut used: BTreeMap<OpClass, usize> = BTreeMap::new();
-            for node in self.nodes_in_step(step) {
+            for node in nodes {
                 if let Some(data) = cdfg.node(node) {
                     *used.entry(data.op.class()).or_insert(0) += 1;
                 }
@@ -170,10 +203,12 @@ impl Schedule {
 
     /// Renders the schedule as a step-by-step table using node names.
     pub fn render(&self, cdfg: &Cdfg) -> String {
+        let mut groups = self.by_step().into_iter().peekable();
         let mut out = String::new();
         for step in 1..=self.num_steps {
-            let names: Vec<String> = self
-                .nodes_in_step(step)
+            let nodes = groups.next_if(|(s, _)| *s == step).map(|(_, nodes)| nodes);
+            let names: Vec<String> = nodes
+                .unwrap_or_default()
                 .into_iter()
                 .filter_map(|n| cdfg.node(n).map(|d| format!("{} ({})", d.name, d.op)))
                 .collect();
@@ -183,18 +218,33 @@ impl Schedule {
     }
 }
 
-impl fmt::Display for Schedule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "schedule over {} steps ({} operations)", self.num_steps, self.steps.len())
+impl PartialEq for Schedule {
+    fn eq(&self, other: &Self) -> bool {
+        let (short, long) = if self.steps.len() <= other.steps.len() {
+            (&self.steps, &other.steps)
+        } else {
+            (&other.steps, &self.steps)
+        };
+        // With equal counts and an equal common prefix, the longer array's
+        // tail holds no assignment.
+        self.num_steps == other.num_steps && self.len == other.len && long.starts_with(short)
     }
 }
 
-impl FromIterator<(NodeId, u32)> for Schedule {
-    /// Builds a schedule whose `num_steps` is the maximum assigned step.
-    fn from_iter<I: IntoIterator<Item = (NodeId, u32)>>(iter: I) -> Self {
-        let steps: BTreeMap<NodeId, u32> = iter.into_iter().collect();
-        let num_steps = steps.values().copied().max().unwrap_or(0);
-        Schedule { num_steps, steps }
+impl Eq for Schedule {}
+
+impl fmt::Debug for Schedule {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The assignments as a node-to-step map; the unscheduled slots are noise.
+        write!(f, "Schedule {{ num_steps: {}, steps: ", self.num_steps)?;
+        f.debug_map().entries(self.iter()).finish()?;
+        f.write_str(" }")
+    }
+}
+
+impl fmt::Display for Schedule {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "schedule over {} steps ({} operations)", self.num_steps, self.len)
     }
 }
 
@@ -292,8 +342,26 @@ mod tests {
         s.assign(gt, 1);
         s.assign(gt, 2);
         assert_eq!(s.step_of(gt), Some(2));
-        assert_eq!(s.nodes_in_step(1), Vec::<NodeId>::new());
+        assert_eq!(s.by_step(), vec![(2, vec![gt])]);
+        assert_eq!(s.len(), 1);
         assert!(!s.is_empty());
+    }
+
+    #[test]
+    fn equality_ignores_unscheduled_slots_past_the_last_assignment() {
+        let (_, gt, amb, ..) = abs_diff();
+        let mut short = Schedule::new(3);
+        short.assign(amb, 2);
+        short.assign(gt, 1);
+        let mut long = Schedule::with_slots(3, 64);
+        long.assign(gt, 1);
+        long.assign(amb, 2);
+        assert!(long.steps.len() > short.steps.len());
+        assert_eq!(short, long);
+        assert_eq!(long, short);
+        long.assign(NodeId::new(63), 3);
+        assert_ne!(short, long);
+        assert_ne!(long, short);
     }
 
     #[test]
@@ -302,14 +370,6 @@ mod tests {
         let (_, gt, ..) = abs_diff();
         let mut s = Schedule::new(2);
         s.assign(gt, 3);
-    }
-
-    #[test]
-    fn from_iterator_infers_num_steps() {
-        let (_, gt, amb, ..) = abs_diff();
-        let s: Schedule = [(gt, 1), (amb, 4)].into_iter().collect();
-        assert_eq!(s.num_steps(), 4);
-        assert_eq!(s.step_of(amb), Some(4));
     }
 
     #[test]

@@ -33,6 +33,14 @@ use crate::admission::{RejectReason, Rejection};
 use crate::jobs::{JobKind, JobState};
 use crate::json::Json;
 
+/// The largest latency a job may carry on the wire, in control steps: a
+/// sweep scenario's latency, an explore budget, and an `absolute` or
+/// `cp-plus` budget ceiling.  An explorer plans every budget point up to
+/// its ceiling before it maps any, so an unbounded ceiling could ask for
+/// billions of points; larger values are refused at parse time with an
+/// `error` response.  The largest latency any committed study uses is 106.
+pub const MAX_LATENCY: u32 = 4096;
+
 /// A client-to-daemon message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -607,7 +615,8 @@ fn scenario_to_json(scenario: &Scenario) -> Json<'_> {
 }
 
 fn scenario_from_json(json: &Json) -> Result<Scenario, String> {
-    Ok(Scenario::new(require_str(json, "circuit")?, require_u32(json, "latency")?)
+    let latency = bounded_latency("latency", require_u32(json, "latency")?)?;
+    Ok(Scenario::new(require_str(json, "circuit")?, latency)
         .scheduler(parse_scheduler(require_str(json, "scheduler")?)?)
         .pipeline_depth(require_u32(json, "pipeline_depth")?)
         .reorder(json.get("reorder").and_then(Json::as_bool).ok_or("missing `reorder`")?)
@@ -627,7 +636,7 @@ fn request_from_json(json: &Json) -> Result<ExploreRequest, String> {
         .and_then(Json::as_array)
         .ok_or("missing `budgets`")?
         .iter()
-        .map(|b| b.as_u32().ok_or_else(|| "bad budget".to_owned()))
+        .map(|b| bounded_latency("budget", b.as_u32().ok_or("bad budget")?))
         .collect::<Result<Vec<_>, _>>()?;
     Ok(ExploreRequest::new(require_str(json, "circuit")?).budgets(budgets))
 }
@@ -641,12 +650,22 @@ fn ceiling_to_json(ceiling: BudgetCeiling) -> Json<'static> {
 
 fn ceiling_from_json(json: &Json) -> Result<BudgetCeiling, String> {
     if let Some(steps) = json.get("absolute") {
-        return Ok(BudgetCeiling::Absolute(steps.as_u32().ok_or("bad ceiling")?));
+        let steps = bounded_latency("ceiling", steps.as_u32().ok_or("bad ceiling")?)?;
+        return Ok(BudgetCeiling::Absolute(steps));
     }
     if let Some(span) = json.get("cp-plus") {
-        return Ok(BudgetCeiling::CriticalPathPlus(span.as_u32().ok_or("bad ceiling")?));
+        let span = bounded_latency("ceiling", span.as_u32().ok_or("bad ceiling")?)?;
+        return Ok(BudgetCeiling::CriticalPathPlus(span));
     }
     Err("ceiling needs `absolute` or `cp-plus`".to_owned())
+}
+
+/// Refuses a latency-like value (`what` names it) above [`MAX_LATENCY`].
+fn bounded_latency(what: &str, steps: u32) -> Result<u32, String> {
+    if steps > MAX_LATENCY {
+        return Err(format!("{what} {steps} exceeds MAX_LATENCY ({MAX_LATENCY} steps)"));
+    }
+    Ok(steps)
 }
 
 fn cache_to_json(cache: CacheStats) -> Json<'static> {
@@ -858,6 +877,42 @@ mod tests {
             assert_eq!(parse_scheduler(scheduler.label()).unwrap(), scheduler);
         }
         assert!(parse_scheduler("hyper").is_err());
+    }
+
+    #[test]
+    fn latencies_above_the_limit_are_refused_and_the_limit_itself_roundtrips() {
+        let sweep =
+            |latency| Request::Submit(JobSpec::sweep(vec![Scenario::new("dealer", latency)]));
+        let explore = |budget, ceiling| {
+            Request::Submit(JobSpec::Explore {
+                gen: Vec::new(),
+                requests: vec![ExploreRequest::new("dealer").budgets([budget])],
+                policy: BudgetPolicy::FullRange,
+                ceiling,
+                voltage: VoltagePolicy::default(),
+                branch_model: BranchModel::Fair,
+            })
+        };
+        let within = [
+            sweep(MAX_LATENCY),
+            explore(MAX_LATENCY, BudgetCeiling::Absolute(MAX_LATENCY)),
+            explore(4, BudgetCeiling::CriticalPathPlus(MAX_LATENCY)),
+        ];
+        for request in within {
+            roundtrip_request(request);
+        }
+        let over = MAX_LATENCY + 1;
+        for (request, what) in [
+            (sweep(over), "latency"),
+            (sweep(u32::MAX), "latency"),
+            (explore(over, BudgetCeiling::Absolute(8)), "budget"),
+            (explore(4, BudgetCeiling::Absolute(over)), "ceiling"),
+            (explore(4, BudgetCeiling::Absolute(u32::MAX)), "ceiling"),
+            (explore(4, BudgetCeiling::CriticalPathPlus(over)), "ceiling"),
+        ] {
+            let err = Request::parse(&request.to_line()).expect_err("over the limit");
+            assert!(err.starts_with(what) && err.contains("4096"), "{err}");
+        }
     }
 
     #[test]

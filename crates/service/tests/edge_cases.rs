@@ -275,3 +275,42 @@ fn a_zero_explore_budget_fails_that_budget_not_the_job() {
     daemon.shutdown();
     daemon.join();
 }
+
+/// An `absolute` ceiling of `u32::MAX` used to make the explorer plan about
+/// 4.3 × 10⁹ budget points before mapping any.  It is now refused at parse
+/// time with an error response naming the limit, and the next job on the
+/// same connection runs to completion.
+#[test]
+fn an_explore_ceiling_above_max_latency_gets_an_error_and_the_next_job_completes() {
+    let daemon = start_daemon("huge-ceiling");
+    let mut client = Client::connect(daemon.socket()).expect("connect");
+    let started = Instant::now();
+    let err = client
+        .submit(JobSpec::Explore {
+            gen: Vec::new(),
+            requests: vec![engine::ExploreRequest::new("dealer")],
+            policy: engine::BudgetPolicy::FullRange,
+            ceiling: engine::BudgetCeiling::Absolute(u32::MAX),
+            voltage: engine::VoltagePolicy::default(),
+            branch_model: engine::BranchModel::Fair,
+        })
+        .expect_err("the ceiling is over the limit");
+    match err {
+        ServiceError::Daemon(detail) => {
+            let limit = service::protocol::MAX_LATENCY.to_string();
+            assert!(detail.contains("4294967295") && detail.contains(&limit), "{detail}");
+        }
+        other => panic!("expected an error response, got {other}"),
+    }
+    assert!(started.elapsed() < Duration::from_secs(5), "refused at parse time");
+
+    let outcome = client
+        .submit_and_wait(JobSpec::explore(vec![
+            engine::ExploreRequest::new("dealer").budgets([4, 6])
+        ]))
+        .expect("the next job runs");
+    assert_eq!(outcome.state, JobState::Done, "{:?}", outcome.error);
+    assert_eq!(outcome.failures, Some(0));
+    daemon.shutdown();
+    daemon.join();
+}
