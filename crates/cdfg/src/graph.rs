@@ -147,11 +147,6 @@ impl<N, E> DiGraph<N, E> {
         self.nodes.get(id.index()).is_some_and(Option::is_some)
     }
 
-    /// Returns `true` if `id` refers to a live edge.
-    pub fn contains_edge(&self, id: EdgeId) -> bool {
-        self.edges.get(id.index()).is_some_and(Option::is_some)
-    }
-
     /// Borrows the payload of node `id`, if it exists.
     pub fn node(&self, id: NodeId) -> Option<&N> {
         self.nodes.get(id.index())?.as_ref().map(|s| &s.payload)
@@ -165,11 +160,6 @@ impl<N, E> DiGraph<N, E> {
     /// Borrows the payload of edge `id`, if it exists.
     pub fn edge(&self, id: EdgeId) -> Option<&E> {
         self.edges.get(id.index())?.as_ref().map(|s| &s.payload)
-    }
-
-    /// Mutably borrows the payload of edge `id`, if it exists.
-    pub fn edge_mut(&mut self, id: EdgeId) -> Option<&mut E> {
-        self.edges.get_mut(id.index())?.as_mut().map(|s| &mut s.payload)
     }
 
     /// Returns the `(source, destination)` endpoints of edge `id`.
@@ -234,11 +224,6 @@ impl<N, E> DiGraph<N, E> {
     /// Iterates over the ids of all live nodes in ascending id order.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.nodes.iter().enumerate().filter_map(|(i, s)| s.as_ref().map(|_| NodeId(i as u32)))
-    }
-
-    /// Iterates over the ids of all live edges in ascending id order.
-    pub fn edge_ids(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        self.edges.iter().enumerate().filter_map(|(i, s)| s.as_ref().map(|_| EdgeId(i as u32)))
     }
 
     /// Iterates over `(id, payload)` pairs of all live nodes.

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::pareto::BudgetPolicy;
+
 /// Errors produced while building a [`crate::SweepPlan`].
 ///
 /// Scenario *execution* failures (an infeasible latency, an unknown circuit
@@ -16,6 +18,10 @@ pub enum EngineError {
     InvalidLatency,
     /// A pipeline depth of zero stages was requested.
     InvalidPipelineDepth,
+    /// A sweep was given a range budget policy.  A sweep runs exactly its
+    /// scenarios; walking a budget range is the explorer's job
+    /// ([`crate::Engine::explore`]).
+    RangePolicyOnSweep(BudgetPolicy),
 }
 
 impl fmt::Display for EngineError {
@@ -28,6 +34,11 @@ impl fmt::Display for EngineError {
             EngineError::InvalidPipelineDepth => {
                 f.write_str("pipeline depth must be at least one stage")
             }
+            EngineError::RangePolicyOnSweep(policy) => write!(
+                f,
+                "budget policy `{policy}` walks a budget range, which only an exploration does; \
+                 a sweep runs exactly its scenarios (policy `fixed`)"
+            ),
         }
     }
 }
@@ -43,6 +54,8 @@ mod tests {
         assert!(EngineError::EmptyPlan.to_string().contains("zero scenarios"));
         assert!(EngineError::InvalidLatency.to_string().contains("control step"));
         assert!(EngineError::InvalidPipelineDepth.to_string().contains("stage"));
+        let range = EngineError::RangePolicyOnSweep(BudgetPolicy::FullRange).to_string();
+        assert!(range.contains("`full-range`") && range.contains("exploration"), "{range}");
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub mod pool;
 pub mod report;
 pub mod scenario;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
@@ -97,7 +97,7 @@ pub use crate::scenario::{BranchModel, Scenario, SchedulerKind};
 const REORDER_EXHAUSTIVE_LIMIT: usize = 5;
 
 /// Progress of a running sweep or exploration: work items completed out of
-/// the total the (expanded) plan contains.
+/// the total the run maps onto the pool.
 ///
 /// For [`Engine::run_controlled`] an item is one scenario (failed
 /// scenarios count too — they are part of the plan); for
@@ -107,7 +107,7 @@ const REORDER_EXHAUSTIVE_LIMIT: usize = 5;
 pub struct Progress {
     /// Items finished so far.
     pub completed: usize,
-    /// Total items in the expanded plan.
+    /// Total items in the run.
     pub total: usize,
 }
 
@@ -206,49 +206,12 @@ impl Engine {
     ) -> Option<SweepReport> {
         let gate = plan.gate_level();
         let records = pool::parallel_map_controlled(
-            self.expand_scenarios(plan),
+            plan.scenarios().to_vec(),
             threads,
             &|scenario| self.run_scenario(scenario, gate),
             pool::MapControl { cancel, progress },
         )?;
-        let report = SweepReport::from_records(records);
-        Some(match plan.budget_policy() {
-            BudgetPolicy::Fixed | BudgetPolicy::FullRange => report,
-            BudgetPolicy::Pareto => report.retain_pareto_front(),
-        })
-    }
-
-    /// Expands a plan's scenarios according to its budget policy: under the
-    /// range policies every scenario's latency bound becomes the *ceiling*
-    /// of a walk that starts at the cheapest feasible bound.  Feasibility is
-    /// a property of the *effective* latency (`latency × pipeline_depth`),
-    /// so the walk floor is `ceil(critical path / pipeline_depth)`.
-    /// Scenarios whose circuit is unknown or whose bound is below that
-    /// floor pass through unchanged so their failure surfaces in the
-    /// report.
-    fn expand_scenarios(&self, plan: &SweepPlan) -> Vec<Scenario> {
-        if plan.budget_policy() == BudgetPolicy::Fixed {
-            return plan.scenarios().to_vec();
-        }
-        let mut expanded: BTreeSet<Scenario> = BTreeSet::new();
-        for scenario in plan.scenarios() {
-            let floor = self.circuits.get(&scenario.circuit).map(|cdfg| {
-                cdfg.critical_path_length().div_ceil(scenario.pipeline_depth.max(1)).max(1)
-            });
-            match floor {
-                Some(floor) if floor <= scenario.latency => {
-                    for budget in floor..=scenario.latency {
-                        let mut expanded_scenario = scenario.clone();
-                        expanded_scenario.latency = budget;
-                        expanded.insert(expanded_scenario);
-                    }
-                }
-                _ => {
-                    expanded.insert(scenario.clone());
-                }
-            }
-        }
-        expanded.into_iter().collect()
+        Some(SweepReport::from_records(records))
     }
 
     /// Hit/miss counters of the prefix cache.
@@ -600,86 +563,6 @@ mod tests {
         // as the selects move towards 1 (see the sensitivity module).
         assert!(zero.power_reduction > fair.power_reduction);
         assert!(fair.power_reduction > one.power_reduction);
-    }
-
-    #[test]
-    fn full_range_policy_walks_critical_path_to_ceiling() {
-        // dealer's critical path is 4; a single case at latency 6 becomes
-        // the walk 4, 5, 6 under the range policies.
-        let plan = SweepPlan::builder()
-            .case("dealer", 6)
-            .budget_policy(BudgetPolicy::FullRange)
-            .build()
-            .unwrap();
-        let engine = Engine::new();
-        let report = engine.run(&plan, 2);
-        let latencies: Vec<u32> = report.records.iter().map(|r| r.scenario.latency).collect();
-        assert_eq!(latencies, vec![4, 5, 6]);
-        assert_eq!(report.failure_count(), 0);
-        // Each expanded point matches its own fixed-budget run exactly.
-        let fixed = engine.run(&SweepPlan::builder().case("dealer", 5).build().unwrap(), 1).records
-            [0]
-        .clone();
-        let expanded = report.record_for(&Scenario::new("dealer", 5)).unwrap();
-        assert_eq!(expanded, &fixed);
-    }
-
-    #[test]
-    fn pareto_policy_prunes_dominated_records_but_keeps_failures() {
-        let plan = SweepPlan::builder()
-            .case("dealer", 6)
-            .case("nonexistent", 4)
-            .budget_policy(BudgetPolicy::Pareto)
-            .build()
-            .unwrap();
-        let report = Engine::new().run(&plan, 2);
-        assert_eq!(report.failure_count(), 1, "unknown circuit still surfaces");
-        let successes: Vec<&SweepRecord> =
-            report.records.iter().filter(|r| r.metrics().is_some()).collect();
-        // Every retained success is on the (rebuilt) front.
-        assert_eq!(successes.len(), report.pareto.len());
-        // And the front is monotone: more budget strictly buys more savings.
-        for pair in report.pareto.windows(2) {
-            assert!(pair[0].effective_latency < pair[1].effective_latency);
-            assert!(pair[0].power_reduction < pair[1].power_reduction);
-        }
-    }
-
-    #[test]
-    fn full_range_expansion_floors_at_the_effective_critical_path() {
-        // Feasibility is about effective latency (latency × depth): dealer's
-        // critical path is 4, so at depth 2 the cheapest feasible *bound* is
-        // 2 (effective 4), and a ceiling of 3 walks bounds 2 and 3 — not an
-        // empty (or pass-through) range floored at the raw critical path.
-        let plan = SweepPlan::builder()
-            .case("dealer", 3)
-            .pipeline_depths([2])
-            .budget_policy(BudgetPolicy::FullRange)
-            .build()
-            .unwrap();
-        let report = Engine::new().run(&plan, 1);
-        let latencies: Vec<u32> = report.records.iter().map(|r| r.scenario.latency).collect();
-        assert_eq!(latencies, vec![2, 3]);
-        assert_eq!(report.failure_count(), 0);
-        let effective: Vec<u32> = report
-            .records
-            .iter()
-            .filter_map(|r| r.metrics())
-            .map(|m| m.effective_latency)
-            .collect();
-        assert_eq!(effective, vec![4, 6]);
-    }
-
-    #[test]
-    fn sub_critical_bounds_pass_through_expansion_as_failures() {
-        let plan = SweepPlan::builder()
-            .case("dealer", 2) // below dealer's critical path of 4
-            .budget_policy(BudgetPolicy::FullRange)
-            .build()
-            .unwrap();
-        let report = Engine::new().run(&plan, 1);
-        assert_eq!(report.records.len(), 1);
-        assert_eq!(report.failure_count(), 1);
     }
 
     #[test]

@@ -45,8 +45,9 @@ use crate::{pool, select_probabilities, Engine};
 pub use power::dvs::DelayScaling;
 pub use power::voltage::{VoltagePolicy, VoltagePreset};
 
-/// Which latency budgets a sweep or exploration visits per circuit — the
-/// budget-policy axis.
+/// Which latency budgets an exploration visits per circuit.  A sweep runs
+/// exactly its scenarios, so [`crate::SweepPlanBuilder::build`] accepts
+/// only [`BudgetPolicy::Fixed`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BudgetPolicy {
     /// Only the explicitly requested budgets (the paper's per-table lists).
@@ -142,14 +143,6 @@ impl ExploreOptions {
     /// Replaces the budget ceiling.
     pub fn ceiling(mut self, ceiling: BudgetCeiling) -> Self {
         self.ceiling = ceiling;
-        self
-    }
-
-    /// Replaces the voltage policy with a global scaling curve — sugar for
-    /// `voltage(VoltagePolicy::Global(scaling))`, keeping the pre-existing
-    /// builder spelling working.
-    pub fn scaling(mut self, scaling: DelayScaling) -> Self {
-        self.voltage = VoltagePolicy::Global(scaling);
         self
     }
 
@@ -605,7 +598,7 @@ mod tests {
         ExploreOptions::new()
             .policy(BudgetPolicy::FullRange)
             .ceiling(BudgetCeiling::CriticalPathPlus(4))
-            .scaling(scaling)
+            .voltage(VoltagePolicy::Global(scaling))
     }
 
     #[test]

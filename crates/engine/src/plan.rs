@@ -26,7 +26,6 @@ pub struct GateLevelSpec {
 pub struct SweepPlan {
     scenarios: Vec<Scenario>,
     gate_level: Option<GateLevelSpec>,
-    budget_policy: BudgetPolicy,
 }
 
 impl SweepPlan {
@@ -53,11 +52,6 @@ impl SweepPlan {
     /// The gate-level request, if any.
     pub fn gate_level(&self) -> Option<GateLevelSpec> {
         self.gate_level
-    }
-
-    /// The budget policy the engine expands this plan under.
-    pub fn budget_policy(&self) -> BudgetPolicy {
-        self.budget_policy
     }
 }
 
@@ -145,11 +139,10 @@ impl SweepPlanBuilder {
         self
     }
 
-    /// Sets the budget policy (default: [`BudgetPolicy::Fixed`]).  Under
-    /// the range policies the engine treats every scenario's latency bound
-    /// as the *ceiling* of a walk starting at the circuit's critical path;
-    /// [`BudgetPolicy::Pareto`] additionally reduces the report to each
-    /// circuit's non-dominated records (failures are always kept).
+    /// Sets the budget policy.  A sweep runs exactly its scenarios, so
+    /// [`BudgetPolicy::Fixed`] (the default) is the only policy
+    /// [`build`](Self::build) accepts; a range walk is an exploration
+    /// ([`crate::Engine::explore`]), or explicit scenarios at each budget.
     pub fn budget_policy(mut self, policy: BudgetPolicy) -> Self {
         self.budget_policy = policy;
         self
@@ -159,10 +152,15 @@ impl SweepPlanBuilder {
     ///
     /// # Errors
     ///
+    /// * [`EngineError::RangePolicyOnSweep`] for any budget policy but
+    ///   [`BudgetPolicy::Fixed`],
     /// * [`EngineError::EmptyPlan`] when no base case was provided,
     /// * [`EngineError::InvalidLatency`] for a zero latency bound,
     /// * [`EngineError::InvalidPipelineDepth`] for a zero pipeline depth.
     pub fn build(self) -> Result<SweepPlan, EngineError> {
+        if self.budget_policy != BudgetPolicy::Fixed {
+            return Err(EngineError::RangePolicyOnSweep(self.budget_policy));
+        }
         let mut base = self.cases;
         for circuit in &self.circuits {
             for &latency in &self.latencies {
@@ -213,11 +211,7 @@ impl SweepPlanBuilder {
             }
         }
 
-        Ok(SweepPlan {
-            scenarios: expanded.into_iter().collect(),
-            gate_level: self.gate_level,
-            budget_policy: self.budget_policy,
-        })
+        Ok(SweepPlan { scenarios: expanded.into_iter().collect(), gate_level: self.gate_level })
     }
 }
 
@@ -320,14 +314,13 @@ mod tests {
     }
 
     #[test]
-    fn budget_policy_defaults_to_fixed_and_is_carried() {
-        let plan = SweepPlan::builder().case("dealer", 6).build().unwrap();
-        assert_eq!(plan.budget_policy(), BudgetPolicy::Fixed);
-        let plan = SweepPlan::builder()
-            .case("dealer", 6)
-            .budget_policy(BudgetPolicy::FullRange)
-            .build()
-            .unwrap();
-        assert_eq!(plan.budget_policy(), BudgetPolicy::FullRange);
+    fn range_policies_are_refused_and_fixed_builds_the_default_plan() {
+        for policy in [BudgetPolicy::FullRange, BudgetPolicy::Pareto] {
+            let err = SweepPlan::builder().case("dealer", 6).budget_policy(policy).build();
+            assert_eq!(err.unwrap_err(), EngineError::RangePolicyOnSweep(policy));
+        }
+        let fixed =
+            SweepPlan::builder().case("dealer", 6).budget_policy(BudgetPolicy::Fixed).build();
+        assert_eq!(fixed.unwrap(), SweepPlan::builder().case("dealer", 6).build().unwrap());
     }
 }

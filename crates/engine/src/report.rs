@@ -164,20 +164,6 @@ impl SweepReport {
         self.records.iter().filter(|r| r.error().is_some()).count()
     }
 
-    /// Reduces the report to each circuit's Pareto-optimal records —
-    /// [`crate::pareto::BudgetPolicy::Pareto`]'s report shape.  Failed
-    /// records are always kept (a pruned failure would hide an infeasible
-    /// matrix point), and the summaries and fronts are rebuilt from the
-    /// retained records.
-    pub fn retain_pareto_front(self) -> SweepReport {
-        let SweepReport { records, pareto, .. } = self;
-        let records = records
-            .into_iter()
-            .filter(|r| r.error().is_some() || pareto.iter().any(|p| p.scenario == r.scenario))
-            .collect();
-        SweepReport::from_records(records)
-    }
-
     /// Renders the report as JSON (hand-rolled; the workspace vendors no
     /// serialisation crates).  Key order and float formatting are stable,
     /// so equal reports produce byte-identical JSON.
@@ -697,29 +683,6 @@ mod tests {
         assert_eq!(report.summaries[0].min_reduction, -0.0);
         assert_eq!(report.summaries[0].max_reduction, 20.0);
         assert_eq!(report.summaries[0].best.latency, 6);
-    }
-
-    #[test]
-    fn retain_pareto_front_keeps_front_and_failures_only() {
-        let mut records = vec![
-            record("a", 3, 10.0),
-            record("a", 4, 30.0),
-            record("a", 5, 20.0), // dominated by (4, 30)
-        ];
-        records.push(SweepRecord {
-            scenario: Scenario::new("a", 1),
-            outcome: Err("latency too small".to_owned()),
-        });
-        let report = SweepReport::from_records(records).retain_pareto_front();
-        let latencies: Vec<u32> = report
-            .records
-            .iter()
-            .filter_map(|r| r.metrics())
-            .map(|m| m.effective_latency)
-            .collect();
-        assert_eq!(latencies, vec![3, 4], "dominated point pruned");
-        assert_eq!(report.failure_count(), 1, "failures are never hidden");
-        assert_eq!(report.pareto.len(), 2, "front rebuilt from retained records");
     }
 
     #[test]

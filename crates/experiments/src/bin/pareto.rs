@@ -5,7 +5,7 @@
 //! ```text
 //! cargo run --release -p experiments --bin pareto [-- --json|--csv]
 //!     [--threads N] [--small] [--span N]
-//!     [--policy fixed|full-range|pareto] [--scaling none|linear|quadratic]
+//!     [--policy fixed|full-range|pareto]
 //!     [--voltage global-none|global-linear|global-quadratic|per-op-2|per-op-3|per-op-5]
 //!     [--gen family=<name>,seed=<s>,count=<n>[,knob=v...]]...
 //! ```
@@ -18,10 +18,9 @@
 //!   (default 8; 4 with `--small`),
 //! * `--policy` — budget policy (default `pareto`: only front points;
 //!   `full-range` keeps every point, `fixed` visits the paper budgets),
-//! * `--scaling` — scaled-delay energy law (default `quadratic`; shorthand
-//!   for `--voltage global-<law>`),
-//! * `--voltage` — the voltage policy: a global law, or a per-op preset
-//!   (`per-op-N` schedules each operation at its own supply level),
+//! * `--voltage` — the voltage policy (default `global-quadratic`): a
+//!   global scaled-delay energy law, or a per-op preset (`per-op-N`
+//!   schedules each operation at its own supply level),
 //! * `--gen SPEC` (repeatable) — explore generated circuits instead of the
 //!   paper's four,
 //! * `--daemon SOCKET` — run the exploration as a job on a `sweepd` daemon
@@ -74,12 +73,6 @@ fn main() {
                 let text = args.next().unwrap_or_else(|| usage("--policy needs a value"));
                 policy = BudgetPolicy::parse(&text)
                     .unwrap_or_else(|| usage(&format!("unknown policy `{text}`")));
-            }
-            "--scaling" => {
-                let text = args.next().unwrap_or_else(|| usage("--scaling needs a value"));
-                let law = DelayScaling::parse(&text)
-                    .unwrap_or_else(|| usage(&format!("unknown scaling `{text}`")));
-                voltage = VoltagePolicy::Global(law);
             }
             "--voltage" => {
                 let text = args.next().unwrap_or_else(|| usage("--voltage needs a value"));
@@ -195,7 +188,7 @@ fn usage(problem: &str) -> ! {
     eprintln!("pareto: {problem}");
     eprintln!(
         "usage: pareto [--json|--csv] [--threads N] [--small] [--span N] [--daemon SOCKET] \
-         [--policy fixed|full-range|pareto] [--scaling none|linear|quadratic] \
+         [--policy fixed|full-range|pareto] \
          [--voltage global-none|global-linear|global-quadratic|per-op-2|per-op-3|per-op-5] \
          [--gen family=<name>,seed=<s>,count=<n>]..."
     );

@@ -70,11 +70,6 @@ impl OnlineweepOutcome {
     pub fn all_identical(&self) -> bool {
         self.rows.iter().all(|row| row.cold_identical)
     }
-
-    /// The largest per-family median touched-nodes ratio.
-    pub fn worst_median_ratio(&self) -> f64 {
-        self.rows.iter().map(|row| row.median_touched_ratio).fold(0.0, f64::max)
-    }
 }
 
 /// The study's stream spec for one family (`small` selects the CI smoke

@@ -9,7 +9,10 @@
 //! under the scaled-delay (DVS-style) energy model.
 
 use circuits::all_benchmarks;
-use engine::{BudgetCeiling, BudgetPolicy, Engine, ExploreOptions, ExploreRequest, ParetoReport};
+use engine::{
+    BudgetCeiling, BudgetPolicy, Engine, ExploreOptions, ExploreRequest, ParetoReport,
+    VoltagePolicy,
+};
 use gen::GenSpec;
 use power::DelayScaling;
 
@@ -36,7 +39,7 @@ pub fn default_options(span: u32) -> ExploreOptions {
     ExploreOptions::new()
         .policy(BudgetPolicy::Pareto)
         .ceiling(BudgetCeiling::CriticalPathPlus(span))
-        .scaling(DelayScaling::Quadratic)
+        .voltage(VoltagePolicy::Global(DelayScaling::Quadratic))
 }
 
 /// Explores the paper circuits.

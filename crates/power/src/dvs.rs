@@ -76,13 +76,6 @@ impl DelayScaling {
             DelayScaling::Quadratic => "quadratic",
         }
     }
-
-    /// Parses a label produced by [`DelayScaling::label`],
-    /// case-insensitively.  The emitted labels stay canonical lowercase,
-    /// so every `spec_string` embedding them remains lossless.
-    pub fn parse(text: &str) -> Option<Self> {
-        DelayScaling::ALL.into_iter().find(|s| s.label().eq_ignore_ascii_case(text))
-    }
 }
 
 impl fmt::Display for DelayScaling {
@@ -234,10 +227,6 @@ mod tests {
         assert_eq!(DelayScaling::Quadratic.factor(2), 0.25);
         // Zero steps is floored to nominal, never ∞.
         assert_eq!(DelayScaling::Linear.factor(0), 1.0);
-        for scaling in DelayScaling::ALL {
-            assert_eq!(DelayScaling::parse(scaling.label()), Some(scaling));
-        }
-        assert_eq!(DelayScaling::parse("cubic"), None);
     }
 
     #[test]

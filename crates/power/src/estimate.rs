@@ -7,34 +7,16 @@ use binding::Datapath;
 use cdfg::{Cdfg, OpClass};
 use pmsched::{
     power_manage, OpWeights, PowerManageError, PowerManagementOptions, PowerManagementResult,
-    SavingsReport, SelectProbabilities,
 };
 use rtl::{Controller, GateModel, SimError, Simulator};
-use sched::ResourceConstraint;
 
 use crate::vectors::RandomVectors;
-
-/// The probabilistic datapath power estimate of Table II: expected operation
-/// executions under `probs`, weighted by `weights`.
-///
-/// This is a thin convenience wrapper over
-/// [`PowerManagementResult::savings_with`] so downstream code only needs the
-/// `power` crate.
-pub fn datapath_estimate(
-    result: &PowerManagementResult,
-    probs: &SelectProbabilities,
-    weights: &OpWeights,
-) -> SavingsReport {
-    result.savings_with(probs, weights)
-}
 
 /// Options for the gate-level (Table III style) comparison.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GateLevelOptions {
     /// Number of control steps per computation.
     pub latency: u32,
-    /// Execution-unit constraint handed to both schedules.
-    pub resources: ResourceConstraint,
     /// Number of random input samples to simulate.
     pub samples: usize,
     /// Seed for the random vector generator.
@@ -42,26 +24,15 @@ pub struct GateLevelOptions {
 }
 
 impl GateLevelOptions {
-    /// Default options for a given latency: unlimited resources, 1000
-    /// samples, a fixed seed.
+    /// Default options for a given latency: 1000 samples, a fixed seed.
+    /// Both schedules run with unlimited execution units.
     pub fn new(latency: u32) -> Self {
-        GateLevelOptions {
-            latency,
-            resources: ResourceConstraint::Unlimited,
-            samples: 1000,
-            seed: 0xDAC96,
-        }
+        GateLevelOptions { latency, samples: 1000, seed: 0xDAC96 }
     }
 
     /// Sets the number of simulated samples.
     pub fn samples(mut self, samples: usize) -> Self {
         self.samples = samples;
-        self
-    }
-
-    /// Sets the execution-unit constraint.
-    pub fn resources(mut self, resources: ResourceConstraint) -> Self {
-        self.resources = resources;
         self
     }
 
@@ -187,9 +158,7 @@ pub fn gate_level_comparison(
     cdfg: &Cdfg,
     options: &GateLevelOptions,
 ) -> Result<GateLevelReport, EstimateError> {
-    let pm_options =
-        PowerManagementOptions::with_resources(options.latency, options.resources.clone());
-    let result = power_manage(cdfg, &pm_options)?;
+    let result = power_manage(cdfg, &PowerManagementOptions::with_latency(options.latency))?;
     gate_level_with_result(cdfg, &result, options)
 }
 
@@ -339,7 +308,7 @@ mod tests {
         let g = abs_diff();
         let pm = power_manage(&g, &PowerManagementOptions::with_latency(3)).unwrap();
         let datapath_only =
-            datapath_estimate(&pm, &SelectProbabilities::fair(), &OpWeights::paper_power());
+            pm.savings_with(&pmsched::SelectProbabilities::fair(), &OpWeights::paper_power());
         let gate_level = gate_level_comparison(&g, &GateLevelOptions::new(3).samples(300)).unwrap();
         assert!(gate_level.power_reduction_percent < datapath_only.reduction_percent + 5.0);
     }
@@ -354,8 +323,7 @@ mod tests {
 
     #[test]
     fn options_builders_chain() {
-        let opts =
-            GateLevelOptions::new(4).samples(10).seed(1).resources(ResourceConstraint::Unlimited);
+        let opts = GateLevelOptions::new(4).samples(10).seed(1);
         assert_eq!(opts.latency, 4);
         assert_eq!(opts.samples, 10);
         assert_eq!(opts.seed, 1);

@@ -4,8 +4,8 @@
 //!
 //! * the *probabilistic* datapath estimate of Table II — expected operation
 //!   executions under fair branch probabilities weighted by the relative op
-//!   power weights (provided by [`pmsched::SavingsReport`] and re-exported
-//!   here through [`estimate::datapath_estimate`]),
+//!   power weights ([`pmsched::PowerManagementResult::savings_with`], which
+//!   returns a [`pmsched::SavingsReport`]),
 //! * the *simulation-based* estimate of Table III — the generated RTL is
 //!   executed on random input vectors with the cycle-accurate simulator of
 //!   the `rtl` crate, switching activity is converted to energy, and the

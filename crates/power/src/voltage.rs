@@ -341,15 +341,9 @@ impl VoltagePolicy {
     }
 
     /// Parses a label produced by [`VoltagePolicy::label`],
-    /// case-insensitively.  Bare [`DelayScaling`] labels (`none`,
-    /// `linear`, `quadratic`) are accepted as shorthand for the matching
-    /// global policy, so pre-existing `--scaling`-style spellings keep
-    /// working.
+    /// case-insensitively.
     pub fn parse(text: &str) -> Option<Self> {
-        VoltagePolicy::ALL
-            .into_iter()
-            .find(|p| p.label().eq_ignore_ascii_case(text))
-            .or_else(|| DelayScaling::parse(text).map(VoltagePolicy::Global))
+        VoltagePolicy::ALL.into_iter().find(|p| p.label().eq_ignore_ascii_case(text))
     }
 }
 
@@ -506,11 +500,6 @@ mod tests {
             assert_eq!(VoltagePolicy::parse(policy.label()), Some(policy));
             assert_eq!(VoltagePolicy::parse(&policy.label().to_uppercase()), Some(policy));
         }
-        // Bare scaling labels are accepted as global shorthand.
-        assert_eq!(
-            VoltagePolicy::parse("quadratic"),
-            Some(VoltagePolicy::Global(DelayScaling::Quadratic))
-        );
         assert_eq!(VoltagePolicy::parse("per-op-7"), None);
         assert_eq!(VoltagePolicy::default(), VoltagePolicy::Global(DelayScaling::None));
     }

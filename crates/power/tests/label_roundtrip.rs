@@ -1,8 +1,7 @@
-//! Parse/label roundtrip properties for the scaling and voltage-policy
-//! vocabularies: labels stay lossless under parsing, and parsing is
-//! case-insensitive — the satellite contract for `DelayScaling::parse`.
+//! Parse/label roundtrip properties for the voltage-policy vocabulary:
+//! labels stay lossless under parsing, and parsing is case-insensitive.
 
-use power::{DelayScaling, VoltagePolicy};
+use power::VoltagePolicy;
 use proptest::prelude::*;
 
 /// Applies a per-character case mask to a label, exercising arbitrary
@@ -22,23 +21,9 @@ fn mangle_case(label: &str, mask: u32) -> String {
 }
 
 proptest! {
-    /// Every scaling label parses back to its value under any casing, and
-    /// the canonical label survives a parse → label round trip unchanged
-    /// (losslessness for the spec strings that embed it).
-    #[test]
-    fn delay_scaling_labels_roundtrip_case_insensitively(
-        index in 0usize..DelayScaling::ALL.len(),
-        mask in 0u32..u32::MAX,
-    ) {
-        let scaling = DelayScaling::ALL[index];
-        let mangled = mangle_case(scaling.label(), mask);
-        prop_assert_eq!(DelayScaling::parse(&mangled), Some(scaling));
-        let reparsed = DelayScaling::parse(scaling.label()).unwrap();
-        prop_assert_eq!(reparsed.label(), scaling.label());
-    }
-
-    /// The voltage-policy labels obey the same contract, and the bare
-    /// scaling labels keep parsing as global-policy shorthand.
+    /// Every voltage-policy label parses back to its value under any
+    /// casing, and the canonical label survives a parse → label round trip
+    /// unchanged (losslessness for the spec strings that embed it).
     #[test]
     fn voltage_policy_labels_roundtrip_case_insensitively(
         index in 0usize..VoltagePolicy::ALL.len(),
@@ -66,14 +51,8 @@ proptest! {
                 _ => '-',
             })
             .collect();
-        if let Some(scaling) = DelayScaling::parse(&text) {
-            prop_assert!(scaling.label().eq_ignore_ascii_case(&text));
-        }
         if let Some(policy) = VoltagePolicy::parse(&text) {
-            let canonical = policy.label().eq_ignore_ascii_case(&text);
-            let shorthand = matches!(policy, VoltagePolicy::Global(s)
-                if s.label().eq_ignore_ascii_case(&text));
-            prop_assert!(canonical || shorthand);
+            prop_assert!(policy.label().eq_ignore_ascii_case(&text));
         }
     }
 }

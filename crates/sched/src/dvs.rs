@@ -73,9 +73,9 @@ fn validate_levels(levels: &[SlackLevel]) {
 
 /// Reusable buffers for [`distribute_slack`]: create once, pass to every
 /// call, and the per-call cost is a handful of `clear`/`resize` operations
-/// instead of fresh allocations.  The explorer's budget walk and
-/// `dvsweep` keep one per circuit; a fresh workspace gives the same
-/// result.
+/// instead of fresh allocations.  `dvsweep`'s optimality-gap study reuses
+/// one across all its calls, and the explorer makes a fresh one per budget
+/// point; either way the result is the same.
 #[derive(Debug, Clone, Default)]
 pub struct Workspace {
     /// Current duration (steps) of every slot; 0 for structural nodes.

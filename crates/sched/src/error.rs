@@ -31,15 +31,6 @@ pub enum ScheduleError {
         /// The consuming (later) node.
         after: NodeId,
     },
-    /// A node is scheduled outside the range `1..=num_steps`.
-    StepOutOfRange {
-        /// Offending node.
-        node: NodeId,
-        /// Step it was assigned.
-        step: u32,
-        /// Number of control steps in the schedule.
-        num_steps: u32,
-    },
     /// More operations of one class are scheduled in a step than the
     /// resource constraint allows.
     ResourceOverflow {
@@ -95,9 +86,6 @@ impl fmt::Display for ScheduleError {
             ScheduleError::PrecedenceViolation { before, after } => {
                 write!(f, "precedence violation: {before} must be scheduled strictly before {after}")
             }
-            ScheduleError::StepOutOfRange { node, step, num_steps } => {
-                write!(f, "node {node} scheduled at step {step}, outside 1..={num_steps}")
-            }
             ScheduleError::ResourceOverflow { step, class, limit, used } => {
                 write!(f, "step {step} uses {used} {class} units but only {limit} are available")
             }
@@ -132,10 +120,6 @@ mod tests {
                     after: NodeId::new(2),
                 },
                 "precedence",
-            ),
-            (
-                ScheduleError::StepOutOfRange { node: NodeId::new(1), step: 9, num_steps: 4 },
-                "outside",
             ),
             (ScheduleError::ResourceOverflow { step: 2, class: "+", limit: 1, used: 2 }, "units"),
             (ScheduleError::LatencyExceeded { allowed: 3, used: 5 }, "control steps"),

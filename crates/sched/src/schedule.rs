@@ -150,18 +150,10 @@ impl Schedule {
         cdfg: &Cdfg,
         constraint: &ResourceConstraint,
     ) -> Result<(), ScheduleError> {
-        // Completeness and bounds.
+        // Completeness (`assign` keeps every step within `1..=num_steps`).
         for &node in cdfg.slices().functional() {
-            match self.step_of(node) {
-                None => return Err(ScheduleError::MissingNode(node)),
-                Some(step) if step > self.num_steps => {
-                    return Err(ScheduleError::StepOutOfRange {
-                        node,
-                        step,
-                        num_steps: self.num_steps,
-                    })
-                }
-                Some(_) => {}
+            if self.step_of(node).is_none() {
+                return Err(ScheduleError::MissingNode(node));
             }
         }
         // Precedence over both data and control edges: a functional

@@ -16,9 +16,10 @@ pub struct AdmissionLimits {
     /// Maximum number of jobs waiting in the queue (the running job does
     /// not count).  A submission arriving at a full queue is rejected.
     pub max_queued: usize,
-    /// Maximum work items per job: scenarios for a sweep, explore requests
-    /// for an exploration (both counted *before* any budget-policy
-    /// expansion; an exploration runs one task per budget point).
+    /// Maximum work items per job: scenarios for a sweep (exactly the
+    /// scenarios it runs), explore requests for an exploration (counted
+    /// *before* its budget walk; an exploration runs one task per budget
+    /// point).
     pub max_job_items: usize,
 }
 

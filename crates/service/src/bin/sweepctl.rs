@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! sweepctl --socket PATH submit [--gen SPEC]... [--case CIRCUIT:LATENCY]...
-//!          [--explore] [--online STREAM] [--policy fixed|full-range|pareto]
-//!          [--json]
+//!          [--explore [--policy fixed|full-range|pareto] [--voltage POLICY]]
+//!          [--online STREAM] [--json]
 //! sweepctl --socket PATH status ID
 //! sweepctl --socket PATH list
 //! sweepctl --socket PATH cancel ID
@@ -16,6 +16,8 @@
 //! at every derived budget under both schedulers for sweeps, each circuit
 //! across its own budget list for explorations — so the daemon runs
 //! exactly what an in-process `sweep --gen`/`pareto --gen` would.
+//! `--policy` and `--voltage` apply to `--explore` jobs only: a sweep runs
+//! exactly its scenarios, and the explorer's walk is the one budget walk.
 //!
 //! `submit --online STREAM` runs an online event-stream session instead
 //! (`gen` stream-spec syntax, e.g.
@@ -145,12 +147,12 @@ fn submit(client: &mut Client, mut args: Vec<String>) {
         }
     }
 
+    if !explore && (policy.is_some() || voltage.is_some()) {
+        usage("--policy and --voltage only apply to --explore jobs");
+    }
     let spec = if let Some(stream) = online {
-        if explore || !gen_specs.is_empty() || !cases.is_empty() || policy.is_some() {
+        if explore || !gen_specs.is_empty() || !cases.is_empty() {
             usage("--online takes only a stream spec (and --json)");
-        }
-        if voltage.is_some() {
-            usage("--voltage only applies to --explore jobs");
         }
         // Validate client-side so typos fail fast with the parser's message
         // instead of a failed job.
@@ -180,9 +182,6 @@ fn submit(client: &mut Client, mut args: Vec<String>) {
         }
         spec
     } else {
-        if voltage.is_some() {
-            usage("--voltage only applies to --explore jobs");
-        }
         let mut scenarios: Vec<Scenario> = match service::plans::gen_scenarios(&gen_specs) {
             Ok(scenarios) => scenarios,
             Err(err) => usage(&err),
@@ -191,12 +190,7 @@ fn submit(client: &mut Client, mut args: Vec<String>) {
             let (circuit, latency) = parse_case(case);
             scenarios.push(Scenario::new(circuit, latency));
         }
-        JobSpec::Sweep {
-            gen: gen_specs,
-            scenarios,
-            policy: policy.unwrap_or(BudgetPolicy::Fixed),
-            gate_level: None,
-        }
+        JobSpec::Sweep { gen: gen_specs, scenarios, policy: BudgetPolicy::Fixed, gate_level: None }
     };
 
     let id = match client.submit(spec) {
@@ -294,9 +288,9 @@ fn usage(problem: &str) -> ! {
     eprintln!("sweepctl: {problem}");
     eprintln!(
         "usage: sweepctl --socket PATH submit [--gen SPEC]... [--case CIRCUIT:LATENCY]... \
-         [--explore] [--online STREAM] [--policy fixed|full-range|pareto] \
-         [--voltage global-none|global-linear|global-quadratic|per-op-2|per-op-3|per-op-5] \
-         [--json]\n\
+         [--explore [--policy fixed|full-range|pareto] \
+         [--voltage global-none|global-linear|global-quadratic|per-op-2|per-op-3|per-op-5]] \
+         [--online STREAM] [--json]\n\
          \u{20}      sweepctl --socket PATH status|cancel ID\n\
          \u{20}      sweepctl --socket PATH list|shutdown"
     );

@@ -72,7 +72,9 @@ pub enum JobSpec {
         gen: Vec<String>,
         /// The explicit scenario list.
         scenarios: Vec<Scenario>,
-        /// Budget policy the plan runs under.
+        /// Budget policy.  A sweep runs exactly its scenarios, so only
+        /// `fixed` runs; any other value ends the job `failed` with
+        /// [`engine::EngineError::RangePolicyOnSweep`].
         policy: BudgetPolicy,
         /// Optional gate-level simulation request.
         gate_level: Option<GateLevelSpec>,
@@ -144,11 +146,12 @@ impl JobSpec {
         }
     }
 
-    /// Admission size: scenarios for a sweep, explore requests for an
-    /// exploration (pre-expansion in both cases, so this is not the number
-    /// of progress items: an exploration ticks once per budget point),
-    /// events for an online session (0 if the spec does not parse —
-    /// execution rejects it with a typed failure anyway).
+    /// Admission size: scenarios for a sweep (exactly the scenarios it
+    /// runs, one progress item each), explore requests for an exploration
+    /// (before its budget walk, so not its progress items: an exploration
+    /// ticks once per budget point), events for an online session (0 if
+    /// the spec does not parse — execution rejects it with a typed failure
+    /// anyway).
     pub fn size(&self) -> usize {
         match self {
             JobSpec::Sweep { scenarios, .. } => scenarios.len(),

@@ -203,7 +203,7 @@ fn explore_jobs_match_in_process_exploration_byte_for_byte() {
     let options = engine::ExploreOptions::new()
         .policy(engine::BudgetPolicy::Pareto)
         .ceiling(engine::BudgetCeiling::CriticalPathPlus(3))
-        .scaling(engine::DelayScaling::Quadratic);
+        .voltage(engine::VoltagePolicy::Global(engine::DelayScaling::Quadratic));
     let baseline = Engine::new().explore(&requests, &options, 2).to_json();
 
     let daemon = start_daemon("explore");

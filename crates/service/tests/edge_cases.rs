@@ -1,7 +1,8 @@
 //! Edge-case backfill: admission during shutdown observed over the wire,
 //! per-job cache deltas ([`engine::CacheStats::since`]) staying correct
-//! across a cancelled job in between, and hostile request lines (too deep,
-//! too long) that must neither crash nor wedge the daemon.
+//! across a cancelled job in between, hostile request lines (too deep,
+//! too long) that must neither crash nor wedge the daemon, and jobs the
+//! daemon must fail or refuse without losing the connection.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
@@ -311,6 +312,37 @@ fn an_explore_ceiling_above_max_latency_gets_an_error_and_the_next_job_completes
         .expect("the next job runs");
     assert_eq!(outcome.state, JobState::Done, "{:?}", outcome.error);
     assert_eq!(outcome.failures, Some(0));
+    daemon.shutdown();
+    daemon.join();
+}
+
+/// A sweep runs exactly its scenarios: a sweep job whose budget policy
+/// would walk a range ends `failed` with the plan's typed error (it used
+/// to end `done` with one scenario per budget), and the next job on the
+/// same connection runs to completion.
+#[test]
+fn a_range_policy_sweep_job_fails_with_the_plan_error_and_the_next_job_completes() {
+    let daemon = start_daemon("range-sweep");
+    let mut client = Client::connect(daemon.socket()).expect("connect");
+    let outcome = client
+        .submit_and_wait(JobSpec::Sweep {
+            gen: Vec::new(),
+            scenarios: vec![Scenario::new("dealer", 6)],
+            policy: engine::BudgetPolicy::FullRange,
+            gate_level: None,
+        })
+        .expect("the job is admitted and ends");
+    assert_eq!(outcome.state, JobState::Failed, "{:?}", outcome.report);
+    let expected =
+        engine::EngineError::RangePolicyOnSweep(engine::BudgetPolicy::FullRange).to_string();
+    assert_eq!(outcome.error.as_deref(), Some(expected.as_str()));
+    assert_eq!(outcome.report, None);
+
+    let next = client
+        .submit_and_wait(JobSpec::sweep(vec![Scenario::new("dealer", 6)]))
+        .expect("the next job runs");
+    assert_eq!(next.state, JobState::Done, "{:?}", next.error);
+    assert_eq!(next.failures, Some(0));
     daemon.shutdown();
     daemon.join();
 }

@@ -84,12 +84,11 @@ fn job_pool() -> Vec<JobSpec> {
 fn baselines(pool: &[JobSpec]) -> Vec<String> {
     pool.iter()
         .map(|spec| match spec {
-            JobSpec::Sweep { gen, scenarios, policy, .. } => {
+            JobSpec::Sweep { gen, scenarios, .. } => {
                 let mut engine = Engine::new();
                 engine.register_benchmarks(service::plans::generate_batch(gen).expect("gen batch"));
                 let plan = SweepPlan::builder()
                     .scenarios(scenarios.iter().cloned())
-                    .budget_policy(*policy)
                     .build()
                     .expect("plan builds");
                 engine.run(&plan, 2).to_json()

@@ -33,8 +33,6 @@ pub enum SilageError {
     },
     /// The program contains no function definitions.
     EmptyProgram,
-    /// No function with the requested name exists.
-    UnknownFunction(String),
     /// A name was used before being defined.
     UndefinedName {
         /// The undefined name.
@@ -72,7 +70,6 @@ impl fmt::Display for SilageError {
                 write!(f, "line {line}: expected {expected}, found {found}")
             }
             SilageError::EmptyProgram => f.write_str("program contains no function definitions"),
-            SilageError::UnknownFunction(name) => write!(f, "no function named `{name}`"),
             SilageError::UndefinedName { name, line } => {
                 write!(f, "line {line}: `{name}` is used before being defined")
             }

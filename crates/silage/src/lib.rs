@@ -73,19 +73,3 @@ pub fn compile(source: &str) -> Result<Cdfg, SilageError> {
         .ok_or(SilageError::EmptyProgram)?;
     elaborate::elaborate(func)
 }
-
-/// Compiles one specific function of a source program into a CDFG.
-///
-/// # Errors
-///
-/// Returns [`SilageError::UnknownFunction`] if no function has the requested
-/// name, or any lexical/syntactic/semantic error.
-pub fn compile_function(source: &str, name: &str) -> Result<Cdfg, SilageError> {
-    let program = parser::parse(source)?;
-    let func = program
-        .functions
-        .iter()
-        .find(|f| f.name == name)
-        .ok_or_else(|| SilageError::UnknownFunction(name.to_owned()))?;
-    elaborate::elaborate(func)
-}
