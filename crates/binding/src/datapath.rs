@@ -92,7 +92,7 @@ impl Datapath {
 
         for &node in cdfg.slices().functional() {
             let unit = fu.unit_of(node).ok_or(BindError::UnscheduledNode(node))?;
-            for (port, operand) in cdfg.operands(node).into_iter().enumerate() {
+            for (port, &operand) in cdfg.operands(node).iter().enumerate() {
                 let source = source_of(cdfg, &registers, schedule, node, operand);
                 routing_map.entry((unit, port as u16)).or_default().insert(source);
                 operand_sources.insert((node, port as u16), source);

@@ -22,9 +22,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::cdfg::Cdfg;
+use crate::cdfg::{Cdfg, NodeId};
 use crate::error::CdfgError;
-use crate::graph::NodeId;
 use crate::op::Op;
 
 /// Fluent builder over a [`Cdfg`].

@@ -1,13 +1,73 @@
 //! The Control Data Flow Graph itself.
+//!
+//! A [`Cdfg`] holds one edge store.  Data edges are each node's operands,
+//! fixed in port order when the node is created; since an operand must
+//! already exist, every data edge points from an older node to a newer
+//! one.  Control edges are a separate list indexed by [`EdgeId`], the only
+//! edges a pass may add or remove.  Nothing removes a node, so node ids are
+//! dense and never reused.
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::OnceLock;
 
 use crate::error::CdfgError;
-use crate::graph::{DiGraph, EdgeId, NodeId};
 use crate::op::Op;
 use crate::slices::Slices;
 use crate::stats::OpCounts;
+
+/// Identifier of a node inside a [`Cdfg`].
+///
+/// Node ids are dense indices in creation order and stay valid for the
+/// life of the graph.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct NodeId(u32);
+
+impl NodeId {
+    /// Creates a node id from a raw index.
+    ///
+    /// Mostly useful in tests; normal code receives ids from the
+    /// [`Cdfg`] constructors.
+    pub fn new(index: u32) -> Self {
+        NodeId(index)
+    }
+
+    /// Returns the raw index backing this id.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+impl fmt::Display for NodeId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "n{}", self.0)
+    }
+}
+
+/// Identifier of a control edge inside a [`Cdfg`].
+///
+/// Control edges are numbered in insertion order; a removed edge's id is
+/// never handed out again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct EdgeId(u32);
+
+impl EdgeId {
+    /// Creates an edge id from a raw index.
+    pub fn new(index: u32) -> Self {
+        EdgeId(index)
+    }
+
+    /// Returns the raw index backing this id.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+impl fmt::Display for EdgeId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "e{}", self.0)
+    }
+}
 
 /// Input port index of a multiplexor's select (control) operand.
 pub const MUX_SELECT_PORT: u16 = 0;
@@ -35,58 +95,17 @@ impl NodeData {
     }
 }
 
-/// Kind of dependence carried by a CDFG edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EdgeKind {
-    /// A value flows from the source to input port `port` of the destination.
-    Data {
-        /// Destination input port index (see the `MUX_*_PORT` constants for
-        /// multiplexors; binary operations use ports 0 and 1).
-        port: u16,
-    },
-    /// A pure precedence constraint with no value flow.  Power-management
-    /// scheduling adds these between the last control-cone node and the top
-    /// data-cone nodes of each managed multiplexor (step 10 of the paper's
-    /// algorithm).
-    Control,
+/// One node: its payload and its data operands, of which the first
+/// `op.arity()` entries are live (no operation takes more than three).
+#[derive(Debug, Clone)]
+struct Node {
+    data: NodeData,
+    operands: [NodeId; 3],
 }
 
-impl EdgeKind {
-    /// Returns the destination port if this is a data edge.
-    pub fn port(self) -> Option<u16> {
-        match self {
-            EdgeKind::Data { port } => Some(port),
-            EdgeKind::Control => None,
-        }
-    }
-
-    /// Returns `true` for data edges.
-    pub fn is_data(self) -> bool {
-        matches!(self, EdgeKind::Data { .. })
-    }
-
-    /// Returns `true` for control (precedence-only) edges.
-    pub fn is_control(self) -> bool {
-        matches!(self, EdgeKind::Control)
-    }
-}
-
-/// Payload stored at each CDFG edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EdgeData {
-    /// Dependence kind.
-    pub kind: EdgeKind,
-}
-
-impl EdgeData {
-    /// Creates a data edge payload targeting `port`.
-    pub fn data(port: u16) -> Self {
-        EdgeData { kind: EdgeKind::Data { port } }
-    }
-
-    /// Creates a control (precedence-only) edge payload.
-    pub fn control() -> Self {
-        EdgeData { kind: EdgeKind::Control }
+impl Node {
+    fn operands(&self) -> &[NodeId] {
+        &self.operands[..self.data.op.arity()]
     }
 }
 
@@ -97,12 +116,16 @@ pub const DEFAULT_BITWIDTH: u32 = 8;
 /// A Control Data Flow Graph: operations connected by data and control
 /// dependences, with named primary inputs and outputs.
 ///
-/// The graph must be acyclic.  Conditionals are represented structurally with
-/// [`Op::Mux`] nodes whose select operand is the condition.
+/// The graph is acyclic by construction: operands name older nodes, and a
+/// control edge that would close a cycle is refused.  Conditionals are
+/// represented structurally with [`Op::Mux`] nodes whose select operand is
+/// the condition.
 #[derive(Debug, Clone, Default)]
 pub struct Cdfg {
     name: String,
-    graph: DiGraph<NodeData, EdgeData>,
+    nodes: Vec<Node>,
+    /// Control edges by [`EdgeId`]; a removed edge leaves a hole.
+    control: Vec<Option<(NodeId, NodeId)>>,
     inputs: Vec<NodeId>,
     outputs: Vec<NodeId>,
     default_bitwidth: u32,
@@ -117,15 +140,7 @@ impl Cdfg {
     /// Creates an empty CDFG with the given design name and the paper's
     /// default 8-bit datapath.
     pub fn new(name: impl Into<String>) -> Self {
-        Cdfg {
-            name: name.into(),
-            graph: DiGraph::new(),
-            inputs: Vec::new(),
-            outputs: Vec::new(),
-            default_bitwidth: DEFAULT_BITWIDTH,
-            next_label: 0,
-            slices: OnceLock::new(),
-        }
+        Cdfg { name: name.into(), default_bitwidth: DEFAULT_BITWIDTH, ..Cdfg::default() }
     }
 
     /// Invalidates the cached adjacency view; called by every structural
@@ -137,11 +152,6 @@ impl Cdfg {
     /// The compact slice adjacency view (CSR arrays, cached topological
     /// order, functional-node list), built lazily, patched in place by
     /// [`Cdfg::add_control_edge`] and rebuilt after any other mutation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph is cyclic (only possible mid-construction; the
-    /// public mutators never leave a cycle behind).
     pub fn slices(&self) -> &Slices {
         self.slices.get_or_init(|| Slices::build(self))
     }
@@ -175,19 +185,14 @@ impl Cdfg {
         self.default_bitwidth
     }
 
-    /// Read access to the underlying graph container.
-    pub fn graph(&self) -> &DiGraph<NodeData, EdgeData> {
-        &self.graph
-    }
-
     /// Number of nodes (including inputs, constants and outputs).
     pub fn node_count(&self) -> usize {
-        self.graph.node_count()
+        self.nodes.len()
     }
 
     /// Number of edges (data and control).
     pub fn edge_count(&self) -> usize {
-        self.graph.edge_count()
+        self.nodes.iter().map(|n| n.operands().len()).sum::<usize>() + self.control_pairs().count()
     }
 
     /// Primary input nodes in declaration order.
@@ -200,6 +205,17 @@ impl Cdfg {
         &self.outputs
     }
 
+    /// Appends a node fed by `operands` (in port order, already checked).
+    fn push(&mut self, op: Op, name: String, operands: &[NodeId]) -> NodeId {
+        self.touch();
+        let id = NodeId(self.nodes.len() as u32);
+        let mut slots = [NodeId(u32::MAX); 3];
+        slots[..operands.len()].copy_from_slice(operands);
+        self.nodes
+            .push(Node { data: NodeData::new(op, name, self.default_bitwidth), operands: slots });
+        id
+    }
+
     fn fresh_label(&mut self, op: Op) -> String {
         let label = format!("{}_{}", op.mnemonic(), self.next_label);
         self.next_label += 1;
@@ -208,18 +224,14 @@ impl Cdfg {
 
     /// Adds a primary input with the given name and returns its node id.
     pub fn add_input(&mut self, name: impl Into<String>) -> NodeId {
-        self.touch();
-        let data = NodeData::new(Op::Input, name, self.default_bitwidth);
-        let id = self.graph.add_node(data);
+        let id = self.push(Op::Input, name.into(), &[]);
         self.inputs.push(id);
         id
     }
 
     /// Adds a constant node with the given value.
     pub fn add_const(&mut self, value: i64) -> NodeId {
-        self.touch();
-        let name = format!("c{value}");
-        self.graph.add_node(NodeData::new(Op::Const(value), name, self.default_bitwidth))
+        self.push(Op::Const(value), format!("c{value}"), &[])
     }
 
     /// Adds a functional operation node fed by `operands` (in port order).
@@ -246,23 +258,15 @@ impl Cdfg {
             });
         }
         for &src in operands {
-            if !self.graph.contains_node(src) {
-                return Err(CdfgError::UnknownNode(src));
-            }
-            if self.graph.node(src).expect("checked").op.is_output() {
+            if self.node(src).ok_or(CdfgError::UnknownNode(src))?.op.is_output() {
                 return Err(CdfgError::InvalidNodeRole {
                     node: src,
                     reason: "output nodes cannot feed operations",
                 });
             }
         }
-        self.touch();
         let name = self.fresh_label(op);
-        let id = self.graph.add_node(NodeData::new(op, name, self.default_bitwidth));
-        for (port, &src) in operands.iter().enumerate() {
-            self.graph.add_edge(src, id, EdgeData::data(port as u16));
-        }
-        Ok(id)
+        Ok(self.push(op, name, operands))
     }
 
     /// Adds a multiplexor node: `select` chooses between `when_false`
@@ -293,25 +297,16 @@ impl Cdfg {
         src: NodeId,
     ) -> Result<NodeId, CdfgError> {
         let name = name.into();
-        if !self.graph.contains_node(src) {
-            return Err(CdfgError::UnknownNode(src));
-        }
-        if self.graph.node(src).expect("checked").op.is_output() {
+        if self.node(src).ok_or(CdfgError::UnknownNode(src))?.op.is_output() {
             return Err(CdfgError::InvalidNodeRole {
                 node: src,
                 reason: "outputs cannot drive outputs",
             });
         }
-        if self
-            .outputs
-            .iter()
-            .any(|&o| self.graph.node(o).map(|d| d.name.as_str()) == Some(name.as_str()))
-        {
+        if self.outputs.iter().any(|&o| self.nodes[o.index()].data.name == name) {
             return Err(CdfgError::DuplicateName(name));
         }
-        self.touch();
-        let id = self.graph.add_node(NodeData::new(Op::Output, name, self.default_bitwidth));
-        self.graph.add_edge(src, id, EdgeData::data(0));
+        let id = self.push(Op::Output, name, &[src]);
         self.outputs.push(id);
         Ok(id)
     }
@@ -329,61 +324,57 @@ impl Cdfg {
     ///
     /// # Errors
     ///
-    /// Returns [`CdfgError::UnknownNode`] if either endpoint is stale and
-    /// [`CdfgError::CyclicGraph`] if the edge would create a cycle (a
-    /// self-loop included).  A rejected edge leaves the graph and its view
-    /// exactly as they were.
+    /// Returns [`CdfgError::UnknownNode`] if either endpoint is stale,
+    /// [`CdfgError::InvalidNodeRole`] if `before` is an output (outputs
+    /// have no successors) and [`CdfgError::CyclicGraph`] if the edge would
+    /// create a cycle (a self-loop included).  A rejected edge leaves the
+    /// graph and its view exactly as they were.
     pub fn add_control_edge(&mut self, before: NodeId, after: NodeId) -> Result<EdgeId, CdfgError> {
-        if !self.graph.contains_node(before) {
-            return Err(CdfgError::UnknownNode(before));
-        }
-        if !self.graph.contains_node(after) {
-            return Err(CdfgError::UnknownNode(after));
+        let before_op = self.node(before).ok_or(CdfgError::UnknownNode(before))?.op;
+        self.node(after).ok_or(CdfgError::UnknownNode(after))?;
+        if before_op.is_output() {
+            return Err(CdfgError::InvalidNodeRole {
+                node: before,
+                reason: "outputs cannot have successors",
+            });
         }
         self.slices();
         let slices = self.slices.get_mut().expect("view built just above");
         if !slices.insert_edge(before, after) {
             return Err(CdfgError::CyclicGraph);
         }
-        Ok(self.graph.add_edge(before, after, EdgeData::control()))
+        self.control.push(Some((before, after)));
+        Ok(EdgeId(self.control.len() as u32 - 1))
     }
 
-    /// Removes a previously added control edge.  Data edges cannot be removed
-    /// through this method.
+    /// Removes a previously added control edge.  Data edges are fixed at
+    /// node creation and have no [`EdgeId`].
     ///
-    /// Returns `true` if the edge existed and was a control edge.
+    /// Returns `true` if the edge existed.
     pub fn remove_control_edge(&mut self, edge: EdgeId) -> bool {
-        match self.graph.edge(edge) {
-            Some(data) if data.kind.is_control() => {
-                self.touch();
-                self.graph.remove_edge(edge);
-                true
-            }
-            _ => false,
+        let removed = self.control.get_mut(edge.index()).and_then(Option::take).is_some();
+        if removed {
+            self.touch();
         }
+        removed
     }
 
-    /// Ids of all control edges currently present.
+    /// Ids of all control edges currently present, in insertion order.
     pub fn control_edges(&self) -> Vec<EdgeId> {
-        self.graph
-            .edges()
-            .filter(|(_, _, _, d)| d.kind.is_control())
-            .map(|(e, _, _, _)| e)
+        (0..self.control.len() as u32)
+            .map(EdgeId)
+            .filter(|e| self.control[e.index()].is_some())
             .collect()
+    }
+
+    /// `(before, after)` of every live control edge, in insertion order.
+    pub(crate) fn control_pairs(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+        self.control.iter().flatten().copied()
     }
 
     /// Node payload accessor.
     pub fn node(&self, id: NodeId) -> Option<&NodeData> {
-        self.graph.node(id)
-    }
-
-    /// Mutable node payload accessor.
-    ///
-    /// Invalidates the cached adjacency view: the payload's `op` determines
-    /// the functional-node list and mask the view carries.
-    pub fn node_mut(&mut self, id: NodeId) -> Option<&mut NodeData> {
-        self.touch();
-        self.graph.node_mut(id)
+        self.nodes.get(id.index()).map(|n| &n.data)
     }
 
     /// The operation at `id`.
@@ -392,68 +383,38 @@ impl Cdfg {
     ///
     /// Panics if `id` is not a live node.
     pub fn op(&self, id: NodeId) -> Op {
-        self.graph.node(id).expect("live node").op
+        self.node(id).expect("live node").op
     }
 
     /// Iterates over `(id, data)` for every node.
     pub fn iter_nodes(&self) -> impl Iterator<Item = (NodeId, &NodeData)> + '_ {
-        self.graph.nodes()
+        self.nodes.iter().enumerate().map(|(i, n)| (NodeId(i as u32), &n.data))
     }
 
     /// Iterates over ids of every node.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.graph.node_ids()
+        (0..self.nodes.len() as u32).map(NodeId)
     }
 
     /// Ids of all multiplexor nodes.
     pub fn mux_nodes(&self) -> Vec<NodeId> {
-        self.graph.nodes().filter(|(_, d)| d.op.is_mux()).map(|(id, _)| id).collect()
+        self.iter_nodes().filter(|(_, d)| d.op.is_mux()).map(|(id, _)| id).collect()
     }
 
     /// The data operand feeding input port `port` of node `id`, if any.
     pub fn operand(&self, id: NodeId, port: u16) -> Option<NodeId> {
-        self.graph.in_edges(id).iter().find_map(|&e| {
-            let data = self.graph.edge(e)?;
-            if data.kind.port() == Some(port) {
-                self.graph.edge_endpoints(e).map(|(src, _)| src)
-            } else {
-                None
-            }
-        })
+        self.operands(id).get(usize::from(port)).copied()
     }
 
-    /// All data operands of node `id` in port order.
-    pub fn operands(&self, id: NodeId) -> Vec<NodeId> {
-        let mut by_port: BTreeMap<u16, NodeId> = BTreeMap::new();
-        for &e in self.graph.in_edges(id) {
-            if let (Some(data), Some((src, _))) = (self.graph.edge(e), self.graph.edge_endpoints(e))
-            {
-                if let Some(port) = data.kind.port() {
-                    by_port.insert(port, src);
-                }
-            }
-        }
-        by_port.into_values().collect()
+    /// All data operands of node `id` in port order (empty for unknown
+    /// ids).
+    pub fn operands(&self, id: NodeId) -> &[NodeId] {
+        self.nodes.get(id.index()).map_or(&[], Node::operands)
     }
 
     /// Successors of `id` reached through *data* edges only.
     pub fn data_successors(&self, id: NodeId) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self
-            .graph
-            .out_edges(id)
-            .iter()
-            .filter_map(|&e| {
-                let data = self.graph.edge(e)?;
-                if data.kind.is_data() {
-                    self.graph.edge_endpoints(e).map(|(_, dst)| dst)
-                } else {
-                    None
-                }
-            })
-            .collect();
-        v.sort();
-        v.dedup();
-        v
+        self.succs(id).iter().copied().filter(|&s| self.operands(s).contains(&id)).collect()
     }
 
     /// Operation statistics over the whole design (Table I columns).
@@ -463,65 +424,32 @@ impl Cdfg {
 
     /// Length of the critical path measured in control steps (the minimum
     /// number of control steps in which the design can execute, column 2 of
-    /// Table I).
+    /// Table I), control edges included: a longest-path walk over the
+    /// cached view.
     pub fn critical_path_length(&self) -> u32 {
-        self.graph
-            .longest_path_weight(|n| {
-                u64::from(self.graph.node(n).map(|d| d.op.delay()).unwrap_or(0))
-            })
-            .expect("CDFG must be acyclic") as u32
+        let slices = self.slices();
+        let mut finish = vec![0u32; slices.slot_count()];
+        let mut longest = 0;
+        for &n in slices.topo() {
+            let end = finish[n.index()] + self.op(n).delay();
+            longest = longest.max(end);
+            for &s in slices.succs(n) {
+                finish[s.index()] = finish[s.index()].max(end);
+            }
+        }
+        longest
     }
 
-    /// Structural validation: arity/port completeness, acyclicity, port
-    /// uniqueness, output sanity.
+    /// Structural validation.  Every mutator keeps the graph acyclic, its
+    /// ports complete and its outputs sink-only, so what is left to check is
+    /// that the design observes something: it has at least one output.
     ///
     /// # Errors
     ///
-    /// Returns the first violation found; see [`CdfgError`] for the cases.
+    /// Returns [`CdfgError::NoOutputs`] for a design without outputs.
     pub fn validate(&self) -> Result<(), CdfgError> {
         if self.outputs.is_empty() {
             return Err(CdfgError::NoOutputs);
-        }
-        if !self.graph.is_acyclic() {
-            return Err(CdfgError::CyclicGraph);
-        }
-        for (id, data) in self.graph.nodes() {
-            let arity = data.op.arity();
-            let mut seen_ports: Vec<u16> = Vec::new();
-            for &e in self.graph.in_edges(id) {
-                let edge = self.graph.edge(e).expect("live edge");
-                if let Some(port) = edge.kind.port() {
-                    if seen_ports.contains(&port) {
-                        return Err(CdfgError::DuplicatePort { node: id, port });
-                    }
-                    seen_ports.push(port);
-                }
-            }
-            let expected_ports: usize = if data.op.is_output() { 1 } else { arity };
-            for port in 0..expected_ports as u16 {
-                if !seen_ports.contains(&port) {
-                    return Err(CdfgError::MissingPort { node: id, port });
-                }
-            }
-            if seen_ports.len() > expected_ports {
-                return Err(CdfgError::ArityMismatch {
-                    op: data.op.mnemonic(),
-                    expected: expected_ports,
-                    found: seen_ports.len(),
-                });
-            }
-            if data.op.is_output() && self.graph.out_degree(id) != 0 {
-                return Err(CdfgError::InvalidNodeRole {
-                    node: id,
-                    reason: "output has successors",
-                });
-            }
-            if data.op.is_source() && !seen_ports.is_empty() {
-                return Err(CdfgError::InvalidNodeRole {
-                    node: id,
-                    reason: "source node has data operands",
-                });
-            }
         }
         Ok(())
     }
@@ -534,34 +462,27 @@ impl Cdfg {
     ///
     /// # Panics
     ///
-    /// Panics if `inputs` is missing a value for a primary input or if the
-    /// graph fails validation assumptions (undriven ports).
+    /// Panics if `inputs` is missing a value for a primary input.
     pub fn evaluate(&self, inputs: &BTreeMap<String, i64>) -> BTreeMap<String, i64> {
-        let mut values: BTreeMap<NodeId, i64> = BTreeMap::new();
+        let mut values = vec![0i64; self.nodes.len()];
+        let mut args = Vec::with_capacity(3);
         for &id in self.slices().topo() {
-            let data = self.graph.node(id).expect("live node");
-            let value = match data.op {
+            let node = &self.nodes[id.index()];
+            values[id.index()] = match node.data.op {
                 Op::Input => *inputs
-                    .get(&data.name)
-                    .unwrap_or_else(|| panic!("missing value for input `{}`", data.name)),
+                    .get(&node.data.name)
+                    .unwrap_or_else(|| panic!("missing value for input `{}`", node.data.name)),
                 Op::Const(c) => c,
-                _ => {
-                    let args: Vec<i64> = self
-                        .operands(id)
-                        .iter()
-                        .map(|src| *values.get(src).expect("operand evaluated before use"))
-                        .collect();
-                    data.op.eval(&args)
+                op => {
+                    args.clear();
+                    args.extend(node.operands().iter().map(|o| values[o.index()]));
+                    op.eval(&args)
                 }
             };
-            values.insert(id, value);
         }
         self.outputs
             .iter()
-            .map(|&o| {
-                let name = self.graph.node(o).expect("live output").name.clone();
-                (name, *values.get(&o).expect("output evaluated"))
-            })
+            .map(|&o| (self.nodes[o.index()].data.name.clone(), values[o.index()]))
             .collect()
     }
 }
@@ -584,14 +505,24 @@ mod tests {
 
     #[test]
     fn build_and_validate_abs_diff() {
-        let (g, ..) = abs_diff();
+        let (g, gt, amb, bma, m) = abs_diff();
         g.validate().unwrap();
         assert_eq!(g.inputs().len(), 2);
         assert_eq!(g.outputs().len(), 1);
         assert_eq!(g.node_count(), 7);
+        assert_eq!(g.edge_count(), 10);
         // The comparison (or a subtraction) and the multiplexor chain: two
         // control steps minimum, matching Figure 1 of the paper.
         assert_eq!(g.critical_path_length(), 2);
+        assert_eq!(g.preds(m), &[gt, amb, bma]);
+        assert_eq!(g.succs(g.inputs()[0]), &[gt, amb, bma]);
+        assert_eq!(g.succs(m), g.outputs());
+    }
+
+    #[test]
+    fn display_ids() {
+        assert_eq!(NodeId::new(5).to_string(), "n5");
+        assert_eq!(EdgeId::new(7).to_string(), "e7");
     }
 
     #[test]
@@ -609,7 +540,7 @@ mod tests {
     #[test]
     fn operand_ports_are_ordered() {
         let (g, gt, amb, bma, m) = abs_diff();
-        assert_eq!(g.operands(m), vec![gt, bma, amb]);
+        assert_eq!(g.operands(m), &[gt, bma, amb]);
         assert_eq!(g.operand(m, MUX_SELECT_PORT), Some(gt));
         assert_eq!(g.operand(m, MUX_FALSE_PORT), Some(bma));
         assert_eq!(g.operand(m, MUX_TRUE_PORT), Some(amb));
@@ -676,6 +607,44 @@ mod tests {
         assert!(g.remove_control_edge(e));
         assert!(g.control_edges().is_empty());
         assert!(!g.remove_control_edge(e), "already removed");
+        let f = g.add_control_edge(gt, amb).unwrap();
+        assert_ne!(f, e, "a removed edge's id is not handed out again");
+        assert_eq!(g.control_edges(), vec![f]);
+    }
+
+    #[test]
+    fn control_edges_out_of_outputs_are_refused() {
+        let (mut g, gt, amb, ..) = abs_diff();
+        let spare = g.add_input("spare");
+        let kept = g.add_control_edge(gt, amb).unwrap();
+        let out = g.outputs()[0];
+        let view = format!("{:?}", g.slices());
+        let edges = g.edge_count();
+        let err = g.add_control_edge(out, spare).unwrap_err();
+        assert_eq!(
+            err,
+            CdfgError::InvalidNodeRole { node: out, reason: "outputs cannot have successors" }
+        );
+        assert_eq!(g.control_edges(), vec![kept]);
+        assert_eq!(g.edge_count(), edges);
+        assert_eq!(format!("{:?}", g.slices()), view, "the view is untouched");
+        g.validate().unwrap();
+    }
+
+    #[test]
+    fn critical_path_walks_the_cached_view() {
+        let (mut g, gt, amb, bma, _) = abs_diff();
+        assert_eq!(g.critical_path_length(), 2);
+        // Control edges chain the three operations ahead of the mux.
+        g.add_control_edge(gt, amb).unwrap();
+        assert_eq!(g.critical_path_length(), 3);
+        g.add_control_edge(amb, bma).unwrap();
+        assert_eq!(g.critical_path_length(), 4);
+        for e in g.control_edges() {
+            g.remove_control_edge(e);
+        }
+        assert_eq!(g.critical_path_length(), 2);
+        assert_eq!(Cdfg::new("empty").critical_path_length(), 0);
     }
 
     #[test]

@@ -8,15 +8,14 @@
 
 use std::collections::BTreeSet;
 
-use crate::cdfg::Cdfg;
-use crate::graph::NodeId;
+use crate::cdfg::{Cdfg, NodeId};
 
 /// Transitive fanin of `node` following *data* edges backwards, excluding
 /// `node` itself.  Inputs and constants are included; the caller filters if
 /// only functional nodes are wanted.
 pub fn transitive_fanin(cdfg: &Cdfg, node: NodeId) -> BTreeSet<NodeId> {
     let mut seen = BTreeSet::new();
-    let mut stack: Vec<NodeId> = cdfg.operands(node);
+    let mut stack: Vec<NodeId> = cdfg.operands(node).to_vec();
     while let Some(n) = stack.pop() {
         if seen.insert(n) {
             stack.extend(cdfg.operands(n));

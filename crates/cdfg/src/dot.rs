@@ -3,14 +3,15 @@
 
 use std::fmt::Write as _;
 
-use crate::cdfg::{Cdfg, EdgeKind};
+use crate::cdfg::Cdfg;
 use crate::op::Op;
 
 /// Renders the CDFG in Graphviz DOT syntax.
 ///
 /// Data edges are solid and labelled with their destination port; control
 /// (precedence) edges are dashed, matching the dashed arrows of Figure 2(b)
-/// in the paper.
+/// in the paper.  Data edges come first, by destination node and then by
+/// port; the live control edges follow in insertion order.
 pub fn to_dot(cdfg: &Cdfg) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "digraph \"{}\" {{", cdfg.name());
@@ -25,15 +26,13 @@ pub fn to_dot(cdfg: &Cdfg) -> String {
         };
         let _ = writeln!(out, "  {} [shape={shape}, label=\"{label}\"];", id);
     }
-    for (_, src, dst, data) in cdfg.graph().edges() {
-        match data.kind {
-            EdgeKind::Data { port } => {
-                let _ = writeln!(out, "  {src} -> {dst} [label=\"{port}\"];");
-            }
-            EdgeKind::Control => {
-                let _ = writeln!(out, "  {src} -> {dst} [style=dashed, color=gray];");
-            }
+    for dst in cdfg.node_ids() {
+        for (port, src) in cdfg.operands(dst).iter().enumerate() {
+            let _ = writeln!(out, "  {src} -> {dst} [label=\"{port}\"];");
         }
+    }
+    for (src, dst) in cdfg.control_pairs() {
+        let _ = writeln!(out, "  {src} -> {dst} [style=dashed, color=gray];");
     }
     let _ = writeln!(out, "}}");
     out
@@ -66,5 +65,38 @@ mod tests {
         // One line per node and edge plus header/footer/rankdir.
         let lines = dot.lines().count();
         assert_eq!(lines, 3 + g.node_count() + g.edge_count());
+    }
+
+    #[test]
+    fn edges_print_by_node_then_port_then_control_insertion() {
+        let mut g = Cdfg::new("order");
+        let a = g.add_input("a");
+        let b = g.add_input("b");
+        let diff = g.add_op(Op::Sub, &[b, a]).unwrap();
+        let cmp = g.add_op(Op::Gt, &[a, b]).unwrap();
+        let m = g.add_mux(cmp, diff, a).unwrap();
+        g.add_output("o", m).unwrap();
+        let dropped = g.add_control_edge(a, b).unwrap();
+        g.add_control_edge(cmp, diff).unwrap();
+        g.add_control_edge(b, cmp).unwrap();
+        g.remove_control_edge(dropped);
+
+        let dot = to_dot(&g);
+        let edges: Vec<&str> = dot.lines().filter(|l| l.contains("->")).collect();
+        assert_eq!(
+            edges,
+            [
+                "  n1 -> n2 [label=\"0\"];",
+                "  n0 -> n2 [label=\"1\"];",
+                "  n0 -> n3 [label=\"0\"];",
+                "  n1 -> n3 [label=\"1\"];",
+                "  n3 -> n4 [label=\"0\"];",
+                "  n2 -> n4 [label=\"1\"];",
+                "  n0 -> n4 [label=\"2\"];",
+                "  n4 -> n5 [label=\"0\"];",
+                "  n3 -> n2 [style=dashed, color=gray];",
+                "  n1 -> n3 [style=dashed, color=gray];",
+            ]
+        );
     }
 }

@@ -2,38 +2,24 @@
 
 use std::fmt;
 
-use crate::graph::NodeId;
+use crate::cdfg::NodeId;
 
 /// Errors produced while building or validating a [`crate::Cdfg`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum CdfgError {
-    /// A node id referenced an entry that does not exist (or was removed).
+    /// A node id referenced a node that does not exist.
     UnknownNode(NodeId),
     /// An operation was given the wrong number of operands.
     ArityMismatch {
-        /// The operation that was being created or validated.
+        /// The operation that was being created.
         op: &'static str,
         /// Number of operands the operation requires.
         expected: usize,
         /// Number of operands actually supplied.
         found: usize,
     },
-    /// Two data edges target the same input port of the same node.
-    DuplicatePort {
-        /// Node whose input port is multiply driven.
-        node: NodeId,
-        /// The multiply-driven port index.
-        port: u16,
-    },
-    /// A required input port of a node has no driver.
-    MissingPort {
-        /// Node with the undriven port.
-        node: NodeId,
-        /// The undriven port index.
-        port: u16,
-    },
-    /// The graph contains a cycle (CDFGs must be acyclic).
+    /// A control edge would close a cycle (CDFGs must be acyclic).
     CyclicGraph,
     /// An `Input`, `Const` or `Output` node was used where a computational
     /// operation was required, or vice versa.
@@ -56,12 +42,6 @@ impl fmt::Display for CdfgError {
             CdfgError::ArityMismatch { op, expected, found } => {
                 write!(f, "operation {op} expects {expected} operands, found {found}")
             }
-            CdfgError::DuplicatePort { node, port } => {
-                write!(f, "node {node} input port {port} is driven more than once")
-            }
-            CdfgError::MissingPort { node, port } => {
-                write!(f, "node {node} input port {port} has no driver")
-            }
             CdfgError::CyclicGraph => write!(f, "graph contains a cycle"),
             CdfgError::InvalidNodeRole { node, reason } => {
                 write!(f, "node {node} used in an invalid role: {reason}")
@@ -83,8 +63,6 @@ mod tests {
         let errors = vec![
             CdfgError::UnknownNode(NodeId::new(3)),
             CdfgError::ArityMismatch { op: "add", expected: 2, found: 1 },
-            CdfgError::DuplicatePort { node: NodeId::new(0), port: 1 },
-            CdfgError::MissingPort { node: NodeId::new(0), port: 0 },
             CdfgError::CyclicGraph,
             CdfgError::InvalidNodeRole { node: NodeId::new(9), reason: "output has successors" },
             CdfgError::DuplicateName("a".to_owned()),

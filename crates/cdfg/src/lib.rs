@@ -4,19 +4,19 @@
 //! This crate is the IR substrate underneath the power-management-aware
 //! scheduling flow of Monteiro et al. (DAC 1996).  A [`Cdfg`] is a directed
 //! acyclic graph whose nodes are primitive operations ([`Op`]) — arithmetic,
-//! comparisons, multiplexors, inputs, constants and outputs — and whose edges
-//! carry either data dependences (with a destination port) or pure precedence
-//! ("control") constraints added by later passes.
+//! comparisons, multiplexors, inputs, constants and outputs.  Each node
+//! carries its data operands in port order, fixed when it is created; pure
+//! precedence ("control") edges, which later passes add and remove, live in
+//! one separate list.
 //!
 //! The crate provides:
 //!
-//! * a small, dependency-free directed-graph container ([`graph::DiGraph`]),
 //! * the operation set and its evaluation semantics ([`Op`], [`OpClass`]),
-//! * the CDFG itself with structural validation, topological ordering,
-//!   critical-path analysis, cone (transitive fanin/fanout) queries and
-//!   operation statistics ([`Cdfg`], [`OpCounts`]),
-//! * a cached, allocation-free CSR adjacency view over the graph
-//!   ([`Slices`], the scheduling kernels' fast path),
+//! * the CDFG itself with validation, critical-path analysis, cone
+//!   (transitive fanin/fanout) queries and operation statistics ([`Cdfg`],
+//!   [`OpCounts`]),
+//! * a cached, allocation-free CSR adjacency view over the graph with its
+//!   topological order ([`Slices`], the scheduling kernels' fast path),
 //! * a fluent [`CdfgBuilder`] and Graphviz export ([`dot`]).
 //!
 //! # Example
@@ -51,7 +51,6 @@ pub mod cdfg;
 pub mod cone;
 pub mod dot;
 pub mod error;
-pub mod graph;
 pub mod op;
 pub mod slices;
 pub mod stats;
@@ -59,10 +58,9 @@ pub mod stats;
 pub use crate::bitset::DenseBitSet;
 pub use crate::builder::CdfgBuilder;
 pub use crate::cdfg::{
-    Cdfg, EdgeData, EdgeKind, NodeData, MUX_FALSE_PORT, MUX_SELECT_PORT, MUX_TRUE_PORT,
+    Cdfg, EdgeId, NodeData, NodeId, MUX_FALSE_PORT, MUX_SELECT_PORT, MUX_TRUE_PORT,
 };
 pub use crate::error::CdfgError;
-pub use crate::graph::{DiGraph, EdgeId, NodeId};
 pub use crate::op::{CompareKind, Op, OpClass};
 pub use crate::slices::Slices;
 pub use crate::stats::OpCounts;

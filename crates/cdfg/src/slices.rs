@@ -16,7 +16,8 @@
 //! functional nodes and a per-slot functional mask, all of which the
 //! schedulers previously recomputed (with allocations) on every call.
 //!
-//! A `Slices` is built lazily on first use and cached inside the [`Cdfg`].
+//! A `Slices` is built lazily on first use, from the graph's port-ordered
+//! operands and its live control edges, and cached inside the [`Cdfg`].
 //! Adding a control edge — the power-management selection loop does it
 //! once per edge of every accepted multiplexor — *patches* the view in
 //! place instead of dropping it:
@@ -33,11 +34,10 @@
 //! A patched order is a valid topological order of the current graph, but
 //! not necessarily the one a fresh build would compute: the order is fixed
 //! by the graph's mutation history (see [`Slices::topo`]).  Every other
-//! mutation — adding nodes or data edges, removing control edges, rewriting
-//! a node payload — drops the cache, and the next query rebuilds it.
+//! mutation — adding a node, removing a control edge — drops the cache,
+//! and the next query rebuilds it.
 
-use crate::cdfg::Cdfg;
-use crate::graph::NodeId;
+use crate::cdfg::{Cdfg, NodeId};
 
 /// Flat CSR adjacency view plus cached node orderings for one [`Cdfg`].
 ///
@@ -60,81 +60,69 @@ pub struct Slices {
 }
 
 impl Slices {
-    /// Builds the view by a single scan over the graph.
+    /// Builds the view from the graph's operands and live control edges.
+    ///
+    /// The topological order is Kahn's: the sources in ascending id order,
+    /// then the nodes each pop releases, one batch per pop, each batch in
+    /// ascending id order.  A node's successor row is ascending, so its
+    /// batch comes out sorted with no extra work.
     pub(crate) fn build(cdfg: &Cdfg) -> Self {
-        let graph = cdfg.graph();
-        let slot_count = graph.node_ids().map(|n| n.index() + 1).max().unwrap_or(0);
+        let slot_count = cdfg.node_count();
+        // Control edges by destination, so each predecessor row merges the
+        // node's operands with its control sources in one pass.
+        let mut control: Vec<(NodeId, NodeId)> =
+            cdfg.control_pairs().map(|(src, dst)| (dst, src)).collect();
+        control.sort_unstable();
+        let mut control = control.into_iter().peekable();
 
         let mut pred_index = Vec::with_capacity(slot_count + 1);
-        let mut pred_data = Vec::with_capacity(graph.edge_count());
-        let mut succ_index = Vec::with_capacity(slot_count + 1);
-        let mut succ_data = Vec::with_capacity(graph.edge_count());
+        let mut pred_data = Vec::new();
         let mut data_pred_index = Vec::with_capacity(slot_count + 1);
-        let mut data_pred_data = Vec::with_capacity(graph.edge_count());
-        let mut scratch: Vec<NodeId> = Vec::new();
-
-        pred_index.push(0);
-        succ_index.push(0);
-        data_pred_index.push(0);
-        for slot in 0..slot_count {
-            let id = NodeId::new(slot as u32);
-            if graph.contains_node(id) {
-                scratch.clear();
-                scratch.extend(
-                    graph
-                        .in_edges(id)
-                        .iter()
-                        .filter_map(|&e| graph.edge_endpoints(e).map(|(s, _)| s)),
-                );
-                scratch.sort();
-                scratch.dedup();
-                pred_data.extend_from_slice(&scratch);
-
-                scratch.clear();
-                scratch.extend(graph.in_edges(id).iter().filter_map(|&e| {
-                    let payload = graph.edge(e)?;
-                    if payload.kind.is_data() {
-                        graph.edge_endpoints(e).map(|(s, _)| s)
-                    } else {
-                        None
-                    }
-                }));
-                scratch.sort();
-                scratch.dedup();
-                data_pred_data.extend_from_slice(&scratch);
-
-                scratch.clear();
-                scratch.extend(
-                    graph
-                        .out_edges(id)
-                        .iter()
-                        .filter_map(|&e| graph.edge_endpoints(e).map(|(_, d)| d)),
-                );
-                scratch.sort();
-                scratch.dedup();
-                succ_data.extend_from_slice(&scratch);
-            }
-            pred_index.push(pred_data.len() as u32);
-            succ_index.push(succ_data.len() as u32);
-            data_pred_index.push(data_pred_data.len() as u32);
-        }
-
-        let topo = graph.topological_order().expect("CDFG must be acyclic");
-        let mut topo_pos = vec![0u32; slot_count];
-        for (pos, &n) in topo.iter().enumerate() {
-            topo_pos[n.index()] = pos as u32;
-        }
-
+        let mut data_pred_data = Vec::new();
         let mut functional = Vec::new();
         let mut functional_mask = vec![false; slot_count];
-        for (id, data) in graph.nodes() {
-            if data.op.is_functional() {
+        let mut row: Vec<NodeId> = Vec::new();
+        pred_index.push(0);
+        data_pred_index.push(0);
+        for id in cdfg.node_ids() {
+            row.clear();
+            row.extend_from_slice(cdfg.operands(id));
+            row.sort_unstable();
+            row.dedup();
+            data_pred_data.extend_from_slice(&row);
+            data_pred_index.push(data_pred_data.len() as u32);
+            while let Some((_, src)) = control.next_if(|&(dst, _)| dst == id) {
+                row.push(src);
+            }
+            row.sort_unstable();
+            row.dedup();
+            pred_data.extend_from_slice(&row);
+            pred_index.push(pred_data.len() as u32);
+            if cdfg.op(id).is_functional() {
                 functional.push(id);
                 functional_mask[id.index()] = true;
             }
         }
 
-        Slices {
+        // Successor rows are the transpose, filled in ascending destination
+        // order, so each row comes out ascending and duplicate-free.
+        let mut succ_index = vec![0u32; slot_count + 1];
+        for p in &pred_data {
+            succ_index[p.index() + 1] += 1;
+        }
+        for i in 0..slot_count {
+            succ_index[i + 1] += succ_index[i];
+        }
+        let mut fill = succ_index.clone();
+        let mut succ_data = vec![NodeId::new(0); pred_data.len()];
+        for (id, row) in cdfg.node_ids().zip(pred_index.windows(2)) {
+            for p in &pred_data[row[0] as usize..row[1] as usize] {
+                succ_data[fill[p.index()] as usize] = id;
+                fill[p.index()] += 1;
+            }
+        }
+
+        let mut slices = Slices {
             slot_count,
             pred_index,
             pred_data,
@@ -142,14 +130,39 @@ impl Slices {
             succ_data,
             data_pred_index,
             data_pred_data,
-            topo,
-            topo_pos,
+            topo: Vec::new(),
+            topo_pos: vec![0; slot_count],
             functional,
             functional_mask,
+        };
+        // Kahn's algorithm with `topo` as its own FIFO queue; `fill` is
+        // reused as the remaining in-degrees.
+        let mut topo = Vec::with_capacity(slot_count);
+        for id in cdfg.node_ids() {
+            fill[id.index()] = slices.preds(id).len() as u32;
+            if fill[id.index()] == 0 {
+                topo.push(id);
+            }
         }
+        let mut head = 0;
+        while let Some(&n) = topo.get(head) {
+            head += 1;
+            for &s in slices.succs(n) {
+                fill[s.index()] -= 1;
+                if fill[s.index()] == 0 {
+                    topo.push(s);
+                }
+            }
+        }
+        debug_assert_eq!(topo.len(), slot_count, "operands point back, control edges are checked");
+        for (pos, &n) in topo.iter().enumerate() {
+            slices.topo_pos[n.index()] = pos as u32;
+        }
+        slices.topo = topo;
+        slices
     }
 
-    /// Patches a new edge `before -> after` between two live nodes into the
+    /// Patches a new edge `before -> after` between two nodes into the
     /// view, or returns `false` — leaving the view untouched — when the
     /// edge would close a cycle (a self-loop included).
     ///
@@ -231,8 +244,8 @@ impl Slices {
         true
     }
 
-    /// One past the highest live node index; dense per-node arrays in the
-    /// schedulers are sized by this.
+    /// The number of nodes, which is one past the highest node index;
+    /// dense per-node arrays in the schedulers are sized by this.
     pub fn slot_count(&self) -> usize {
         self.slot_count
     }
@@ -271,10 +284,11 @@ impl Slices {
     /// A topological order of the current graph, fixed by its mutation
     /// history.
     ///
-    /// A fresh build yields [`crate::DiGraph::topological_order`] (Kahn,
-    /// ascending ids per batch); each [`Cdfg::add_control_edge`] since then
-    /// has repaired that order in place, so two structurally equal graphs
-    /// with different histories may list their nodes differently.  Every
+    /// A fresh build yields Kahn's order: the sources in ascending id
+    /// order, then the nodes each pop releases, one batch per pop, each
+    /// batch in ascending id order.  Each [`Cdfg::add_control_edge`] since
+    /// then has repaired that order in place, so two structurally equal
+    /// graphs with different histories may list their nodes differently.  Every
     /// consumer therefore relies only on "each edge points forward", never
     /// on which valid order it gets — audited for the ASAP/ALAP passes of
     /// `sched::Timing`, the earliest/latest-start passes and the exact
@@ -290,7 +304,7 @@ impl Slices {
     /// order an arbitrary node subset topologically with a sort instead of a
     /// full-graph scan.
     ///
-    /// Unknown ids return 0 — only pass live node ids.
+    /// Unknown ids return 0 — only pass ids of this graph.
     pub fn topo_pos(&self, id: NodeId) -> u32 {
         self.topo_pos.get(id.index()).copied().unwrap_or(0)
     }
@@ -300,7 +314,7 @@ impl Slices {
         &self.functional
     }
 
-    /// Whether `id` is a live functional node.
+    /// Whether `id` is a functional node.
     pub fn is_functional(&self, id: NodeId) -> bool {
         self.functional_mask.get(id.index()).copied().unwrap_or(false)
     }
@@ -320,10 +334,11 @@ fn csr_insert(index: &mut [u32], data: &mut Vec<NodeId>, row: NodeId, value: Nod
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
     use super::Slices;
-    use crate::cdfg::{Cdfg, EdgeData};
+    use crate::cdfg::{Cdfg, NodeId};
     use crate::error::CdfgError;
-    use crate::graph::NodeId;
     use crate::op::Op;
 
     fn abs_diff() -> (Cdfg, NodeId, NodeId, NodeId, NodeId) {
@@ -356,7 +371,7 @@ mod tests {
         assert!(sl.preds(amb).contains(&gt), "combined adjacency sees the control edge");
         assert!(!sl.data_preds(amb).contains(&gt), "data adjacency does not");
         for id in g.node_ids() {
-            let mut expected: Vec<NodeId> = g.operands(id);
+            let mut expected: Vec<NodeId> = g.operands(id).to_vec();
             expected.sort();
             expected.dedup();
             assert_eq!(sl.data_preds(id), expected.as_slice(), "data preds of {id}");
@@ -383,18 +398,6 @@ mod tests {
         let e = g.control_edges()[0];
         g.remove_control_edge(e);
         assert!(!g.slices().succs(gt).contains(&amb), "rebuilt after removal");
-    }
-
-    #[test]
-    fn node_mut_invalidates_the_cache() {
-        // node_mut can rewrite a payload's `op`, which feeds the cached
-        // functional list/mask — the accessor must drop the cache.
-        let (mut g, gt, ..) = abs_diff();
-        assert!(g.slices().is_functional(gt));
-        assert_eq!(g.slices().functional().len(), 4);
-        g.node_mut(gt).unwrap().op = Op::Const(1);
-        assert!(!g.slices().is_functional(gt), "rebuilt after payload mutation");
-        assert_eq!(g.slices().functional().len(), 3);
     }
 
     #[test]
@@ -522,73 +525,172 @@ mod tests {
         mirrored
     }
 
-    /// Applies a seeded sequence of control-edge insertions — random pairs
-    /// (forward and backward in the order), self-loops, parallel
-    /// duplicates, edges parallel to data edges and cycle-closing reversals
-    /// — checking the patched view against a fresh build after every one.
-    fn check_insertions(mut g: Cdfg, rng: &mut proptest::TestRng, count: usize) {
+    /// Every edge of `g` as successor lists, parallel edges included: the
+    /// operand edges by node and port, then the live control edges in
+    /// insertion order.
+    fn raw_successors(g: &Cdfg) -> Vec<Vec<NodeId>> {
+        let mut succs = vec![Vec::new(); g.node_count()];
+        for n in g.node_ids() {
+            for &o in g.operands(n) {
+                succs[o.index()].push(n);
+            }
+        }
+        for (src, dst) in g.control_pairs() {
+            succs[src.index()].push(dst);
+        }
+        succs
+    }
+
+    /// Kahn's algorithm as first written, over raw successor lists: a
+    /// `VecDeque` ready queue fed one freshly collected, sorted batch per
+    /// pop.  `None` when the edges close a cycle.
+    fn batched_kahn(succs: &[Vec<NodeId>]) -> Option<Vec<NodeId>> {
+        let mut indegree = vec![0usize; succs.len()];
+        for dst in succs.iter().flatten() {
+            indegree[dst.index()] += 1;
+        }
+        let mut ready: VecDeque<NodeId> =
+            (0..succs.len() as u32).map(NodeId::new).filter(|n| indegree[n.index()] == 0).collect();
+        let mut order = Vec::new();
+        while let Some(n) = ready.pop_front() {
+            order.push(n);
+            let mut next = Vec::new();
+            for &m in &succs[n.index()] {
+                indegree[m.index()] -= 1;
+                if indegree[m.index()] == 0 {
+                    next.push(m);
+                }
+            }
+            next.sort();
+            ready.extend(next);
+        }
+        (order.len() == succs.len()).then_some(order)
+    }
+
+    /// Whether `to` is reachable from `from` (itself included) along raw
+    /// successor lists, by depth-first search.
+    fn reaches(succs: &[Vec<NodeId>], from: NodeId, to: NodeId) -> bool {
+        let mut seen = vec![false; succs.len()];
+        let mut stack = vec![from];
+        while let Some(n) = stack.pop() {
+            if n == to {
+                return true;
+            }
+            for &m in &succs[n.index()] {
+                if !std::mem::replace(&mut seen[m.index()], true) {
+                    stack.push(m);
+                }
+            }
+        }
+        false
+    }
+
+    #[test]
+    fn topological_order_matches_batched_kahn() {
+        // Control edges among nine inputs, out of id order, with a parallel
+        // pair, a removed edge (a hole in the edge list) and several
+        // batches per pop.
+        let mut g = Cdfg::new("kahn");
+        let n: Vec<NodeId> = (0..9).map(|i| g.add_input(format!("i{i}"))).collect();
+        let hole = g.add_control_edge(n[4], n[0]).unwrap();
+        for (s, d) in [(8, 3), (8, 1), (0, 5), (0, 2), (2, 7), (5, 7), (5, 7), (3, 6), (1, 6)] {
+            g.add_control_edge(n[s], n[d]).unwrap();
+        }
+        assert!(g.remove_control_edge(hole));
+        let fresh = Slices::build(&g);
+        assert_eq!(Some(fresh.topo.clone()), batched_kahn(&raw_successors(&g)));
+        assert_eq!(g.slices().topo(), fresh.topo.as_slice(), "the removal rebuilt the view");
+        assert_eq!(g.add_control_edge(n[7], n[0]), Err(CdfgError::CyclicGraph));
+        let (abs, ..) = abs_diff();
+        assert_eq!(Some(Slices::build(&abs).topo), batched_kahn(&raw_successors(&abs)));
+    }
+
+    /// Applies a seeded sequence of control-edge mutations — insertions of
+    /// random pairs (forward and backward in the order), self-loops,
+    /// parallel duplicates, edges parallel to data edges, cycle-closing
+    /// reversals and edges out of outputs, plus removals — and checks the
+    /// view after every one: the patched view against a fresh build, and
+    /// the fresh build's order against the batched Kahn sort.
+    fn check_mutations(mut g: Cdfg, rng: &mut proptest::TestRng, count: usize) {
         let nodes: Vec<NodeId> = g.node_ids().collect();
         let pick = |rng: &mut proptest::TestRng| nodes[rng.below(nodes.len() as u64) as usize];
         g.slices();
         for _ in 0..count {
-            let edges: Vec<(NodeId, NodeId)> =
-                g.graph().edges().map(|(_, src, dst, _)| (src, dst)).collect();
+            let succs = raw_successors(&g);
+            let edges: Vec<(NodeId, NodeId)> = g
+                .node_ids()
+                .flat_map(|src| succs[src.index()].iter().map(move |&dst| (src, dst)))
+                .collect();
             let control = g.control_edges();
-            let (before, after) = match rng.below(8) {
-                0 => {
-                    let n = pick(rng);
-                    (n, n)
-                }
-                1 if !control.is_empty() => g
-                    .graph()
-                    .edge_endpoints(control[rng.below(control.len() as u64) as usize])
-                    .unwrap(),
-                2 => edges[rng.below(edges.len() as u64) as usize],
-                3 => {
-                    let (src, dst) = edges[rng.below(edges.len() as u64) as usize];
-                    (dst, src)
-                }
-                _ => (pick(rng), pick(rng)),
-            };
-
-            let mut probe = g.graph().clone();
-            probe.add_edge(before, after, EdgeData::control());
-            let acyclic = probe.is_acyclic();
-            let reachable = g.graph().reachable_from(after).contains(&before);
-            assert_eq!(acyclic, before != after && !reachable, "reachability oracle");
-
+            let control_pairs: Vec<(NodeId, NodeId)> = g.control_pairs().collect();
             let view = g.slices().clone();
-            let (edge_count, control_before) = (g.edge_count(), g.control_edges());
-            match g.add_control_edge(before, after) {
-                Ok(edge) => {
-                    assert!(acyclic, "{before} -> {after} accepted but closes a cycle");
-                    assert!(g.graph().edge(edge).unwrap().kind.is_control());
-                    assert_eq!(g.edge_count(), edge_count + 1);
-                }
-                Err(err) => {
-                    assert!(!acyclic, "{before} -> {after} rejected but acyclic");
-                    assert_eq!(err, CdfgError::CyclicGraph);
-                    assert_eq!(g.edge_count(), edge_count);
-                    assert_eq!(g.control_edges(), control_before);
-                    let sl = g.slices();
-                    assert_eq!(adjacency(sl), adjacency(&view), "rejected edge moved the view");
-                    assert_eq!((&sl.topo, &sl.topo_pos), (&view.topo, &view.topo_pos));
+            let edge_count = g.edge_count();
+            if !control.is_empty() && rng.below(10) == 0 {
+                let edge = control[rng.below(control.len() as u64) as usize];
+                assert!(g.remove_control_edge(edge));
+                assert!(!g.remove_control_edge(edge), "already removed");
+                assert_eq!(g.edge_count(), edge_count - 1);
+            } else {
+                let (before, after) = match rng.below(8) {
+                    0 => {
+                        let n = pick(rng);
+                        (n, n)
+                    }
+                    1 if !control.is_empty() => {
+                        control_pairs[rng.below(control_pairs.len() as u64) as usize]
+                    }
+                    2 => edges[rng.below(edges.len() as u64) as usize],
+                    3 => {
+                        let (src, dst) = edges[rng.below(edges.len() as u64) as usize];
+                        (dst, src)
+                    }
+                    _ => (pick(rng), pick(rng)),
+                };
+                let expected = if g.op(before).is_output() {
+                    Err(CdfgError::InvalidNodeRole {
+                        node: before,
+                        reason: "outputs cannot have successors",
+                    })
+                } else if reaches(&succs, after, before) {
+                    Err(CdfgError::CyclicGraph)
+                } else {
+                    Ok(())
+                };
+                match g.add_control_edge(before, after) {
+                    Ok(edge) => {
+                        assert_eq!(expected, Ok(()), "{before} -> {after} accepted");
+                        assert_eq!(g.control_edges().last(), Some(&edge));
+                        assert_eq!(g.control_pairs().last(), Some((before, after)));
+                        assert_eq!(g.edge_count(), edge_count + 1);
+                    }
+                    Err(err) => {
+                        assert_eq!(expected, Err(err), "{before} -> {after} refused");
+                        assert_eq!(g.edge_count(), edge_count);
+                        assert_eq!(g.control_edges(), control);
+                        let sl = g.slices();
+                        assert_eq!(adjacency(sl), adjacency(&view), "refused edge moved the view");
+                        assert_eq!((&sl.topo, &sl.topo_pos), (&view.topo, &view.topo_pos));
+                    }
                 }
             }
 
+            let fresh = Slices::build(&g);
+            let succs = raw_successors(&g);
+            assert_eq!(Some(&fresh.topo), batched_kahn(&succs).as_ref(), "fresh order != Kahn");
             let sl = g.slices();
-            assert_eq!(adjacency(sl), adjacency(&Slices::build(&g)), "patched != fresh");
+            assert_eq!(adjacency(sl), adjacency(&fresh), "patched != fresh");
             let mut sorted = sl.topo.clone();
             sorted.sort_unstable();
-            assert_eq!(sorted, nodes, "topo is a permutation of the live nodes");
+            assert_eq!(sorted, nodes, "topo is a permutation of the nodes");
             for (pos, &n) in sl.topo.iter().enumerate() {
                 assert_eq!(sl.topo_pos[n.index()], pos as u32, "topo_pos inverts topo");
             }
-            for (_, src, dst, _) in g.graph().edges() {
-                assert!(sl.topo_pos(src) < sl.topo_pos(dst), "{src} -> {dst} points backward");
+            for src in g.node_ids() {
+                for &dst in &succs[src.index()] {
+                    assert!(sl.topo_pos(src) < sl.topo_pos(dst), "{src} -> {dst} points backward");
+                }
             }
         }
-        assert!(g.graph().is_acyclic());
     }
 
     #[test]
@@ -596,7 +698,7 @@ mod tests {
         for case in 0..48 {
             let mut rng = proptest::TestRng::new(case);
             let g = random_recipe(&mut rng);
-            check_insertions(g, &mut rng, 40);
+            check_mutations(g, &mut rng, 40);
         }
     }
 
@@ -606,7 +708,7 @@ mod tests {
             for seed in [3, 17] {
                 for (i, g) in mirror_family(family, seed).into_iter().enumerate() {
                     let mut rng = proptest::TestRng::new(seed * 31 + i as u64);
-                    check_insertions(g, &mut rng, 60);
+                    check_mutations(g, &mut rng, 60);
                 }
             }
         }

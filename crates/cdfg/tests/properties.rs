@@ -50,12 +50,21 @@ fn build(recipe: &Recipe) -> (Cdfg, Vec<NodeId>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every randomly built CDFG validates and is acyclic.
+    /// Every randomly built CDFG validates and is acyclic: every operand
+    /// and control edge points forward in the cached topological order.
     #[test]
     fn random_cdfgs_validate(recipe in recipe_strategy()) {
-        let (g, _) = build(&recipe);
+        let (mut g, values) = build(&recipe);
         prop_assert!(g.validate().is_ok());
-        prop_assert!(g.graph().is_acyclic());
+        for &(_, a, b, _) in &recipe.steps {
+            let _ = g.add_control_edge(values[a % values.len()], values[b % values.len()]);
+        }
+        let sl = g.slices();
+        for n in g.node_ids() {
+            for &p in g.operands(n).iter().chain(g.preds(n)) {
+                prop_assert!(sl.topo_pos(p) < sl.topo_pos(n), "{} -> {} points backward", p, n);
+            }
+        }
     }
 
     /// The topological order places every operand before its consumer.
@@ -66,7 +75,7 @@ proptest! {
         let pos: BTreeMap<NodeId, usize> = order.iter().enumerate().map(|(i, &n)| (n, i)).collect();
         for n in g.node_ids() {
             for operand in g.operands(n) {
-                prop_assert!(pos[&operand] < pos[&n], "operand scheduled after consumer");
+                prop_assert!(pos[operand] < pos[&n], "operand scheduled after consumer");
             }
         }
     }

@@ -35,8 +35,8 @@ use std::sync::atomic::AtomicBool;
 use binding::{AreaModel, Datapath};
 use cdfg::Cdfg;
 use pmsched::{power_manage, OpWeights, PowerManagementOptions};
-use power::dvs::scaled_delay_estimate;
-use power::voltage::{voltage_scaled_estimate, VoltageAssignment};
+use power::dvs::allotted_delays;
+use power::voltage::{voltage_scaled_estimate, VoltageAssignment, VoltageTable};
 
 use crate::report::{csv_field, dominates, json_number, json_string};
 use crate::scenario::BranchModel;
@@ -523,69 +523,54 @@ fn explore_point(
     let result = power_manage(cdfg, &PowerManagementOptions::with_latency(budget))
         .map_err(|e| e.to_string())?;
     let weights = OpWeights::paper_power();
-    let area_model = AreaModel::new();
     let probs = select_probabilities(&result, options.branch_model);
-    let (shutdown, slowdown, combined, energy, area) = match options.voltage {
+    let pm_cdfg = result.cdfg();
+    // Each policy yields a level table and a per-op assignment into it;
+    // `shared_supply` says whether all operations sit at one voltage, in
+    // which case the plain (single-partition) binding prices the area.
+    let (table, assignment, shared_supply) = match options.voltage {
         VoltagePolicy::Global(scaling) => {
-            // The single-curve path.  All operations sit at one voltage, so
-            // the plain (unpartitioned) binding prices the area.
-            let report = scaled_delay_estimate(&result, &probs, &weights, scaling)
-                .map_err(|e| e.to_string())?;
-            let datapath =
-                Datapath::build(result.cdfg(), result.schedule()).map_err(|e| e.to_string())?;
-            (
-                report.shutdown_reduction_percent,
-                report.slowdown_reduction_percent,
-                report.combined_reduction_percent,
-                report.scaled_weighted,
-                area_model.estimate(&datapath).total(),
-            )
+            // One global curve over each op's allotted delay, as a
+            // degenerate table with one level per delay.
+            let delays = allotted_delays(pm_cdfg, result.schedule(), result.latency());
+            let table = VoltageTable::from_scaling(scaling, result.latency().max(1));
+            let slots = pm_cdfg.slices().slot_count();
+            let assignment = VoltageAssignment::from_delays(&table, &delays, slots);
+            (table, assignment, true)
         }
         VoltagePolicy::PerOp(preset) => {
             // Per-op levels from the slack-distribution kernel, priced by
-            // expected execution (weight × activation probability), then a
-            // voltage-partitioned binding: units are shared only within one
-            // level.
+            // expected execution (weight × activation probability).  Units
+            // are shared only within one level.
             let table = preset.table();
-            let levels = table.slack_levels();
             let activation = result.activation(&probs);
-            let pm_cdfg = result.cdfg();
-            let node_weight = |n: cdfg::NodeId| {
-                let class = pm_cdfg.node(n).expect("live node").op.class();
-                weights.weight(class) * activation.probability(n)
-            };
+            let node_weight =
+                |n: cdfg::NodeId| weights.weight(pm_cdfg.op(n).class()) * activation.probability(n);
             let picked = sched::dvs::distribute_slack(
                 pm_cdfg,
                 result.latency(),
-                &levels,
+                &table.slack_levels(),
                 &node_weight,
                 &mut sched::dvs::Workspace::new(),
             )
             .map_err(|e| e.to_string())?;
-            let assignment = VoltageAssignment::from_levels(picked.levels().to_vec());
-            let estimate = voltage_scaled_estimate(&result, &probs, &weights, &table, &assignment)
-                .map_err(|e| e.to_string())?;
-            let datapath =
-                Datapath::build_partitioned(pm_cdfg, result.schedule(), &|n| picked.level_of(n))
-                    .map_err(|e| e.to_string())?;
-            (
-                estimate.shutdown_reduction_percent,
-                estimate.slowdown_reduction_percent,
-                estimate.combined_reduction_percent,
-                estimate.scaled_weighted,
-                area_model.estimate(&datapath).total(),
-            )
+            (table, VoltageAssignment::from_levels(picked.levels().to_vec()), false)
         }
     };
+    let estimate = voltage_scaled_estimate(&result, &probs, &weights, &table, &assignment)
+        .map_err(|e| e.to_string())?;
+    let partition = |n| if shared_supply { 0 } else { assignment.level_of(n) };
+    let datapath = Datapath::build_partitioned(pm_cdfg, result.schedule(), &partition)
+        .map_err(|e| e.to_string())?;
     Ok(ExplorePoint {
         budget,
         schedule_steps: result.schedule().num_steps(),
         pm_muxes: result.managed_mux_count(),
-        shutdown_reduction: shutdown,
-        slowdown_reduction: slowdown,
-        combined_reduction: combined,
-        energy,
-        area,
+        shutdown_reduction: estimate.shutdown_reduction_percent,
+        slowdown_reduction: estimate.slowdown_reduction_percent,
+        combined_reduction: estimate.combined_reduction_percent,
+        energy: estimate.scaled_weighted,
+        area: AreaModel::new().estimate(&datapath).total(),
         on_front: false,
     })
 }

@@ -19,7 +19,9 @@
 //!   `Σ P(op executes) · weight(op) · scale(delay(op))` — the shut-down
 //!   probability and the slowdown factor are independent per-op factors, so
 //!   the two relative reductions compose multiplicatively
-//!   ([`pmsched::compose_reductions`]; the report pins this identity).
+//!   ([`pmsched::compose_reductions`]).  [`crate::voltage`] computes it,
+//!   with the curve re-expressed as a degenerate voltage table
+//!   ([`crate::voltage::VoltageTable::from_scaling`]).
 //!
 //! The model is deliberately behavioural: each operator is assumed to have
 //! its own supply (fine-grained DVS), so slowing one op never blocks a
@@ -30,11 +32,7 @@
 use std::fmt;
 
 use cdfg::Cdfg;
-use pmsched::{OpWeights, PowerManagementResult, SelectProbabilities};
 use sched::Schedule;
-
-use crate::estimate::EstimateError;
-use crate::voltage::{voltage_scaled_estimate, VoltageAssignment, VoltageTable};
 
 /// How an operation's energy scales with the delay allotted to it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -122,91 +120,19 @@ pub fn allotted_delays_into(
     }
 }
 
-/// Expected-energy summary under a scaled-delay model: the shut-down and
-/// slowdown mechanisms separately and composed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScaledDelayReport {
-    /// The scaling law the estimate was computed under.
-    pub scaling: DelayScaling,
-    /// Weighted energy with every operation executing at nominal speed.
-    pub baseline_weighted: f64,
-    /// Weighted energy with shut-down only (expected executions, nominal
-    /// speed) — Table II's managed number.
-    pub shutdown_weighted: f64,
-    /// Weighted energy with shut-down *and* delay scaling.
-    pub scaled_weighted: f64,
-    /// Reduction from shutting operations down, in percent.
-    pub shutdown_reduction_percent: f64,
-    /// Additional reduction from slowing the surviving executions, relative
-    /// to the shut-down-only energy, in percent.
-    pub slowdown_reduction_percent: f64,
-    /// Combined reduction relative to the baseline, in percent.  Equals
-    /// `compose_reductions(shutdown, slowdown)` by construction.
-    pub combined_reduction_percent: f64,
-}
-
-impl fmt::Display for ScaledDelayReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "scaled-delay ({}): {:.2} -> {:.2} ({:.2}% shutdown + {:.2}% slowdown = {:.2}%)",
-            self.scaling,
-            self.baseline_weighted,
-            self.scaled_weighted,
-            self.shutdown_reduction_percent,
-            self.slowdown_reduction_percent,
-            self.combined_reduction_percent
-        )
-    }
-}
-
-/// Computes the scaled-delay energy estimate for a power-management result:
-/// per-op execution probabilities from the activation analysis, per-op
-/// allotted delays from the final schedule, energies from `weights` scaled
-/// by `scaling`.
-///
-/// Since the per-operation voltage refactor this *is* the single-curve
-/// path: the curve is re-expressed as a degenerate
-/// [`VoltageTable`] (one level per allotted
-/// delay, each priced by [`DelayScaling::factor`]) and the estimate runs
-/// through [`crate::voltage::voltage_scaled_estimate`] with the
-/// delay-induced [`VoltageAssignment`].
-/// The factors and the summation order are unchanged, so reports are
-/// byte-identical to the pre-refactor ones (pinned in
-/// `crate::voltage::tests`).
-///
-/// # Errors
-///
-/// Returns [`EstimateError::DegenerateBaseline`] when the design's weighted
-/// baseline energy is not strictly positive (no operation carries weight),
-/// which would make every reduction ratio divide by zero.
-pub fn scaled_delay_estimate(
-    result: &PowerManagementResult,
-    probs: &SelectProbabilities,
-    weights: &OpWeights,
-    scaling: DelayScaling,
-) -> Result<ScaledDelayReport, EstimateError> {
-    let delays = allotted_delays(result.cdfg(), result.schedule(), result.latency());
-    let table = VoltageTable::from_scaling(scaling, result.latency().max(1));
-    let assignment =
-        VoltageAssignment::from_delays(&table, &delays, result.cdfg().slices().slot_count());
-    let estimate = voltage_scaled_estimate(result, probs, weights, &table, &assignment)?;
-    Ok(ScaledDelayReport {
-        scaling,
-        baseline_weighted: estimate.baseline_weighted,
-        shutdown_weighted: estimate.shutdown_weighted,
-        scaled_weighted: estimate.scaled_weighted,
-        shutdown_reduction_percent: estimate.shutdown_reduction_percent,
-        slowdown_reduction_percent: estimate.slowdown_reduction_percent,
-        combined_reduction_percent: estimate.combined_reduction_percent,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cdfg::Op;
-    use pmsched::{compose_reductions, power_manage, PowerManagementOptions};
+    use pmsched::{
+        compose_reductions, power_manage, OpWeights, PowerManagementOptions, PowerManagementResult,
+        SelectProbabilities,
+    };
+
+    use crate::estimate::EstimateError;
+    use crate::voltage::{
+        voltage_scaled_estimate, VoltageAssignment, VoltageEstimate, VoltageTable,
+    };
 
     fn abs_diff() -> Cdfg {
         let mut g = Cdfg::new("abs_diff");
@@ -218,6 +144,21 @@ mod tests {
         let m = g.add_mux(gt, bma, amb).unwrap();
         g.add_output("abs", m).unwrap();
         g
+    }
+
+    /// The global-curve estimate under fair branches: the curve as a
+    /// degenerate table, each operation at the level its allotted delay
+    /// picks.
+    fn global_estimate(
+        result: &PowerManagementResult,
+        weights: &OpWeights,
+        scaling: DelayScaling,
+    ) -> Result<VoltageEstimate, EstimateError> {
+        let delays = allotted_delays(result.cdfg(), result.schedule(), result.latency());
+        let table = VoltageTable::from_scaling(scaling, result.latency().max(1));
+        let slots = result.cdfg().slices().slot_count();
+        let assignment = VoltageAssignment::from_delays(&table, &delays, slots);
+        voltage_scaled_estimate(result, &SelectProbabilities::fair(), weights, &table, &assignment)
     }
 
     #[test]
@@ -254,13 +195,9 @@ mod tests {
         let g = abs_diff();
         for latency in 3..7 {
             let result = power_manage(&g, &PowerManagementOptions::with_latency(latency)).unwrap();
-            let report = scaled_delay_estimate(
-                &result,
-                &SelectProbabilities::fair(),
-                &OpWeights::paper_power(),
-                DelayScaling::Quadratic,
-            )
-            .unwrap();
+            let report =
+                global_estimate(&result, &OpWeights::paper_power(), DelayScaling::Quadratic)
+                    .unwrap();
             assert!(
                 (report.combined_reduction_percent
                     - compose_reductions(
@@ -269,7 +206,7 @@ mod tests {
                     ))
                 .abs()
                     < 1e-9,
-                "composition identity at latency {latency}: {report}"
+                "composition identity at latency {latency}: {report:?}"
             );
             // Shutdown part agrees with the Table II estimate.
             assert!(
@@ -285,14 +222,9 @@ mod tests {
         let g = abs_diff();
         let result = power_manage(&g, &PowerManagementOptions::with_latency(5)).unwrap();
         let get = |scaling| {
-            scaled_delay_estimate(
-                &result,
-                &SelectProbabilities::fair(),
-                &OpWeights::paper_power(),
-                scaling,
-            )
-            .unwrap()
-            .combined_reduction_percent
+            global_estimate(&result, &OpWeights::paper_power(), scaling)
+                .unwrap()
+                .combined_reduction_percent
         };
         let none = get(DelayScaling::None);
         let linear = get(DelayScaling::Linear);
@@ -310,13 +242,9 @@ mod tests {
         let mut last = -1.0;
         for latency in 2..7 {
             let result = power_manage(&g, &PowerManagementOptions::with_latency(latency)).unwrap();
-            let report = scaled_delay_estimate(
-                &result,
-                &SelectProbabilities::fair(),
-                &OpWeights::paper_power(),
-                DelayScaling::Quadratic,
-            )
-            .unwrap();
+            let report =
+                global_estimate(&result, &OpWeights::paper_power(), DelayScaling::Quadratic)
+                    .unwrap();
             assert!(
                 report.combined_reduction_percent >= last - 1e-9,
                 "latency {latency}: {} < {last}",
@@ -330,13 +258,8 @@ mod tests {
     fn weightless_designs_are_a_typed_degenerate_baseline() {
         let g = abs_diff();
         let result = power_manage(&g, &PowerManagementOptions::with_latency(3)).unwrap();
-        let err = scaled_delay_estimate(
-            &result,
-            &SelectProbabilities::fair(),
-            &OpWeights::from_pairs([]),
-            DelayScaling::Linear,
-        )
-        .unwrap_err();
+        let err =
+            global_estimate(&result, &OpWeights::from_pairs([]), DelayScaling::Linear).unwrap_err();
         assert!(matches!(err, EstimateError::DegenerateBaseline { .. }), "{err}");
     }
 }

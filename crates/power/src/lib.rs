@@ -11,15 +11,17 @@
 //!   the `rtl` crate, switching activity is converted to energy, and the
 //!   gate-level area is reported for both the original and the
 //!   power-managed design ([`estimate::gate_level_comparison`]),
-//! * the *scaled-delay* (DVS-style) estimate — per-operation schedule slack
-//!   converted into an energy factor that composes with the shut-down
-//!   savings ([`dvs::scaled_delay_estimate`]), the model behind the
-//!   latency–power Pareto explorer,
+//! * the *scaled-delay* (DVS-style) model ([`dvs`]) — per-operation
+//!   schedule slack ([`dvs::allotted_delays`]) converted into an energy
+//!   factor by a [`dvs::DelayScaling`] curve that composes with the
+//!   shut-down savings, the model behind the latency–power Pareto explorer,
 //! * the *per-operation voltage* model ([`voltage`]) — discrete
 //!   [`voltage::VoltageLevel`] tables assigned per op through a
-//!   [`voltage::VoltageAssignment`]; the global scaled-delay curves are its
-//!   degenerate one-curve case and [`voltage::VoltagePolicy`] exposes both
-//!   as one explore axis.
+//!   [`voltage::VoltageAssignment`] and priced by
+//!   [`voltage::voltage_scaled_estimate`]; a global scaled-delay curve is
+//!   its degenerate case ([`voltage::VoltageTable::from_scaling`] with
+//!   [`voltage::VoltageAssignment::from_delays`]), and
+//!   [`voltage::VoltagePolicy`] exposes both as one explore axis.
 //!
 //! # Example
 //!
@@ -51,9 +53,7 @@ pub mod estimate;
 pub mod vectors;
 pub mod voltage;
 
-pub use crate::dvs::{
-    allotted_delays, allotted_delays_into, scaled_delay_estimate, DelayScaling, ScaledDelayReport,
-};
+pub use crate::dvs::{allotted_delays, allotted_delays_into, DelayScaling};
 /// Alias for the crate's error type under the name downstream code (and the
 /// issue tracker) uses for it.
 pub use crate::estimate::EstimateError as PowerError;

@@ -8,10 +8,10 @@
 //! multiplier for an energy factor — and every operation gets its *own*
 //! level through a [`VoltageAssignment`].  The global curves are the
 //! degenerate case: [`VoltageTable::from_scaling`] re-expresses a
-//! [`DelayScaling`] law as a table with one level per allotted delay, and
-//! the estimate over that table reproduces the single-curve
-//! [`crate::dvs::scaled_delay_estimate`] byte-identically (pinned in the
-//! tests here).
+//! [`DelayScaling`] law as a table with one level per allotted delay,
+//! [`VoltageAssignment::from_delays`] puts each operation at the level its
+//! allotted delay picks, and the estimate over that pair reproduces the
+//! single-curve loop byte-identically (pinned in the tests here).
 //!
 //! The preset tables ([`VoltagePreset`]) use the classic square-law numbers
 //! for a 5 V nominal process with `Vt = 0.8 V`: energy scales as
@@ -173,9 +173,8 @@ impl VoltageAssignment {
     }
 }
 
-/// Expected-energy summary under a per-operation voltage assignment —
-/// the same quantities as [`crate::dvs::ScaledDelayReport`], without being
-/// tied to one global curve.
+/// Expected-energy summary under a per-operation voltage assignment: the
+/// shut-down and voltage-scaling mechanisms separately and composed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VoltageEstimate {
     /// Weighted energy with every operation executing at nominal voltage.
@@ -201,8 +200,7 @@ pub struct VoltageEstimate {
 ///
 /// Sums run over scheduled functional nodes in ascending node-id order —
 /// the same order as [`crate::dvs::allotted_delays`] — so global-curve
-/// assignments reproduce [`crate::dvs::scaled_delay_estimate`] bit for
-/// bit.
+/// assignments reproduce the single-curve loop bit for bit.
 ///
 /// # Errors
 ///
@@ -363,7 +361,7 @@ impl fmt::Display for VoltagePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dvs::{allotted_delays, scaled_delay_estimate};
+    use crate::dvs::allotted_delays;
     use cdfg::{Cdfg, Op};
     use pmsched::{power_manage, PowerManagementOptions};
 
@@ -411,8 +409,8 @@ mod tests {
 
     /// The pinned tentpole identity: the refactored voltage path — a
     /// [`VoltageTable::from_scaling`] table with the curve-induced
-    /// assignment, which is exactly what [`scaled_delay_estimate`] now
-    /// routes through — reproduces the pre-refactor single-curve report
+    /// assignment, which is exactly how the explorer scores a global
+    /// curve — reproduces the pre-refactor single-curve report
     /// **byte-identically** (exact f64 bits on every field), for every
     /// scaling law and a range of budgets.  The nominal one-level table is
     /// the `DelayScaling::None` case.
@@ -437,7 +435,6 @@ mod tests {
                 let voltage =
                     voltage_scaled_estimate(&result, &probs, &weights, &table, &assignment)
                         .unwrap();
-                let report = scaled_delay_estimate(&result, &probs, &weights, scaling).unwrap();
                 for (estimate, reference) in [
                     (voltage.baseline_weighted, baseline),
                     (voltage.shutdown_weighted, shutdown),
@@ -445,12 +442,6 @@ mod tests {
                     (voltage.shutdown_reduction_percent, shutdown_pct),
                     (voltage.slowdown_reduction_percent, slowdown_pct),
                     (voltage.combined_reduction_percent, combined_pct),
-                    (report.baseline_weighted, baseline),
-                    (report.shutdown_weighted, shutdown),
-                    (report.scaled_weighted, scaled),
-                    (report.shutdown_reduction_percent, shutdown_pct),
-                    (report.slowdown_reduction_percent, slowdown_pct),
-                    (report.combined_reduction_percent, combined_pct),
                 ] {
                     assert_eq!(
                         estimate.to_bits(),

@@ -203,7 +203,7 @@ impl Simulator {
             // Gather operand values.
             let operands = self.cdfg.operands(node);
             let mut args = Vec::with_capacity(operands.len());
-            for operand in &operands {
+            for operand in operands {
                 match values.get(operand) {
                     Some(&v) => args.push(v),
                     None => {
