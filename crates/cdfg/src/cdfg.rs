@@ -8,66 +8,13 @@
 //! dense and never reused.
 
 use std::collections::BTreeMap;
-use std::fmt;
 use std::sync::OnceLock;
 
 use crate::error::CdfgError;
+pub use crate::graph::{EdgeId, NodeId};
 use crate::op::Op;
 use crate::slices::Slices;
 use crate::stats::OpCounts;
-
-/// Identifier of a node inside a [`Cdfg`].
-///
-/// Node ids are dense indices in creation order and stay valid for the
-/// life of the graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct NodeId(u32);
-
-impl NodeId {
-    /// Creates a node id from a raw index.
-    ///
-    /// Mostly useful in tests; normal code receives ids from the
-    /// [`Cdfg`] constructors.
-    pub fn new(index: u32) -> Self {
-        NodeId(index)
-    }
-
-    /// Returns the raw index backing this id.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl fmt::Display for NodeId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "n{}", self.0)
-    }
-}
-
-/// Identifier of a control edge inside a [`Cdfg`].
-///
-/// Control edges are numbered in insertion order; a removed edge's id is
-/// never handed out again.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EdgeId(u32);
-
-impl EdgeId {
-    /// Creates an edge id from a raw index.
-    pub fn new(index: u32) -> Self {
-        EdgeId(index)
-    }
-
-    /// Returns the raw index backing this id.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl fmt::Display for EdgeId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "e{}", self.0)
-    }
-}
 
 /// Input port index of a multiplexor's select (control) operand.
 pub const MUX_SELECT_PORT: u16 = 0;
@@ -208,8 +155,8 @@ impl Cdfg {
     /// Appends a node fed by `operands` (in port order, already checked).
     fn push(&mut self, op: Op, name: String, operands: &[NodeId]) -> NodeId {
         self.touch();
-        let id = NodeId(self.nodes.len() as u32);
-        let mut slots = [NodeId(u32::MAX); 3];
+        let id = NodeId::new(self.nodes.len() as u32);
+        let mut slots = [NodeId::new(u32::MAX); 3];
         slots[..operands.len()].copy_from_slice(operands);
         self.nodes
             .push(Node { data: NodeData::new(op, name, self.default_bitwidth), operands: slots });
@@ -344,7 +291,7 @@ impl Cdfg {
             return Err(CdfgError::CyclicGraph);
         }
         self.control.push(Some((before, after)));
-        Ok(EdgeId(self.control.len() as u32 - 1))
+        Ok(EdgeId::new(self.control.len() as u32 - 1))
     }
 
     /// Removes a previously added control edge.  Data edges are fixed at
@@ -362,7 +309,7 @@ impl Cdfg {
     /// Ids of all control edges currently present, in insertion order.
     pub fn control_edges(&self) -> Vec<EdgeId> {
         (0..self.control.len() as u32)
-            .map(EdgeId)
+            .map(EdgeId::new)
             .filter(|e| self.control[e.index()].is_some())
             .collect()
     }
@@ -388,12 +335,12 @@ impl Cdfg {
 
     /// Iterates over `(id, data)` for every node.
     pub fn iter_nodes(&self) -> impl Iterator<Item = (NodeId, &NodeData)> + '_ {
-        self.nodes.iter().enumerate().map(|(i, n)| (NodeId(i as u32), &n.data))
+        self.nodes.iter().enumerate().map(|(i, n)| (NodeId::new(i as u32), &n.data))
     }
 
     /// Iterates over ids of every node.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.nodes.len() as u32).map(NodeId)
+        (0..self.nodes.len() as u32).map(NodeId::new)
     }
 
     /// Ids of all multiplexor nodes.
@@ -517,12 +464,6 @@ mod tests {
         assert_eq!(g.preds(m), &[gt, amb, bma]);
         assert_eq!(g.succs(g.inputs()[0]), &[gt, amb, bma]);
         assert_eq!(g.succs(m), g.outputs());
-    }
-
-    #[test]
-    fn display_ids() {
-        assert_eq!(NodeId::new(5).to_string(), "n5");
-        assert_eq!(EdgeId::new(7).to_string(), "e7");
     }
 
     #[test]

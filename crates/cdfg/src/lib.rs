@@ -51,6 +51,7 @@ pub mod cdfg;
 pub mod cone;
 pub mod dot;
 pub mod error;
+mod graph;
 pub mod op;
 pub mod slices;
 pub mod stats;
