@@ -7,6 +7,13 @@
 //! under contention: every key owns a [`OnceLock`] slot, so two workers
 //! racing on the same key block on the slot rather than computing twice,
 //! while distinct keys proceed in parallel.
+//!
+//! Such a race is rare in a sweep: scenarios that differ only in branch
+//! model share a prefix and sit side by side in canonical order, and the
+//! pool deals each worker one contiguous block of the plan, so they run
+//! on one worker, one after another.  Two workers meet on one key where a
+//! block boundary or a steal cuts such a run, or where two factorings of
+//! one effective latency (latency 3 × depth 2 and 6 × 1) sort apart.
 
 use std::collections::HashMap;
 use std::hash::Hash;

@@ -3,6 +3,7 @@
 use std::fmt;
 
 use crate::pareto::BudgetPolicy;
+use crate::MAX_LATENCY;
 
 /// Errors produced while building a [`crate::SweepPlan`].
 ///
@@ -22,6 +23,14 @@ pub enum EngineError {
     /// scenarios; walking a budget range is the explorer's job
     /// ([`crate::Engine::explore`]).
     RangePolicyOnSweep(BudgetPolicy),
+    /// A scenario's effective latency (`latency × pipeline_depth`) exceeds
+    /// [`MAX_LATENCY`].
+    LatencyTooLarge {
+        /// The scenario's latency bound.
+        latency: u32,
+        /// The scenario's pipeline depth.
+        pipeline_depth: u32,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -38,6 +47,12 @@ impl fmt::Display for EngineError {
                 f,
                 "budget policy `{policy}` walks a budget range, which only an exploration does; \
                  a sweep runs exactly its scenarios (policy `fixed`)"
+            ),
+            EngineError::LatencyTooLarge { latency, pipeline_depth } => write!(
+                f,
+                "effective latency {latency} x {pipeline_depth} = {} exceeds MAX_LATENCY \
+                 ({MAX_LATENCY} steps)",
+                u64::from(*latency) * u64::from(*pipeline_depth)
             ),
         }
     }
@@ -56,6 +71,11 @@ mod tests {
         assert!(EngineError::InvalidPipelineDepth.to_string().contains("stage"));
         let range = EngineError::RangePolicyOnSweep(BudgetPolicy::FullRange).to_string();
         assert!(range.contains("`full-range`") && range.contains("exploration"), "{range}");
+        let large = EngineError::LatencyTooLarge { latency: 1, pipeline_depth: u32::MAX };
+        assert_eq!(
+            large.to_string(),
+            "effective latency 1 x 4294967295 = 4294967295 exceeds MAX_LATENCY (4096 steps)"
+        );
     }
 
     #[test]

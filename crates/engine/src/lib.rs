@@ -92,6 +92,17 @@ pub use crate::report::{
 };
 pub use crate::scenario::{BranchModel, Scenario, SchedulerKind};
 
+/// The largest latency the engine plans for, in control steps.
+///
+/// [`SweepPlanBuilder::build`] refuses a scenario whose effective latency
+/// (`latency × pipeline_depth`) is larger, with
+/// [`EngineError::LatencyTooLarge`]: every latency allocates per-step rows
+/// in the scheduling kernels.  The sweep service refuses the same limit on
+/// the wire for a scenario latency, an explore budget and an `absolute` or
+/// `cp-plus` budget ceiling.  The largest latency any committed study uses
+/// is 106.
+pub const MAX_LATENCY: u32 = 4096;
+
 /// Permutation bound for the reordering search (matches the exhaustive
 /// limit the Section IV-A ablation uses).
 const REORDER_EXHAUSTIVE_LIMIT: usize = 5;
@@ -188,6 +199,12 @@ impl Engine {
 
     /// [`Engine::run`] with cooperative cancellation and progress hooks —
     /// the entry point long-running services drive.
+    ///
+    /// The pool deals each worker one contiguous block of the plan's
+    /// canonical order, which puts scenarios that differ only in branch
+    /// model, and so share a pipeline prefix, side by side: they run on one
+    /// worker, where the first computes the prefix and the rest hit the
+    /// cache instead of waiting on another worker.
     ///
     /// `progress` is invoked once per completed scenario, concurrently from
     /// the workers, with completed counts covering `1..=total` (failed

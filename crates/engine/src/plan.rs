@@ -10,6 +10,7 @@ use std::collections::BTreeSet;
 use crate::error::EngineError;
 use crate::pareto::BudgetPolicy;
 use crate::scenario::{BranchModel, Scenario, SchedulerKind};
+use crate::MAX_LATENCY;
 
 /// Request for Table III style gate-level metrics on every scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,7 +157,10 @@ impl SweepPlanBuilder {
     ///   [`BudgetPolicy::Fixed`],
     /// * [`EngineError::EmptyPlan`] when no base case was provided,
     /// * [`EngineError::InvalidLatency`] for a zero latency bound,
-    /// * [`EngineError::InvalidPipelineDepth`] for a zero pipeline depth.
+    /// * [`EngineError::InvalidPipelineDepth`] for a zero pipeline depth,
+    /// * [`EngineError::LatencyTooLarge`] for a scenario whose effective
+    ///   latency (`latency × pipeline_depth`) exceeds [`MAX_LATENCY`] (the
+    ///   first such scenario in canonical order).
     pub fn build(self) -> Result<SweepPlan, EngineError> {
         if self.budget_policy != BudgetPolicy::Fixed {
             return Err(EngineError::RangePolicyOnSweep(self.budget_policy));
@@ -209,6 +213,15 @@ impl SweepPlanBuilder {
                     }
                 }
             }
+        }
+
+        // `effective_latency` saturates, so an overflowing product is
+        // refused too.
+        if let Some(scenario) = expanded.iter().find(|s| s.effective_latency() > MAX_LATENCY) {
+            return Err(EngineError::LatencyTooLarge {
+                latency: scenario.latency,
+                pipeline_depth: scenario.pipeline_depth,
+            });
         }
 
         Ok(SweepPlan { scenarios: expanded.into_iter().collect(), gate_level: self.gate_level })
@@ -311,6 +324,34 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(err, EngineError::InvalidPipelineDepth);
+    }
+
+    #[test]
+    fn effective_latency_is_bounded_inclusively_at_max_latency() {
+        let half = MAX_LATENCY / 2;
+        let within = [(MAX_LATENCY, 1), (half, 2)];
+        let over = [(MAX_LATENCY + 1, 1), (MAX_LATENCY, 2), (1, u32::MAX)];
+        let explicit = |latency, depth| {
+            SweepPlan::builder()
+                .scenarios([Scenario::new("dealer", latency).pipeline_depth(depth)])
+                .build()
+        };
+        let matrix = |latency, depth| {
+            SweepPlan::builder()
+                .circuits(["dealer", "gcd"])
+                .latencies([4, latency])
+                .pipeline_depths([depth])
+                .build()
+        };
+        for (latency, depth) in within {
+            assert!(explicit(latency, depth).is_ok(), "{latency} x {depth}");
+            assert_eq!(matrix(latency, depth).unwrap().len(), 4, "{latency} x {depth}");
+        }
+        for (latency, depth) in over {
+            let refused = Err(EngineError::LatencyTooLarge { latency, pipeline_depth: depth });
+            assert_eq!(explicit(latency, depth), refused, "{latency} x {depth}");
+            assert_eq!(matrix(latency, depth), refused, "{latency} x {depth}");
+        }
     }
 
     #[test]

@@ -1,12 +1,21 @@
 //! A hand-rolled work-stealing thread pool over `std::thread`.
 //!
 //! The build environment vendors no external crates, so this is a minimal
-//! scoped fork-join pool: jobs are dealt round-robin onto one deque per
-//! worker; a worker pops from the *front* of its own deque and, when empty,
-//! steals from the *back* of the others, so large scenarios queued on one
-//! worker get redistributed instead of serialising the sweep.  Because jobs
-//! never spawn further jobs, a worker may exit as soon as every deque is
-//! empty.
+//! scoped fork-join pool: the input is dealt onto one deque per worker,
+//! each worker one contiguous block of it (`deal`); a worker pops from
+//! the *front* of its own deque and, when empty, steals from the *back* of
+//! the others, so large items queued on one worker get redistributed
+//! instead of serialising the map.  Because jobs never spawn further jobs,
+//! a worker may exit as soon as every deque is empty.
+//!
+//! Blocks, not round-robin, because items next to each other in input
+//! order often share cached work: a sweep's canonical order puts the
+//! scenarios that differ only in branch model, which share a pipeline
+//! prefix, side by side, so dealt in one block they run on one worker,
+//! one after another, where round-robin would hand them to different
+//! workers that then wait on each other in the prefix cache.  A thief
+//! takes from the far end of its victim's block, away from the items the
+//! victim is about to run.
 //!
 //! Each worker accumulates `(index, result)` pairs in a thread-local buffer
 //! — the write path takes no lock per item — and after the workers join,
@@ -114,12 +123,7 @@ where
         return Some(results);
     }
 
-    // Deal jobs round-robin onto one deque per worker.
-    let queues: Vec<Mutex<VecDeque<(usize, T)>>> =
-        (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (index, item) in items.into_iter().enumerate() {
-        queues[index % threads].lock().expect("queue lock").push_back((index, item));
-    }
+    let queues = deal(items, threads);
 
     // Single pre-sized result buffer, filled at disjoint indices after the
     // workers hand back their locally buffered results.
@@ -166,6 +170,19 @@ where
     Some(results.into_iter().map(|slot| slot.expect("every job ran")).collect())
 }
 
+/// Deals `items` onto `threads` deques (`1 <= threads <= items.len()`):
+/// item `index` goes to worker `index * threads / jobs`, so each deque
+/// holds one contiguous block of the input in input order, and block sizes
+/// differ by at most one (see the module docs for why blocks).
+fn deal<T>(items: Vec<T>, threads: usize) -> Vec<Mutex<VecDeque<(usize, T)>>> {
+    let jobs = items.len();
+    let mut queues: Vec<VecDeque<(usize, T)>> = (0..threads).map(|_| VecDeque::new()).collect();
+    for (index, item) in items.into_iter().enumerate() {
+        queues[index * threads / jobs].push_back((index, item));
+    }
+    queues.into_iter().map(Mutex::new).collect()
+}
+
 /// Pops the next job: own deque front first, then steal from the back of
 /// the other deques. `None` means every deque is empty, and since jobs never
 /// enqueue new jobs the worker can exit.
@@ -187,6 +204,32 @@ fn next_job<T>(queues: &[Mutex<VecDeque<(usize, T)>>], worker: usize) -> Option<
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn deal_gives_each_worker_one_contiguous_block() {
+        for jobs in 1..=50 {
+            for threads in (1..=9).map(|t: usize| t.min(jobs)) {
+                let queues = deal((0..jobs).collect::<Vec<usize>>(), threads);
+                assert_eq!(queues.len(), threads);
+                let blocks: Vec<Vec<usize>> = queues
+                    .into_iter()
+                    .map(|queue| {
+                        let queue = queue.into_inner().unwrap();
+                        assert!(queue.iter().all(|&(index, item)| index == item));
+                        queue.into_iter().map(|(index, _)| index).collect()
+                    })
+                    .collect();
+                let at = format!("jobs={jobs} threads={threads}");
+                // Worker by worker, the blocks concatenate to 0..jobs: each
+                // block is one ascending contiguous run, and every index is
+                // dealt exactly once.
+                assert_eq!(blocks.concat(), (0..jobs).collect::<Vec<_>>(), "{at}");
+                let sizes: Vec<usize> = blocks.iter().map(Vec::len).collect();
+                let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+                assert!(*min >= 1 && max - min <= 1, "{at}: block sizes {sizes:?}");
+            }
+        }
+    }
 
     #[test]
     fn preserves_input_order_for_any_thread_count() {

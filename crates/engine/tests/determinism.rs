@@ -19,19 +19,28 @@ fn mixed_plan() -> SweepPlan {
         .expect("valid plan")
 }
 
+/// The pool deals each worker one contiguous block of the plan.  At 3
+/// threads a block boundary cuts a run of prefix-sharing scenarios, and
+/// the latency-3 × depth-2 scenarios share their prefix with the
+/// latency-6 × depth-1 ones, which are not adjacent; neither may change
+/// the report or the cold engine's cache counters.
 #[test]
 fn report_is_byte_identical_across_thread_counts() {
     let plan = mixed_plan();
-    let reference = Engine::new().run(&plan, 1);
+    let reference_engine = Engine::new();
+    let reference = reference_engine.run(&plan, 1);
+    let reference_stats = reference_engine.cache_stats();
     let reference_json = reference.to_json();
     let reference_csv = reference.to_csv();
     assert_eq!(reference.records.len(), plan.len());
 
-    for threads in [2, 8] {
-        let report = Engine::new().run(&plan, threads);
+    for threads in [2, 3, 8] {
+        let engine = Engine::new();
+        let report = engine.run(&plan, threads);
         assert_eq!(report, reference, "records differ at {threads} threads");
         assert_eq!(report.to_json(), reference_json, "json differs at {threads} threads");
         assert_eq!(report.to_csv(), reference_csv, "csv differs at {threads} threads");
+        assert_eq!(engine.cache_stats(), reference_stats, "cache stats at {threads} threads");
     }
 }
 

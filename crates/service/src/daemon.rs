@@ -26,12 +26,12 @@
 //!
 //! Robustness: a connection reads at most [`MAX_REQUEST_LINE`] bytes per
 //! request, the JSON parser bounds nesting ([`crate::json::MAX_DEPTH`]),
-//! job latencies are bounded at parse time
-//! ([`crate::protocol::MAX_LATENCY`]), and a job that panics is contained
-//! at the job boundary — it ends `Failed` with the panic message and the
-//! executor moves on to the next queued job.  Writes are buffered per
-//! connection: each line is framed as one write, and a submit connection
-//! flushes once per burst of queued events.
+//! job latencies are bounded at parse time and a sweep's effective
+//! latencies when its plan is built ([`engine::MAX_LATENCY`]), and a job
+//! that panics is contained at the job boundary — it ends `Failed` with
+//! the panic message and the executor moves on to the next queued job.
+//! Writes are buffered per connection: each line is framed as one write,
+//! and a submit connection flushes once per burst of queued events.
 
 use std::collections::BTreeSet;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};

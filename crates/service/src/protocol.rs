@@ -26,20 +26,12 @@ use std::borrow::Cow;
 
 use engine::{
     BranchModel, BudgetCeiling, BudgetPolicy, CacheStats, ExploreRequest, GateLevelSpec, Scenario,
-    SchedulerKind, VoltagePolicy,
+    SchedulerKind, VoltagePolicy, MAX_LATENCY,
 };
 
 use crate::admission::{RejectReason, Rejection};
 use crate::jobs::{JobKind, JobState};
 use crate::json::Json;
-
-/// The largest latency a job may carry on the wire, in control steps: a
-/// sweep scenario's latency, an explore budget, and an `absolute` or
-/// `cp-plus` budget ceiling.  An explorer plans every budget point up to
-/// its ceiling before it maps any, so an unbounded ceiling could ask for
-/// billions of points; larger values are refused at parse time with an
-/// `error` response.  The largest latency any committed study uses is 106.
-pub const MAX_LATENCY: u32 = 4096;
 
 /// A client-to-daemon message.
 #[derive(Debug, Clone, PartialEq)]
@@ -663,7 +655,14 @@ fn ceiling_from_json(json: &Json) -> Result<BudgetCeiling, String> {
     Err("ceiling needs `absolute` or `cp-plus`".to_owned())
 }
 
-/// Refuses a latency-like value (`what` names it) above [`MAX_LATENCY`].
+/// Refuses a latency-like value (`what` names it) above [`MAX_LATENCY`]:
+/// a sweep scenario's latency, an explore budget, and an `absolute` or
+/// `cp-plus` budget ceiling.  An explorer plans every budget point up to
+/// its ceiling before it maps any, so an unbounded ceiling could ask for
+/// billions of points; larger values are refused at parse time with an
+/// `error` response.  A scenario's pipeline depth is not bounded here:
+/// the plan refuses an effective latency above the limit when the job
+/// runs ([`engine::EngineError::LatencyTooLarge`]).
 fn bounded_latency(what: &str, steps: u32) -> Result<u32, String> {
     if steps > MAX_LATENCY {
         return Err(format!("{what} {steps} exceeds MAX_LATENCY ({MAX_LATENCY} steps)"));

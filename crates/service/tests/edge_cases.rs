@@ -298,7 +298,7 @@ fn an_explore_ceiling_above_max_latency_gets_an_error_and_the_next_job_completes
         .expect_err("the ceiling is over the limit");
     match err {
         ServiceError::Daemon(detail) => {
-            let limit = service::protocol::MAX_LATENCY.to_string();
+            let limit = engine::MAX_LATENCY.to_string();
             assert!(detail.contains("4294967295") && detail.contains(&limit), "{detail}");
         }
         other => panic!("expected an error response, got {other}"),
@@ -312,6 +312,38 @@ fn an_explore_ceiling_above_max_latency_gets_an_error_and_the_next_job_completes
         .expect("the next job runs");
     assert_eq!(outcome.state, JobState::Done, "{:?}", outcome.error);
     assert_eq!(outcome.failures, Some(0));
+    daemon.shutdown();
+    daemon.join();
+}
+
+/// The wire bounds a scenario's latency but not its pipeline depth, so
+/// `latency × pipeline_depth` can pass parsing far above the limit (it
+/// used to be scheduled at a saturated `u32::MAX` steps).  The plan
+/// refuses it: the job ends `failed` with the plan's typed error naming
+/// the limit, and the next job on the same connection runs to completion.
+#[test]
+fn a_sweep_job_over_the_effective_latency_limit_fails_and_the_next_job_completes() {
+    let daemon = start_daemon("deep-pipeline");
+    let mut client = Client::connect(daemon.socket()).expect("connect");
+    let limit = engine::MAX_LATENCY;
+    let outcome = client
+        .submit_and_wait(JobSpec::sweep(vec![
+            Scenario::new("dealer", limit).pipeline_depth(u32::MAX)
+        ]))
+        .expect("the job is admitted and ends");
+    assert_eq!(outcome.state, JobState::Failed, "{:?}", outcome.report);
+    let expected =
+        engine::EngineError::LatencyTooLarge { latency: limit, pipeline_depth: u32::MAX };
+    let error = outcome.error.expect("failed jobs carry an error");
+    assert_eq!(error, expected.to_string());
+    assert!(error.contains("MAX_LATENCY (4096 steps)"), "{error}");
+    assert_eq!(outcome.report, None);
+
+    let next = client
+        .submit_and_wait(JobSpec::sweep(vec![Scenario::new("dealer", 6).pipeline_depth(2)]))
+        .expect("the next job runs");
+    assert_eq!(next.state, JobState::Done, "{:?}", next.error);
+    assert_eq!(next.failures, Some(0));
     daemon.shutdown();
     daemon.join();
 }
