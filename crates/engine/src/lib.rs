@@ -97,10 +97,11 @@ pub use crate::scenario::{BranchModel, Scenario, SchedulerKind};
 /// [`SweepPlanBuilder::build`] refuses a scenario whose effective latency
 /// (`latency × pipeline_depth`) is larger, with
 /// [`EngineError::LatencyTooLarge`]: every latency allocates per-step rows
-/// in the scheduling kernels.  The sweep service refuses the same limit on
-/// the wire for a scenario latency, an explore budget and an `absolute` or
-/// `cp-plus` budget ceiling.  The largest latency any committed study uses
-/// is 106.
+/// in the scheduling kernels.  [`Engine::explore`] records a budget, or a
+/// resolved budget ceiling, above the limit as a failure and plans no point
+/// for it.  The sweep service refuses the same limit on the wire for a
+/// scenario latency, an explore budget and an `absolute` or `cp-plus`
+/// budget ceiling.  The largest latency any committed study uses is 106.
 pub const MAX_LATENCY: u32 = 4096;
 
 /// Permutation bound for the reordering search (matches the exhaustive

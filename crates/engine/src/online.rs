@@ -7,8 +7,10 @@
 //! one warm [`sched::force::RepairWorkspace`] per live circuit and drives
 //! each [`gen::StreamEvent`] through [`sched::force::repair`], which keeps
 //! the repaired schedule **bit-identical to a cold recompute at the new
-//! parameters** while touching only the nodes the delta actually
-//! invalidated (per-event [`RepairStats`]).
+//! parameters**.  A budget the circuit already visited replays its memo
+//! entry and one below the critical path fails in O(1), both at zero
+//! work; any other budget is a cold recompute on the workspace's kept
+//! buffers (per-event [`RepairStats`]).
 //!
 //! # Online vs. offline savings
 //!
@@ -107,7 +109,8 @@ pub struct EventRecord {
 /// Warm per-circuit state while the circuit is live.
 #[derive(Debug)]
 struct CircuitSession {
-    /// The repair workspace: cached timing invariants + schedule memo.
+    /// The repair workspace: critical path, schedule memo and kernel
+    /// buffers.
     rw: RepairWorkspace,
     /// Current latency budget.
     budget: u32,
@@ -537,7 +540,8 @@ pub struct VerifiedOutcome {
     /// (0 when `cold_identical`).
     pub mismatches: usize,
     /// Median of per-event `nodes_touched / cold nodes_touched` over all
-    /// schedule-producing events (arrivals and budget steps).
+    /// schedule-producing events (arrivals and budget steps): 0 for a memo
+    /// hit, 1 for a kernel run.
     pub median_touched_ratio: f64,
     /// Mean of the same ratio.
     pub mean_touched_ratio: f64,
@@ -547,9 +551,11 @@ pub struct VerifiedOutcome {
 /// event the affected circuit's schedule is recomputed cold at the final
 /// parameters and byte-compared, failed events are checked to fail cold
 /// with the same message, and every repair's touched-node count is set
-/// against the cold run's.  This costs a cold recompute per event — it is
-/// the *measurement* of what repair saves, used by `onlineweep` and the
-/// repair-economy tests; production paths use [`run_stream`].
+/// against a fresh workspace's (0 for a memo hit, 1 for a kernel run,
+/// which costs exactly what the fresh run costs).  This costs a cold
+/// recompute per event — it is the *measurement* of what the memo saves,
+/// used by `onlineweep` and the repair-economy tests; production paths use
+/// [`run_stream`].
 ///
 /// # Errors
 ///

@@ -40,7 +40,7 @@ use power::voltage::{voltage_scaled_estimate, VoltageAssignment, VoltageTable};
 
 use crate::report::{csv_field, dominates, json_number, json_string};
 use crate::scenario::BranchModel;
-use crate::{pool, select_probabilities, Engine};
+use crate::{pool, select_probabilities, Engine, MAX_LATENCY};
 
 pub use power::dvs::DelayScaling;
 pub use power::voltage::{VoltagePolicy, VoltagePreset};
@@ -414,6 +414,11 @@ impl Engine {
     /// degenerate estimates) are recorded per budget, never aborting the
     /// exploration.
     ///
+    /// No point above [`MAX_LATENCY`] is planned: a fixed budget above it
+    /// is recorded as a failure of its own, and a range walk whose ceiling
+    /// resolves above it records one failure at the ceiling and walks
+    /// nothing.
+    ///
     /// Unlike [`Engine::run`], this path bypasses the prefix memo cache:
     /// each budget point is computed from scratch (one selection loop and
     /// the final HYPER pass) and shares no state with the next.
@@ -431,7 +436,7 @@ impl Engine {
     /// (the service entry point, mirroring [`Engine::run_controlled`]).
     ///
     /// One progress item is one (circuit, budget) point; an unknown circuit
-    /// contributes none.  `cancel` is checked at point boundaries: once
+    /// and a budget above [`MAX_LATENCY`] contribute none.  `cancel` is checked at point boundaries: once
     /// set, no further point starts and the exploration returns `None`; an
     /// uncancelled exploration returns a report bit-identical to
     /// [`Engine::explore`]'s.
@@ -444,26 +449,38 @@ impl Engine {
         progress: Option<&(dyn Fn(crate::Progress) + Sync)>,
     ) -> Option<ParetoReport> {
         // Plan every point: request order, then ascending budget order.
+        // Budgets above the limit are refused here, before any is planned.
         let mut points: Vec<(&Cdfg, u32)> = Vec::new();
-        let walks: Vec<Option<(u32, usize)>> = requests
+        let walks: Vec<_> = requests
             .iter()
             .map(|request| {
                 let cdfg: &Cdfg = self.circuit(&request.circuit)?;
                 let critical_path = cdfg.critical_path_length();
                 let planned = points.len();
+                let mut refused = Vec::new();
                 match options.policy {
                     BudgetPolicy::Fixed => {
                         let mut budgets = request.budgets.clone();
                         budgets.sort_unstable();
                         budgets.dedup();
-                        points.extend(budgets.into_iter().map(|budget| (cdfg, budget)));
+                        for budget in budgets {
+                            if budget > MAX_LATENCY {
+                                refused.push((budget, over_limit("budget", budget)));
+                            } else {
+                                points.push((cdfg, budget));
+                            }
+                        }
                     }
                     BudgetPolicy::FullRange | BudgetPolicy::Pareto => {
                         let ceiling = options.ceiling.resolve(critical_path);
-                        points.extend((critical_path..=ceiling).map(|budget| (cdfg, budget)));
+                        if ceiling > MAX_LATENCY {
+                            refused.push((ceiling, over_limit("budget ceiling", ceiling)));
+                        } else {
+                            points.extend((critical_path..=ceiling).map(|budget| (cdfg, budget)));
+                        }
                     }
                 }
-                Some((critical_path, points.len() - planned))
+                Some((critical_path, points.len() - planned, refused))
             })
             .collect();
         let mut outcomes = pool::parallel_map_controlled(
@@ -479,7 +496,7 @@ impl Engine {
             .zip(walks)
             .map(|(request, walk)| {
                 let circuit = request.circuit.clone();
-                let Some((critical_path, planned)) = walk else {
+                let Some((critical_path, planned, refused)) = walk else {
                     let failures = vec![(0, format!("unknown circuit `{circuit}`"))];
                     return CircuitExploration {
                         circuit,
@@ -496,6 +513,8 @@ impl Engine {
                         Err(e) => failures.push((budget, e)),
                     }
                 }
+                // Every refused budget lies above every planned one.
+                failures.extend(refused);
                 mark_front(&mut points);
                 if options.policy == BudgetPolicy::Pareto {
                     points.retain(|p| p.on_front);
@@ -510,6 +529,12 @@ impl Engine {
             circuits,
         })
     }
+}
+
+/// The failure recorded for a budget (`what` names it) above
+/// [`MAX_LATENCY`]; the wire refuses the same values in the same words.
+fn over_limit(what: &str, steps: u32) -> String {
+    format!("{what} {steps} exceeds MAX_LATENCY ({MAX_LATENCY} steps)")
 }
 
 /// Scores one (circuit, budget) point: one `power_manage` call, then the
@@ -690,6 +715,41 @@ mod tests {
         assert_eq!(dealer.failures[0].0, 0);
         assert!(dealer.failures[0].1.contains("latency of 0"), "{:?}", dealer.failures);
         assert_eq!(dealer.points.len(), 1, "budget 6 still succeeds");
+    }
+
+    #[test]
+    fn budgets_above_max_latency_are_failures_not_plans() {
+        // Each of these would plan billions of points (or size kernel rows
+        // for a billion steps) if the explorer did not refuse it first.
+        let engine = Engine::new();
+        let requests = [ExploreRequest::new("abs_diff")];
+        for ceiling in
+            [BudgetCeiling::CriticalPathPlus(u32::MAX), BudgetCeiling::Absolute(u32::MAX)]
+        {
+            let options = full_range(DelayScaling::Quadratic).ceiling(ceiling);
+            let walk = engine.explore(&requests, &options, 2).circuits.remove(0);
+            assert!(walk.points.is_empty(), "{ceiling:?}");
+            assert_eq!(
+                walk.failures,
+                vec![(
+                    u32::MAX,
+                    "budget ceiling 4294967295 exceeds MAX_LATENCY (4096 steps)".to_owned()
+                )],
+                "{ceiling:?}"
+            );
+        }
+        let report = engine.explore(
+            &[ExploreRequest::new("abs_diff").budgets([MAX_LATENCY + 1, 3, MAX_LATENCY])],
+            &ExploreOptions::new(),
+            2,
+        );
+        let fixed = report.circuit("abs_diff").unwrap();
+        let budgets: Vec<u32> = fixed.points.iter().map(|p| p.budget).collect();
+        assert_eq!(budgets, vec![3, MAX_LATENCY], "the request's other budgets still run");
+        assert_eq!(
+            fixed.failures,
+            vec![(MAX_LATENCY + 1, "budget 4097 exceeds MAX_LATENCY (4096 steps)".to_owned())]
+        );
     }
 
     #[test]

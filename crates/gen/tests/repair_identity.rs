@@ -1,8 +1,8 @@
 //! Repair-identity property tests: `sched::force::repair` must produce
 //! schedules **bit-identical** to a cold `sched::force::schedule` at the
 //! final parameters after *every* event of an online stream — across all
-//! four generated circuit families, arbitrary seeds, warm/memoized/full
-//! repair paths, and workspace rebinds — and must surface the same typed
+//! four generated circuit families, arbitrary seeds, memo hits and kernel
+//! runs, and workspace rebinds — and must surface the same typed
 //! `ScheduleError` as a cold run when a budget tightens below the
 //! critical path.
 //!
@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use gen::{Family, GenSpec, StreamEvent, StreamSpec};
 use proptest::prelude::*;
 use sched::error::ScheduleError;
-use sched::{force, repair, RepairWorkspace};
+use sched::{force, repair, RepairStats, RepairWorkspace};
 
 /// Builds the spec for one generated circuit of the given family with
 /// family-appropriate size knobs (mirrors the schedule-identity suite).
@@ -102,10 +102,11 @@ proptest! {
         prop_assert!(checked > 0, "stream produced no schedule-producing events");
     }
 
-    /// Mixed paths agree: a single warm workspace walking a budget
-    /// sequence (memo hits, warm kernel runs, full-recompute fallbacks
-    /// interleaved) stays equal to a *fresh* workspace's full recompute
-    /// and to the cold scheduler at every step.
+    /// Mixed paths agree: a single reused workspace walking a budget
+    /// sequence (memo hits and kernel runs interleaved) stays equal to a
+    /// *fresh* workspace's full recompute and to the cold scheduler at
+    /// every step, and every event that does work costs exactly what the
+    /// fresh workspace's cold run costs.
     #[test]
     fn mixed_repair_and_recompute_paths_agree(
         family in family_strategy(),
@@ -119,13 +120,19 @@ proptest! {
         let mut warm = RepairWorkspace::new();
         for slack in walk {
             let budget = cp + slack;
-            let (warm_result, _) = repair(&bench.cdfg, budget, &mut warm);
+            let (warm_result, warm_stats) = repair(&bench.cdfg, budget, &mut warm);
             let warm_schedule = warm_result.expect("feasible budget");
             let mut fresh = RepairWorkspace::new();
             let (fresh_result, fresh_stats) = repair(&bench.cdfg, budget, &mut fresh);
             prop_assert!(fresh_stats.full_recompute, "first sight always recomputes");
+            if warm_stats != RepairStats::default() {
+                prop_assert_eq!(
+                    warm_stats, fresh_stats,
+                    "a kernel run costs what a cold run costs on {} at {}", &bench.name, budget
+                );
+            }
             let cold = force::schedule(&bench.cdfg, budget).expect("feasible budget");
-            prop_assert_eq!(&warm_schedule, &cold, "warm path drifted on {}", &bench.name);
+            prop_assert_eq!(&warm_schedule, &cold, "reused workspace drifted on {}", &bench.name);
             prop_assert_eq!(
                 &fresh_result.expect("feasible budget"), &cold,
                 "full path drifted on {}", &bench.name
@@ -134,8 +141,8 @@ proptest! {
     }
 
     /// A budget that tightens below the critical path surfaces the same
-    /// typed error a cold run produces — both from the warm O(1) check
-    /// and from a first-sight full recompute.
+    /// typed error a cold run produces — both from the bound circuit's
+    /// O(1) check and from a first-sight full recompute.
     #[test]
     fn infeasible_tighten_errors_match_cold(
         family in family_strategy(),
@@ -156,7 +163,7 @@ proptest! {
         let mut rw = RepairWorkspace::new();
         let (first, _) = repair(&bench.cdfg, cp - 1, &mut rw);
         prop_assert_eq!(first.expect_err("sub-critical budget"), cold.clone());
-        // After a feasible repair seeds the invariants, the warm O(1)
+        // Once the workspace has bound the critical path, the O(1)
         // feasibility check must produce the identical typed error.
         let (seeded, _) = repair(&bench.cdfg, cp, &mut rw);
         seeded.expect("critical path is feasible");

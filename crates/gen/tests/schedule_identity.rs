@@ -137,9 +137,9 @@ fn latency_sweep_identity_per_family() {
 /// buffers that outlive a call) walked down the whole budget range of
 /// every family's circuit, rebinding from one circuit to the next, must
 /// produce schedules bit-identical to cold per-budget runs of the naive
-/// reference.  Far above the critical path every node is mobile and
-/// `repair` recomputes in full on the reused buffers; near it the walk
-/// takes the warm delta path.
+/// reference.  Every budget of the walk is new to the workspace, so each
+/// one runs the timing analysis and the kernel on buffers the previous
+/// budget, or the previous circuit, left behind.
 #[test]
 fn warm_started_full_range_walks_match_cold_naive_runs() {
     let mut rw = RepairWorkspace::new();

@@ -367,51 +367,35 @@ pub(crate) fn schedule_with_timing_into(
     Kernel::init(cdfg, timing, ws).run()
 }
 
-/// Mobile-node fraction above which [`repair`] falls back to a full
-/// recompute (`CASCADE_NUM / CASCADE_DEN`).  When a budget delta leaves
-/// most of the graph mobile, the cascade covers essentially the whole
-/// circuit: there is no bounded re-work left to exploit, so the event is
-/// accounted as a full recompute and the cached analysis is refreshed from
-/// scratch.
-const CASCADE_NUM: usize = 3;
-/// See [`CASCADE_NUM`].
-const CASCADE_DEN: usize = 4;
-
-/// Per-event cost accounting for [`repair`]: how much of the graph one
-/// incremental step actually re-derived.  The online engine's audited
-/// replay (`engine::online::run_stream_verified`) aggregates these into
-/// the touched-nodes ratio against a cold recompute.
+/// Per-event cost accounting for [`repair`].  An event either does no
+/// work — a memo hit, or a budget below the bound critical path — and
+/// reports all zeros, or runs the kernel cold and reports what that run
+/// cost, the same figures a fresh workspace reports at that budget.  The
+/// online engine's audited replay (`engine::online::run_stream_verified`)
+/// sets these against a fresh workspace's.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepairStats {
-    /// Nodes whose schedule-relevant state was re-derived: kernel frame
-    /// updates (fixes and propagation steps, counted once per node per
-    /// iteration), plus — on the full-recompute path only — one per
-    /// functional node for the timing analysis itself.  Memo hits and the
-    /// O(1) infeasibility fast path touch zero nodes.
+    /// One per functional node for the timing analysis, plus the kernel's
+    /// frame updates (fixes and propagation steps, counted once per node
+    /// per iteration).
     pub nodes_touched: usize,
     /// Distribution-graph rows the kernel rebuilt.
     pub classes_rebuilt: usize,
-    /// Whether this event fell back to a cold recompute (first sight of the
-    /// circuit, or a cascade past the `CASCADE_NUM` threshold).
+    /// Whether the event ran a timing analysis (and, at a feasible budget,
+    /// the kernel): every event that does any work.
     pub full_recompute: bool,
 }
 
-/// Warm per-circuit state for the online repair path: the kernel's scratch
-/// buffers and timing analysis, kept across events, plus the
-/// latency-independent invariants that let a budget event skip the timing
-/// analysis, and a schedule memo over budgets already visited.  This is the
-/// only place the kernel's buffers outlive one call.
+/// Per-circuit state for the online repair path: the critical path and a
+/// schedule memo of the bound circuit, and the timing and kernel buffers,
+/// kept across events.  This is the only place the kernel's buffers
+/// outlive one call.
 ///
 /// A workspace binds itself to the first circuit it sees (keyed by name and
 /// slot count, the same identity the engine's caches use) and rebinds —
-/// dropping every cache — when handed a different one.  The caches:
+/// dropping the memo — when handed a different one.  Two things are
+/// reused across events:
 ///
-/// * `asap` is latency-independent, and `alap(n) = latency − height(n)`
-///   where `height` is the latency-independent longest functional path
-///   towards the outputs, so a pure budget change rebuilds the timing
-///   analysis as a uniform shift (`Timing::rebuild_from_heights`) — the
-///   closed form of `Timing::tighten`'s endpoint re-propagation for this
-///   delta class.
 /// * `critical_path` makes infeasibility O(1), surfacing the *same* typed
 ///   [`ScheduleError::LatencyTooSmall`] a cold run produces.
 /// * `memo` holds one schedule per budget already visited; event streams
@@ -419,28 +403,21 @@ pub struct RepairStats {
 ///   touched nodes.  The map is bounded by the number of distinct feasible
 ///   budgets the stream visits.
 ///
-/// Every path produces schedules **bit-identical** to a cold
-/// [`schedule`] at the same parameters: the warm path runs the identical
-/// kernel on an identical (rebuilt) analysis, memo entries were produced by
-/// that same kernel, and the fallback *is* a cold run on warm buffers.
+/// Every other event is a cold run on the kept buffers, so every schedule
+/// is **bit-identical** to a cold [`schedule`] at the same parameters.
 #[derive(Debug, Default)]
 pub struct RepairWorkspace {
     ws: Workspace,
-    /// The ASAP/ALAP analysis of the last kernel run, rebuilt in place.
+    /// The ASAP/ALAP analysis of the last kernel run, recomputed in place.
     timing: Timing,
     /// Name of the bound circuit (`None` until first use).
     circuit: Option<String>,
     /// Slot count of the bound circuit, guarding against name reuse across
     /// structurally different graphs.
     slots: usize,
-    /// Cached ASAP values (latency-independent).
-    asap: Vec<u32>,
-    /// Cached sink heights: `alap(n) = latency − height(n)`.
-    height: Vec<u32>,
-    /// Cached critical path (max ASAP, control edges included).
+    /// Critical path of the bound circuit (max ASAP, control edges
+    /// included).
     critical_path: u32,
-    /// Functional node count of the bound circuit.
-    functional: usize,
     /// Schedules already produced, by budget.
     memo: BTreeMap<u32, Schedule>,
 }
@@ -450,48 +427,14 @@ impl RepairWorkspace {
     pub fn new() -> Self {
         RepairWorkspace::default()
     }
-
-    /// The bound circuit's critical path, once bound.
-    pub fn critical_path(&self) -> Option<u32> {
-        self.circuit.as_ref().map(|_| self.critical_path)
-    }
-
-    /// The name of the bound circuit, if any.
-    pub fn bound_circuit(&self) -> Option<&str> {
-        self.circuit.as_deref()
-    }
-
-    /// Drops every cache; the next [`repair`] call performs a full
-    /// recompute and rebinds.
-    pub fn reset(&mut self) {
-        self.circuit = None;
-        self.memo.clear();
-    }
-
-    /// Harvests the latency-independent invariants from a just-computed
-    /// feasible analysis.
-    fn cache_invariants(&mut self, cdfg: &Cdfg, timing: &Timing) {
-        let slices = cdfg.slices();
-        let latency = timing.latency();
-        let slots = slices.slot_count();
-        self.asap.clear();
-        self.asap.resize(slots, 0);
-        self.height.clear();
-        self.height.resize(slots, 0);
-        for &n in slices.functional() {
-            self.asap[n.index()] = timing.asap(n);
-            self.height[n.index()] = latency - timing.alap(n);
-        }
-        self.critical_path = timing.min_latency();
-        self.functional = slices.functional().len();
-    }
 }
 
-/// Repairs the schedule of `cdfg` for a (possibly) new `latency`, reusing
-/// everything `rw` learned from previous events on the same circuit.  The
-/// returned schedule (or error) is bit-identical to a cold
-/// [`schedule`]`(cdfg, latency)`; the [`RepairStats`] say how much work the
-/// event actually cost (see [`RepairWorkspace`] for the fast paths).
+/// Repairs the schedule of `cdfg` for a (possibly) new `latency`.  A budget
+/// the bound circuit already visited replays its memo entry, and one below
+/// its critical path fails in O(1); anything else runs a cold timing
+/// analysis and the force kernel on `rw`'s buffers.  The returned schedule
+/// (or error) is bit-identical to a cold [`schedule`]`(cdfg, latency)`; the
+/// [`RepairStats`] say what the event cost.
 ///
 /// # Errors
 ///
@@ -508,93 +451,47 @@ pub fn repair(
         return (Err(ScheduleError::zero_latency(cdfg)), RepairStats::default());
     }
     let slices = cdfg.slices();
-    let bound = rw.circuit.as_deref() == Some(cdfg.name()) && rw.slots == slices.slot_count();
-    if !bound {
+    if rw.circuit.as_deref() == Some(cdfg.name()) && rw.slots == slices.slot_count() {
+        // `min_latency()` is the same at every latency, so the typed error
+        // is cold-identical.
+        if latency < rw.critical_path {
+            return (
+                Err(ScheduleError::LatencyTooSmall {
+                    requested: latency,
+                    critical_path: rw.critical_path,
+                }),
+                RepairStats::default(),
+            );
+        }
+        // The memo entry was produced by the identical kernel.
+        if let Some(found) = rw.memo.get(&latency) {
+            return (Ok(found.clone()), RepairStats::default());
+        }
+    } else {
         rw.circuit = Some(cdfg.name().to_owned());
         rw.slots = slices.slot_count();
         rw.memo.clear();
-        return repair_full(cdfg, latency, rw);
     }
 
-    // O(1) infeasibility: `min_latency()` equals the cached critical path
-    // at every latency, so the typed error is cold-identical.
-    if latency < rw.critical_path {
-        return (
-            Err(ScheduleError::LatencyTooSmall {
-                requested: latency,
-                critical_path: rw.critical_path,
-            }),
-            RepairStats::default(),
-        );
+    rw.timing.compute_into(cdfg, latency);
+    rw.critical_path = rw.timing.min_latency();
+    let functional = slices.functional().len();
+    if !rw.timing.is_feasible() {
+        let error =
+            ScheduleError::LatencyTooSmall { requested: latency, critical_path: rw.critical_path };
+        let stats =
+            RepairStats { nodes_touched: functional, classes_rebuilt: 0, full_recompute: true };
+        return (Err(error), stats);
     }
-
-    // Revisited budget: the memo entry was produced by the identical
-    // kernel, so replaying it is a zero-work repair.
-    if let Some(found) = rw.memo.get(&latency) {
-        return (Ok(found.clone()), RepairStats::default());
-    }
-
-    // Cascade check: when the new budget leaves most nodes mobile, the
-    // delta has degenerated to a whole-graph reschedule.
-    let mobile = slices
-        .functional()
-        .iter()
-        .filter(|n| latency - rw.height[n.index()] > rw.asap[n.index()])
-        .count();
-    if mobile * CASCADE_DEN > rw.functional * CASCADE_NUM {
-        return repair_full(cdfg, latency, rw);
-    }
-
-    // Warm path: rebuild the analysis from the cached invariants (no
-    // per-node re-derivation) and run the kernel, which fixes every
-    // width-1 frame up front and only works the mobile cascade.
-    let mut timing = std::mem::take(&mut rw.timing);
-    timing.rebuild_from_heights(latency, &rw.asap, &rw.height);
-    let result = schedule_with_timing_into(cdfg, &timing, &mut rw.ws);
-    rw.timing = timing;
-    let stats = RepairStats {
-        nodes_touched: rw.ws.touched,
-        classes_rebuilt: rw.ws.rebuilt,
-        full_recompute: false,
-    };
+    let result = schedule_with_timing_into(cdfg, &rw.timing, &mut rw.ws);
     if let Ok(found) = &result {
         rw.memo.insert(latency, found.clone());
     }
-    (result, stats)
-}
-
-/// The full-recompute path of [`repair`]: a cold timing analysis plus a
-/// kernel run on warm buffers, refreshing the cached invariants on the way.
-/// Bit-identical to [`schedule`] by construction.
-fn repair_full(
-    cdfg: &Cdfg,
-    latency: u32,
-    rw: &mut RepairWorkspace,
-) -> (Result<Schedule, ScheduleError>, RepairStats) {
-    let mut timing = std::mem::take(&mut rw.timing);
-    timing.compute_into(cdfg, latency);
-    let result = if timing.is_feasible() {
-        rw.cache_invariants(cdfg, &timing);
-        schedule_with_timing_into(cdfg, &timing, &mut rw.ws)
-    } else {
-        let critical_path = timing.min_latency();
-        // Future events need the invariants of a *feasible* analysis;
-        // harvest them at the critical path itself.
-        timing.compute_into(cdfg, critical_path.max(1));
-        rw.cache_invariants(cdfg, &timing);
-        rw.ws.touched = 0;
-        rw.ws.rebuilt = 0;
-        Err(ScheduleError::LatencyTooSmall { requested: latency, critical_path })
-    };
-    rw.timing = timing;
     let stats = RepairStats {
-        nodes_touched: rw.functional + rw.ws.touched,
+        nodes_touched: functional + rw.ws.touched,
         classes_rebuilt: rw.ws.rebuilt,
         full_recompute: true,
     };
-    if let Ok(found) = &result {
-        rw.memo.insert(latency, found.clone());
-    }
     (result, stats)
 }
 
@@ -1113,9 +1010,9 @@ mod tests {
 
     #[test]
     fn repair_is_bit_identical_to_cold_schedules_across_budget_walks() {
-        // A reflecting budget walk over one warm workspace: every repaired
-        // schedule must equal a cold run, whichever internal path (full,
-        // warm kernel, memo) served it.
+        // A reflecting budget walk over one workspace: every repaired
+        // schedule must equal a cold run, whether a kernel run or the memo
+        // served it.
         let (g, ..) = abs_diff();
         let mut rw = RepairWorkspace::new();
         let walk = [2u32, 3, 4, 3, 2, 5, 4, 4, 2, 7, 3];
@@ -1126,8 +1023,12 @@ mod tests {
                 assert!(stats.full_recompute, "first sight is a full recompute");
             }
         }
-        assert_eq!(rw.critical_path(), Some(2));
-        assert_eq!(rw.bound_circuit(), Some("abs_diff"));
+        // The bound critical path shows one step below it: a zero-work
+        // error equal to a cold run's.
+        assert_eq!(
+            repair(&g, 1, &mut rw),
+            (Err(schedule(&g, 1).unwrap_err()), RepairStats::default())
+        );
     }
 
     #[test]
@@ -1179,30 +1080,15 @@ mod tests {
         let (got, stats) = repair(&h, 5, &mut rw);
         assert_eq!(got.unwrap(), schedule(&h, 5).unwrap());
         assert!(stats.full_recompute, "rebinding recomputes from scratch");
-        assert_eq!(rw.critical_path(), Some(4));
+        // The rebind bound the chain's critical path, 4: budget 3 is a
+        // zero-work error, where the abs_diff binding would have scheduled.
+        let cold = schedule(&h, 3).unwrap_err();
+        assert!(matches!(cold, ScheduleError::LatencyTooSmall { critical_path: 4, .. }));
+        assert_eq!(repair(&h, 3, &mut rw), (Err(cold), RepairStats::default()));
         // The old circuit rebinds again rather than replaying a stale memo.
         let (back, stats) = repair(&g, 3, &mut rw);
         assert_eq!(back.unwrap(), schedule(&g, 3).unwrap());
         assert!(stats.full_recompute);
-        rw.reset();
-        assert_eq!(rw.bound_circuit(), None);
-        assert!(repair(&g, 3, &mut rw).1.full_recompute);
-    }
-
-    #[test]
-    fn warm_repairs_touch_fewer_nodes_than_full_recomputes() {
-        // Tightening back to the critical path pins every critical node's
-        // frame at init, so the warm path re-derives strictly less than the
-        // full path's per-node timing pass; loosening past the critical
-        // path makes every node mobile, which is exactly the cascade the
-        // threshold classifies as a full recompute.
-        let (g, ..) = abs_diff();
-        let mut rw = RepairWorkspace::new();
-        let (_, full) = repair(&g, 3, &mut rw);
-        assert!(full.full_recompute, "every node is mobile above the critical path");
-        let (_, warm) = repair(&g, 2, &mut rw);
-        assert!(!warm.full_recompute, "at the critical path the cascade is bounded");
-        assert!(warm.nodes_touched < full.nodes_touched, "warm {warm:?} vs full {full:?}");
     }
 
     #[test]
@@ -1210,12 +1096,17 @@ mod tests {
         let (g, ..) = abs_diff();
         let expected = ScheduleError::LatencyTooSmall { requested: 0, critical_path: 2 };
         assert_eq!(schedule(&g, 0).unwrap_err(), expected);
-        // Unbound and bound workspaces alike: zero work, nothing rebound.
+        // Unbound and bound workspaces alike: zero work, nothing bound or
+        // dropped.
         let mut rw = RepairWorkspace::new();
         assert_eq!(repair(&g, 0, &mut rw), (Err(expected.clone()), RepairStats::default()));
-        assert_eq!(rw.bound_circuit(), None);
-        assert_eq!(repair(&g, 3, &mut rw).0.unwrap(), schedule(&g, 3).unwrap());
+        let (first, stats) = repair(&g, 3, &mut rw);
+        assert_eq!(first.unwrap(), schedule(&g, 3).unwrap());
+        assert!(stats.full_recompute, "the zero-latency call bound nothing");
         assert_eq!(repair(&g, 0, &mut rw), (Err(expected), RepairStats::default()));
+        let (again, stats) = repair(&g, 3, &mut rw);
+        assert_eq!(again.unwrap(), schedule(&g, 3).unwrap());
+        assert_eq!(stats, RepairStats::default(), "the memo survived the zero-latency call");
         assert_eq!(repair(&g, 4, &mut rw).0.unwrap(), schedule(&g, 4).unwrap());
     }
 

@@ -113,35 +113,6 @@ impl Timing {
         self.latency
     }
 
-    /// Rebuilds the analysis for a new `latency` from latency-independent
-    /// invariants of the graph: the ASAP values (which never depend on the
-    /// latency) and the sink *heights* `h(n) = alap(n' s latency) − alap(n)`
-    /// — the longest functional path from `n` towards the outputs, so that
-    /// `alap(n) = latency − h(n)` for every functional node at every
-    /// feasible latency.  Structural nodes are identified by `asap == 0`
-    /// and keep their `latency + 1` convention.
-    ///
-    /// This is the closed form of the endpoint re-propagation
-    /// [`Timing::tighten`] performs edge by edge: a pure budget change
-    /// shifts every ALAP uniformly, so no per-edge relaxation is needed and
-    /// the result is bit-identical to [`Timing::compute_into`] over the
-    /// same graph.  The caller (the online repair path) is responsible for
-    /// only passing latencies at or above the critical path — below it the
-    /// subtraction would underflow, and the repair entry point surfaces the
-    /// typed infeasibility error before ever calling this.
-    pub(crate) fn rebuild_from_heights(&mut self, latency: u32, asap: &[u32], height: &[u32]) {
-        assert!(latency > 0, "latency must be at least one control step");
-        debug_assert_eq!(asap.len(), height.len());
-        self.latency = latency;
-        self.asap.clear();
-        self.asap.extend_from_slice(asap);
-        self.alap.clear();
-        self.alap.reserve(asap.len());
-        for (&a, &h) in asap.iter().zip(height) {
-            self.alap.push(if a == 0 { latency + 1 } else { latency - h });
-        }
-    }
-
     /// Incrementally tightens a *feasible fixed-point* analysis with extra
     /// precedence edges that are about to be added to the graph, without
     /// recomputing from scratch.
@@ -489,29 +460,6 @@ mod tests {
         assert!(t.tighten(&g, &[(c2, s3)], &mut delta));
         g.add_control_edge(c2, s3).unwrap();
         assert_eq!(t, Timing::compute(&g, latency), "fixed point after second batch");
-    }
-
-    #[test]
-    fn rebuild_from_heights_matches_compute_at_every_feasible_latency() {
-        // Harvest the latency-independent invariants once, then rebuild for
-        // every feasible latency and compare against a cold analysis — the
-        // identity the online repair path relies on.
-        let (mut g, gt, amb, bma, _) = abs_diff();
-        g.add_control_edge(gt, amb).unwrap();
-        g.add_control_edge(gt, bma).unwrap();
-        let harvest_latency = 6;
-        let reference = Timing::compute(&g, harvest_latency);
-        let height: Vec<u32> = reference
-            .asap
-            .iter()
-            .enumerate()
-            .map(|(i, &a)| if a == 0 { 0 } else { harvest_latency - reference.alap[i] })
-            .collect();
-        let mut rebuilt = Timing::empty();
-        for latency in reference.min_latency()..harvest_latency + 4 {
-            rebuilt.rebuild_from_heights(latency, &reference.asap, &height);
-            assert_eq!(rebuilt, Timing::compute(&g, latency), "latency {latency}");
-        }
     }
 
     #[test]

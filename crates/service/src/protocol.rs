@@ -657,10 +657,10 @@ fn ceiling_from_json(json: &Json) -> Result<BudgetCeiling, String> {
 
 /// Refuses a latency-like value (`what` names it) above [`MAX_LATENCY`]:
 /// a sweep scenario's latency, an explore budget, and an `absolute` or
-/// `cp-plus` budget ceiling.  An explorer plans every budget point up to
-/// its ceiling before it maps any, so an unbounded ceiling could ask for
-/// billions of points; larger values are refused at parse time with an
-/// `error` response.  A scenario's pipeline depth is not bounded here:
+/// `cp-plus` budget ceiling.  Larger values are refused at parse time with
+/// an `error` response, before a job is queued (the explorer would record
+/// them as failures; a `cp-plus` span within the limit can still resolve
+/// above it, which the explorer records too).  A scenario's pipeline depth is not bounded here:
 /// the plan refuses an effective latency above the limit when the job
 /// runs ([`engine::EngineError::LatencyTooLarge`]).
 fn bounded_latency(what: &str, steps: u32) -> Result<u32, String> {
