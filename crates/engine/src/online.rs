@@ -309,7 +309,7 @@ pub struct OnlineSummary {
     pub budget_events: usize,
     /// See `arrivals`.
     pub scaling_events: usize,
-    /// Events that fell back to a full recompute.
+    /// Events that ran a full recompute: every event that did any work.
     pub full_recomputes: usize,
     /// Events the repair served without touching a single node (schedule
     /// memo hits, O(1) infeasibility, scaling-only and retire events).
@@ -352,7 +352,7 @@ impl OnlineReport {
             }
             if record.stats.full_recompute {
                 summary.full_recomputes += 1;
-            } else if record.stats.nodes_touched == 0 {
+            } else {
                 summary.zero_work_events += 1;
             }
             summary.nodes_touched += record.stats.nodes_touched;

@@ -11,8 +11,8 @@
 //!   repairs its schedule at every budget/scaling change) saves over an
 //!   offline one that keeps each circuit's arrival schedule frozen,
 //! * the **repair economy** — zero-work events (schedule-memo hits),
-//!   full-recompute fallbacks (first sights and budgets loosened past
-//!   the critical path), and the median touched-nodes ratio,
+//!   full recomputes (first sights and every budget not yet in the
+//!   memo), and the median touched-nodes ratio,
 //! * the **identity verdict** — whether a single repaired schedule
 //!   diverged from cold bytes (the contract says never).
 //!
@@ -48,7 +48,7 @@ pub struct OnlineweepRow {
     /// Repairs served without touching a node (memo hits, scaling-only
     /// and retire events).
     pub zero_work_events: usize,
-    /// Repairs that fell back to a full recompute.
+    /// Repairs that ran a full recompute.
     pub full_recomputes: usize,
     /// Median per-event `nodes_touched / full recompute nodes_touched`.
     pub median_touched_ratio: f64,

@@ -369,10 +369,11 @@ pub(crate) fn schedule_with_timing_into(
 
 /// Per-event cost accounting for [`repair`].  An event either does no
 /// work — a memo hit, or a budget below the bound critical path — and
-/// reports all zeros, or runs the kernel cold and reports what that run
-/// cost, the same figures a fresh workspace reports at that budget.  The
-/// online engine's audited replay (`engine::online::run_stream_verified`)
-/// sets these against a fresh workspace's.
+/// reports all zeros, or runs a cold timing analysis (and, at a feasible
+/// budget, the kernel) and reports what that cost: the same figures a
+/// fresh workspace reports at that budget.  The online engine's audited
+/// replay (`engine::online::run_stream_verified`) sets these against a
+/// fresh workspace's.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepairStats {
     /// One per functional node for the timing analysis, plus the kernel's
