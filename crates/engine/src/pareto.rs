@@ -436,10 +436,10 @@ impl Engine {
     /// (the service entry point, mirroring [`Engine::run_controlled`]).
     ///
     /// One progress item is one (circuit, budget) point; an unknown circuit
-    /// and a budget above [`MAX_LATENCY`] contribute none.  `cancel` is checked at point boundaries: once
-    /// set, no further point starts and the exploration returns `None`; an
-    /// uncancelled exploration returns a report bit-identical to
-    /// [`Engine::explore`]'s.
+    /// and a budget above [`MAX_LATENCY`] contribute none.  `cancel` is
+    /// checked at point boundaries: once set, no further point starts and
+    /// the exploration returns `None`; an uncancelled exploration returns a
+    /// report bit-identical to [`Engine::explore`]'s.
     pub fn explore_controlled(
         &self,
         requests: &[ExploreRequest],
