@@ -14,8 +14,6 @@ pub enum PowerManageError {
     /// The final scheduling step failed (e.g. the latency is below the
     /// critical path even without any power-management constraint).
     Scheduling(ScheduleError),
-    /// The requested pipeline depth is zero.
-    InvalidPipelineDepth,
 }
 
 impl fmt::Display for PowerManageError {
@@ -23,9 +21,6 @@ impl fmt::Display for PowerManageError {
         match self {
             PowerManageError::InvalidCdfg(e) => write!(f, "invalid CDFG: {e}"),
             PowerManageError::Scheduling(e) => write!(f, "scheduling failed: {e}"),
-            PowerManageError::InvalidPipelineDepth => {
-                f.write_str("pipeline depth must be at least one stage")
-            }
         }
     }
 }
@@ -35,7 +30,6 @@ impl std::error::Error for PowerManageError {
         match self {
             PowerManageError::InvalidCdfg(e) => Some(e),
             PowerManageError::Scheduling(e) => Some(e),
-            PowerManageError::InvalidPipelineDepth => None,
         }
     }
 }
@@ -65,7 +59,6 @@ mod tests {
         let e: PowerManageError =
             ScheduleError::LatencyTooSmall { requested: 1, critical_path: 2 }.into();
         assert!(e.to_string().contains("scheduling failed"));
-        assert!(PowerManageError::InvalidPipelineDepth.source().is_none());
     }
 
     #[test]

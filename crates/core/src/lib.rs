@@ -25,7 +25,9 @@
 //! * [`savings`] — the relative datapath power model of Table II
 //!   (MUX:1, COMP:4, +:3, −:3, ×:20),
 //! * [`mux_order`] — the multiplexor (re)ordering heuristics of Section IV-A,
-//! * [`pipeline`] — the pipelining transformation of Section IV-B,
+//! * [`pipeline`] — the pipeline-register cost of Section IV-B's
+//!   pipelining (the sweep engine's pipeline depth runs the transformation
+//!   itself: [`power_manage`] at `latency × depth` steps),
 //! * [`report`] — the result types tying everything together.
 //!
 //! # Quick start
@@ -73,6 +75,6 @@ pub use crate::algorithm::{power_manage, PowerManagementOptions};
 pub use crate::cones::{ConeWorkspace, MuxCones};
 pub use crate::error::PowerManageError;
 pub use crate::mux_order::MuxOrder;
-pub use crate::pipeline::{pipeline_register_estimate, PipelineReport};
+pub use crate::pipeline::pipeline_register_estimate;
 pub use crate::report::{ManagedMux, PowerManagementResult};
 pub use crate::savings::{compose_reductions, OpWeights, SavingsReport};

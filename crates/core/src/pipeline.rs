@@ -1,85 +1,23 @@
-//! Pipelining as a power-management enabler (Section IV-B of the paper).
+//! The register cost of pipelining (Section IV-B of the paper).
 //!
 //! Tight throughput constraints leave no slack for reordering operations, so
 //! nothing can be shut down.  Pipelining processes `k` input samples
 //! concurrently: each sample may now take `k ×` as many control steps
 //! without reducing throughput, and that extra slack is exactly what the
 //! power-management pass needs to schedule the controlling operations first.
-//! The costs are increased latency (in clock cycles per sample) and extra
+//! The sweep engine runs that transformation (a scenario's pipeline depth
+//! schedules at `latency × depth` steps); this module prices its cost in
 //! pipeline registers on values that cross stage boundaries.
 
-use cdfg::Cdfg;
-
-use crate::algorithm::{power_manage, PowerManagementOptions};
-use crate::error::PowerManageError;
 use crate::report::PowerManagementResult;
-
-/// The outcome of power-managing a pipelined version of a design.
-#[derive(Debug, Clone)]
-pub struct PipelineReport {
-    /// Number of pipeline stages (1 = no pipelining).
-    pub stages: u32,
-    /// Control steps available to one sample after pipelining
-    /// (`stages × base latency`).
-    pub effective_latency: u32,
-    /// Latency in clock cycles for one sample to traverse the pipeline; with
-    /// this simple model it equals the effective latency.
-    pub sample_latency: u32,
-    /// Estimated number of extra pipeline registers: values produced in one
-    /// stage and consumed in a later one.
-    pub extra_registers: usize,
-    /// The power-management result obtained with the enlarged latency.
-    pub result: PowerManagementResult,
-}
-
-impl PipelineReport {
-    /// Convenience accessor for the datapath power reduction of the
-    /// pipelined, power-managed design.
-    pub fn reduction_percent(&self) -> f64 {
-        self.result.savings().reduction_percent
-    }
-}
-
-/// Runs the power-management flow on a `stages`-deep pipelined version of
-/// the design.
-///
-/// `options.latency` is interpreted as the *throughput* constraint (control
-/// steps between consecutive samples); the scheduler is given
-/// `options.latency × stages` steps for one sample.
-///
-/// # Errors
-///
-/// * [`PowerManageError::InvalidPipelineDepth`] when `stages` is zero,
-/// * any error from [`power_manage`].
-pub fn power_manage_pipelined(
-    cdfg: &Cdfg,
-    options: &PowerManagementOptions,
-    stages: u32,
-) -> Result<PipelineReport, PowerManageError> {
-    if stages == 0 {
-        return Err(PowerManageError::InvalidPipelineDepth);
-    }
-    let effective_latency = options.latency.saturating_mul(stages);
-    let mut pipelined_options = options.clone();
-    pipelined_options.latency = effective_latency;
-    let result = power_manage(cdfg, &pipelined_options)?;
-    let extra_registers = pipeline_register_estimate(&result, options.latency, stages);
-    Ok(PipelineReport {
-        stages,
-        effective_latency,
-        sample_latency: effective_latency,
-        extra_registers,
-        result,
-    })
-}
 
 /// Counts data values produced in one pipeline stage and consumed in a later
 /// one — each needs a pipeline register per stage boundary it crosses.
 ///
 /// `result` must have been scheduled with `base_latency × stages` control
-/// steps (as [`power_manage_pipelined`] does); callers that cache one
-/// schedule and re-derive the register cost for several `(base latency,
-/// stages)` factorings of the same effective latency can call this directly.
+/// steps; stage `s` holds steps `s × base_latency + 1 ..= (s + 1) ×
+/// base_latency`.  One schedule may be priced under several `(base latency,
+/// stages)` factorings of the same effective latency.
 pub fn pipeline_register_estimate(
     result: &PowerManagementResult,
     base_latency: u32,
@@ -107,7 +45,9 @@ pub fn pipeline_register_estimate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdfg::Op;
+    use crate::{power_manage, PowerManageError, PowerManagementOptions};
+    use cdfg::{Cdfg, Op};
+    use sched::ScheduleError;
 
     /// A design whose critical path equals the throughput constraint, so the
     /// unpipelined run has zero slack and cannot manage anything.
@@ -124,46 +64,61 @@ mod tests {
     }
 
     #[test]
-    fn pipelining_creates_slack_for_power_management() {
-        let g = tight_design();
-        let options = PowerManagementOptions::with_latency(2);
-        let unpipelined = power_manage(&g, &options).unwrap();
-        assert_eq!(unpipelined.managed_mux_count(), 0, "no slack at latency 2");
-
-        let pipelined = power_manage_pipelined(&g, &options, 2).unwrap();
-        assert_eq!(pipelined.effective_latency, 4);
-        assert_eq!(pipelined.result.managed_mux_count(), 1);
-        assert!(pipelined.reduction_percent() > 0.0);
-    }
-
-    #[test]
     fn zero_stages_is_rejected() {
+        // Zero stages give one sample `latency × 0 = 0` control steps, which
+        // `power_manage` refuses as a typed error instead of scheduling.
         let g = tight_design();
-        let err =
-            power_manage_pipelined(&g, &PowerManagementOptions::with_latency(2), 0).unwrap_err();
-        assert_eq!(err, PowerManageError::InvalidPipelineDepth);
+        let (base_latency, stages) = (2, 0);
+        let options = PowerManagementOptions::with_latency(base_latency * stages);
+        let err = power_manage(&g, &options).unwrap_err();
+        assert_eq!(
+            err,
+            PowerManageError::Scheduling(ScheduleError::LatencyTooSmall {
+                requested: 0,
+                critical_path: 2
+            })
+        );
     }
 
     #[test]
     fn single_stage_matches_plain_power_management() {
+        // One stage schedules at `latency × 1` steps, the plain run, and has
+        // no stage boundary to register.
         let g = tight_design();
-        let options = PowerManagementOptions::with_latency(3);
-        let plain = power_manage(&g, &options).unwrap();
-        let piped = power_manage_pipelined(&g, &options, 1).unwrap();
-        assert_eq!(piped.effective_latency, 3);
-        assert_eq!(piped.extra_registers, 0);
-        assert_eq!(piped.result.savings().reduction_percent, plain.savings().reduction_percent);
+        let plain = power_manage(&g, &PowerManagementOptions::with_latency(3)).unwrap();
+        assert_eq!(pipeline_register_estimate(&plain, 3, 1), 0);
+        // The zero comes from the single stage: the same schedule cut into
+        // three one-step stages has values crossing boundaries.
+        assert!(pipeline_register_estimate(&plain, 1, 3) > 0);
     }
 
     #[test]
-    fn deeper_pipelines_cost_registers_and_latency() {
-        let g = tight_design();
-        let options = PowerManagementOptions::with_latency(2);
-        let two = power_manage_pipelined(&g, &options, 2).unwrap();
-        let three = power_manage_pipelined(&g, &options, 3).unwrap();
-        assert!(three.sample_latency > two.sample_latency);
-        // The disadvantage the paper lists: latency and registers grow.
-        assert!(three.effective_latency == 6);
-        assert!(two.extra_registers <= three.extra_registers + 2);
+    fn register_estimate_counts_stage_crossings() {
+        // A six-add chain at its critical path has exactly one schedule:
+        // add i at step i.  The last add also reads the first.
+        let mut g = Cdfg::new("chain");
+        let a = g.add_input("a");
+        let first = g.add_op(Op::Add, &[a, a]).unwrap();
+        let mut last = first;
+        for _ in 0..4 {
+            last = g.add_op(Op::Add, &[last, a]).unwrap();
+        }
+        let sixth = g.add_op(Op::Add, &[last, first]).unwrap();
+        g.add_output("o", sixth).unwrap();
+        let result = power_manage(&g, &PowerManagementOptions::with_latency(6)).unwrap();
+        let steps: Vec<u32> = g
+            .slices()
+            .functional()
+            .iter()
+            .map(|&n| result.schedule().step_of(n).unwrap())
+            .collect();
+        assert_eq!(steps, [1, 2, 3, 4, 5, 6]);
+
+        assert_eq!(pipeline_register_estimate(&result, 6, 1), 0, "one stage, no boundary");
+        // Stages {1,2,3} {4,5,6}: add 3 → add 4 and add 1 → add 6 cross.
+        assert_eq!(pipeline_register_estimate(&result, 3, 2), 2);
+        // Stages {1,2} {3,4} {5,6}: add 2 → 3 and add 4 → 5 cross one
+        // boundary each, add 1 → add 6 crosses two.
+        assert_eq!(pipeline_register_estimate(&result, 2, 3), 4);
     }
 }

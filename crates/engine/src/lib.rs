@@ -65,7 +65,7 @@ pub mod report;
 pub mod scenario;
 
 use std::collections::BTreeMap;
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use cdfg::{Cdfg, OpClass};
@@ -79,8 +79,8 @@ use sched::{hyper, ResourceConstraint};
 pub use crate::cache::CacheStats;
 pub use crate::error::EngineError;
 pub use crate::online::{
-    run_stream, run_stream_controlled, run_stream_verified, EventMetrics, EventRecord,
-    OnlineReport, OnlineSummary, SessionState, VerifiedOutcome,
+    run_stream, run_stream_verified, EventMetrics, EventRecord, OnlineReport, OnlineSummary,
+    SessionState, VerifiedOutcome,
 };
 pub use crate::pareto::{
     BudgetCeiling, BudgetPolicy, CircuitExploration, DelayScaling, ExploreOptions, ExplorePoint,
@@ -108,19 +108,52 @@ pub const MAX_LATENCY: u32 = 4096;
 /// limit the Section IV-A ablation uses).
 const REORDER_EXHAUSTIVE_LIMIT: usize = 5;
 
-/// Progress of a running sweep or exploration: work items completed out of
-/// the total the run maps onto the pool.
+/// Progress of a running sweep, exploration or online stream: work items
+/// completed out of the total the run folds or maps.
 ///
 /// For [`Engine::run_controlled`] an item is one scenario (failed
 /// scenarios count too — they are part of the plan); for
 /// [`Engine::explore_controlled`] an item is one (circuit, budget) point
-/// (failed budgets count too; an unknown circuit contributes none).
+/// (failed budgets count too; an unknown circuit contributes none); for
+/// [`online::run_stream`] an item is one event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Progress {
     /// Items finished so far.
     pub completed: usize,
     /// Total items in the run.
     pub total: usize,
+}
+
+/// The cooperative hooks every long-running entry point takes:
+/// [`Engine::run_controlled`], [`Engine::explore_controlled`],
+/// [`online::run_stream`] and the pool under the first two,
+/// [`pool::parallel_map`].  `Hooks::default()` observes nothing.
+///
+/// Both hooks act at *item boundaries* only — an in-flight scenario,
+/// budget point or event always finishes — so a caller can stop a run
+/// without tearing an item in half, and an uncancelled run's output is
+/// bit-identical with or without hooks.
+#[derive(Clone, Copy, Default)]
+pub struct Hooks<'a> {
+    /// Checked before each item starts; once set, no further item starts
+    /// and the entry point returns `None`, discarding the partial results.
+    pub cancel: Option<&'a AtomicBool>,
+    /// Called after each completed item.  Pool workers call it
+    /// concurrently, so it must be `Sync`; the completed counts are unique
+    /// and cover `1..=total` exactly once on an uncancelled run.
+    pub progress: Option<&'a (dyn Fn(Progress) + Sync)>,
+}
+
+impl Hooks<'_> {
+    fn cancelled(&self) -> bool {
+        self.cancel.is_some_and(|flag| flag.load(Ordering::Relaxed))
+    }
+
+    fn tick(&self, completed: usize, total: usize) {
+        if let Some(progress) = self.progress {
+            progress(Progress { completed, total });
+        }
+    }
 }
 
 /// Cache key of a pipeline prefix; see the crate-level documentation.
@@ -187,19 +220,20 @@ impl Engine {
         self.circuits.get(name)
     }
 
+    /// [`Engine::run_controlled`] without hooks.  It stays for the
+    /// `perfbench` benchmark, which compiles against it.
+    pub fn run(&self, plan: &SweepPlan, threads: usize) -> SweepReport {
+        self.run_controlled(plan, threads, Hooks::default())
+            .expect("no cancel flag, no cancellation")
+    }
+
     /// Executes every scenario of `plan` on `threads` worker threads
-    /// (0 = one per available CPU) and returns the aggregated report.
+    /// (0 = one per available CPU) and returns the aggregated report, or
+    /// `None` when `hooks.cancel` stopped the run (see [`Hooks`]).
     ///
     /// Scenario failures (unknown circuit, infeasible latency, simulation
     /// errors) are recorded per scenario, never panicking or aborting the
     /// sweep, and the report is identical for every thread count.
-    pub fn run(&self, plan: &SweepPlan, threads: usize) -> SweepReport {
-        self.run_controlled(plan, threads, None, None)
-            .expect("a run without a cancel flag cannot be cancelled")
-    }
-
-    /// [`Engine::run`] with cooperative cancellation and progress hooks —
-    /// the entry point long-running services drive.
     ///
     /// The pool deals each worker one contiguous block of the plan's
     /// canonical order, which puts scenarios that differ only in branch
@@ -207,27 +241,20 @@ impl Engine {
     /// worker, where the first computes the prefix and the rest hit the
     /// cache instead of waiting on another worker.
     ///
-    /// `progress` is invoked once per completed scenario, concurrently from
-    /// the workers, with completed counts covering `1..=total` (failed
-    /// scenarios count — they are part of the plan).  `cancel` is checked
-    /// at scenario boundaries: once set, no further scenario starts
-    /// (in-flight scenarios complete) and the run returns `None`, discarding
-    /// the partial results.  An uncancelled run returns `Some(report)`
-    /// bit-identical to a plain [`Engine::run`] — the hooks observe the
-    /// sweep, they never alter it.
+    /// One progress item is one scenario; failed scenarios count, as they
+    /// are part of the plan.
     pub fn run_controlled(
         &self,
         plan: &SweepPlan,
         threads: usize,
-        cancel: Option<&AtomicBool>,
-        progress: Option<&(dyn Fn(Progress) + Sync)>,
+        hooks: Hooks<'_>,
     ) -> Option<SweepReport> {
         let gate = plan.gate_level();
-        let records = pool::parallel_map_controlled(
+        let records = pool::parallel_map(
             plan.scenarios().to_vec(),
             threads,
             &|scenario| self.run_scenario(scenario, gate),
-            pool::MapControl { cancel, progress },
+            hooks,
         )?;
         Some(SweepReport::from_records(records))
     }
@@ -437,7 +464,8 @@ mod tests {
         for threads in [1, 3] {
             let ticks = Mutex::new(Vec::new());
             let tick = |p: Progress| ticks.lock().unwrap().push(p);
-            let report = engine.run_controlled(&plan, threads, None, Some(&tick)).unwrap();
+            let hooks = Hooks { cancel: None, progress: Some(&tick) };
+            let report = engine.run_controlled(&plan, threads, hooks).unwrap();
             let ticks = ticks.into_inner().unwrap();
             assert_eq!(report.records.len(), 8);
             assert_eq!(ticks.len(), 8, "one callback per scenario (threads={threads})");
@@ -452,34 +480,34 @@ mod tests {
 
     #[test]
     fn progress_counts_failed_scenarios_too() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::atomic::AtomicUsize;
         let plan = SweepPlan::builder().case("nonexistent", 4).case("dealer", 6).build().unwrap();
         let engine = Engine::new();
         let ticks = AtomicUsize::new(0);
         let tick = |_: Progress| {
             ticks.fetch_add(1, Ordering::SeqCst);
         };
-        let report = engine.run_controlled(&plan, 1, None, Some(&tick)).unwrap();
+        let hooks = Hooks { cancel: None, progress: Some(&tick) };
+        let report = engine.run_controlled(&plan, 1, hooks).unwrap();
         assert_eq!(report.failure_count(), 1);
         assert_eq!(ticks.into_inner(), 2);
     }
 
     #[test]
     fn cancelled_run_returns_none_and_a_clear_flag_changes_nothing() {
-        use std::sync::atomic::Ordering;
         let plan =
             SweepPlan::builder().circuits(["dealer", "gcd"]).latencies([5, 6]).build().unwrap();
         let engine = Engine::new();
         let cancel = AtomicBool::new(true);
-        assert!(engine.run_controlled(&plan, 2, Some(&cancel), None).is_none());
+        let hooks = Hooks { cancel: Some(&cancel), progress: None };
+        assert!(engine.run_controlled(&plan, 2, hooks).is_none());
         cancel.store(false, Ordering::SeqCst);
-        let controlled = engine.run_controlled(&plan, 2, Some(&cancel), None).unwrap();
+        let controlled = engine.run_controlled(&plan, 2, hooks).unwrap();
         assert_eq!(controlled.to_json(), engine.run(&plan, 1).to_json());
     }
 
     #[test]
     fn cancelling_mid_run_stops_at_a_scenario_boundary() {
-        use std::sync::atomic::Ordering;
         let plan = SweepPlan::builder()
             .circuits(["dealer", "gcd", "vender"])
             .latencies([5, 6, 7])
@@ -494,7 +522,8 @@ mod tests {
                 cancel.store(true, Ordering::SeqCst);
             }
         };
-        let out = engine.run_controlled(&plan, 1, Some(&cancel), Some(&tick));
+        let out =
+            engine.run_controlled(&plan, 1, Hooks { cancel: Some(&cancel), progress: Some(&tick) });
         assert!(out.is_none(), "cancellation discards the partial run");
         let seen = seen.load(Ordering::SeqCst);
         assert!((2..9).contains(&seen), "stopped after the boundary tick, before the end: {seen}");
@@ -553,6 +582,33 @@ mod tests {
         assert_eq!(depth2.effective_latency, 10);
         assert!(depth2.power_reduction >= depth1.power_reduction - 1e-9);
         assert!(depth2.extra_registers >= depth1.extra_registers);
+    }
+
+    #[test]
+    fn pipelining_creates_slack_for_power_management() {
+        // The critical path equals the throughput constraint, so without
+        // pipelining there is no slack and nothing can be shut down.
+        let mut g = Cdfg::new("tight");
+        let a = g.add_input("a");
+        let b = g.add_input("b");
+        let cmp = g.add_op(cdfg::Op::Gt, &[a, b]).unwrap();
+        let diff = g.add_op(cdfg::Op::Sub, &[a, b]).unwrap();
+        let sum = g.add_op(cdfg::Op::Add, &[a, b]).unwrap();
+        let m = g.add_mux(cmp, sum, diff).unwrap();
+        g.add_output("o", m).unwrap();
+        let mut engine = Engine::new();
+        engine.register_circuit(g);
+        let plan = SweepPlan::builder().case("tight", 2).pipeline_depths([1, 2]).build().unwrap();
+        let report = engine.run(&plan, 1);
+        let metrics = |depth| {
+            let scenario = Scenario::new("tight", 2).pipeline_depth(depth);
+            report.record_for(&scenario).unwrap().metrics().unwrap().clone()
+        };
+        assert_eq!(metrics(1).pm_muxes, 0, "no slack at latency 2");
+        let two = metrics(2);
+        assert_eq!(two.effective_latency, 4);
+        assert_eq!(two.pm_muxes, 1);
+        assert!(two.power_reduction > 0.0);
     }
 
     #[test]

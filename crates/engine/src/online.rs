@@ -38,7 +38,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::AtomicBool;
 
 use cdfg::Cdfg;
 use circuits::Benchmark;
@@ -49,7 +48,7 @@ use sched::force::{repair, RepairStats, RepairWorkspace};
 use sched::{force, Schedule};
 
 use crate::report::{json_number, json_string};
-use crate::Progress;
+use crate::Hooks;
 
 /// Maps the generator's scaling label onto the power model's law.
 fn delay_scaling(scaling: Scaling) -> DelayScaling {
@@ -482,47 +481,37 @@ pub fn record_json(record: &EventRecord) -> String {
     out
 }
 
-/// Runs one event stream to completion.
+/// Runs one event stream: the online mode's one entry point, a
+/// sequential fold of [`SessionState::apply`] over the generated events.
+///
+/// `on_record` sees each record in event order as it is produced, next
+/// to the session state the event left behind: the daemon streams the
+/// record to its client, and [`run_stream_verified`] audits the repaired
+/// schedule.  `hooks` act at event boundaries: one progress tick after
+/// each event, and a raised cancel flag stops the fold before the next
+/// event, returning `Ok(None)`.
 ///
 /// # Errors
 ///
 /// Propagates generator failures (invalid knobs); per-event scheduling
 /// errors are recorded, not raised.
-pub fn run_stream(spec: &StreamSpec) -> Result<OnlineReport, GenError> {
-    Ok(run_stream_controlled(spec, None, None, None)?.expect("uncancellable run completes"))
-}
-
-/// [`run_stream`] with cooperative cancellation, progress ticks and a
-/// per-record sink (the daemon wires the sink to its event stream so
-/// records reach the client in event order, as they are produced).
-///
-/// Returns `Ok(None)` when the cancel flag stopped the session early.
-///
-/// # Errors
-///
-/// Propagates generator failures.
-pub fn run_stream_controlled(
+pub fn run_stream(
     spec: &StreamSpec,
-    cancel: Option<&AtomicBool>,
-    progress: Option<&(dyn Fn(Progress) + Sync)>,
-    on_record: Option<&(dyn Fn(&EventRecord) + Sync)>,
+    hooks: Hooks<'_>,
+    mut on_record: impl FnMut(&EventRecord, &SessionState),
 ) -> Result<Option<OnlineReport>, GenError> {
     let (batch, events) = gen::stream(spec)?;
     let mut state = SessionState::new(batch);
     let total = events.len();
     let mut records = Vec::with_capacity(total);
     for (index, event) in events.iter().enumerate() {
-        if cancel.is_some_and(|flag| flag.load(std::sync::atomic::Ordering::Relaxed)) {
+        if hooks.cancelled() {
             return Ok(None);
         }
         let record = state.apply(index, event);
-        if let Some(sink) = on_record {
-            sink(&record);
-        }
+        on_record(&record, &state);
         records.push(record);
-        if let Some(tick) = progress {
-            tick(Progress { completed: index + 1, total });
-        }
+        hooks.tick(index + 1, total);
     }
     Ok(Some(OnlineReport::from_records(spec, records)))
 }
@@ -531,7 +520,7 @@ pub fn run_stream_controlled(
 /// identity-vs-cold-recompute audit the online mode's contract rests on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VerifiedOutcome {
-    /// The stream's report (identical to an unverified [`run_stream`]).
+    /// The stream's report (identical to an unaudited [`run_stream`]'s).
     pub report: OnlineReport,
     /// Whether every post-event schedule (and every typed error) was
     /// bit-identical to a cold recompute at the final parameters.
@@ -539,49 +528,37 @@ pub struct VerifiedOutcome {
     /// Number of events whose schedule diverged from the cold recompute
     /// (0 when `cold_identical`).
     pub mismatches: usize,
-    /// Median of per-event `nodes_touched / cold nodes_touched` over all
-    /// schedule-producing events (arrivals and budget steps): 0 for a memo
-    /// hit, 1 for a kernel run.
+    /// Median over all schedule-producing events (arrivals and budget
+    /// steps) of the touched-nodes ratio against a cold run: 0 for a memo
+    /// hit, 1 for a kernel run, which costs exactly what a cold run costs.
     pub median_touched_ratio: f64,
-    /// Mean of the same ratio.
-    pub mean_touched_ratio: f64,
 }
 
-/// Replays `spec` with a full cold-recompute audit: after every applied
-/// event the affected circuit's schedule is recomputed cold at the final
-/// parameters and byte-compared, failed events are checked to fail cold
-/// with the same message, and every repair's touched-node count is set
-/// against a fresh workspace's (0 for a memo hit, 1 for a kernel run,
-/// which costs exactly what the fresh run costs).  This costs a cold
+/// Runs `spec` through [`run_stream`] with a cold-recompute audit: after
+/// every applied event the affected circuit's schedule is recomputed cold
+/// at the final parameters and byte-compared, and failed events are
+/// checked to fail cold with the same message.  This costs a cold
 /// recompute per event — it is the *measurement* of what the memo saves,
-/// used by `onlineweep` and the repair-economy tests; production paths use
-/// [`run_stream`].
+/// used by `onlineweep` and the repair-economy tests; production paths
+/// run the fold unaudited.
 ///
 /// # Errors
 ///
 /// Propagates generator failures.
 pub fn run_stream_verified(spec: &StreamSpec) -> Result<VerifiedOutcome, GenError> {
-    let (batch, events) = gen::stream(spec)?;
-    let pool: BTreeMap<String, Cdfg> =
-        batch.iter().map(|b| (b.name.clone(), b.cdfg.clone())).collect();
-    let mut state = SessionState::new(batch);
-    let mut records = Vec::with_capacity(events.len());
     let mut mismatches = 0usize;
     let mut ratios: Vec<f64> = Vec::new();
-    for (index, event) in events.iter().enumerate() {
-        let record = state.apply(index, event);
-        let circuit = event.circuit();
-        let cdfg = &pool[circuit];
-        match (&record.outcome, event) {
+    let audit = |record: &EventRecord, state: &SessionState| {
+        let circuit = record.event.circuit();
+        let cdfg = state.circuit(circuit).expect("stream events name pool circuits");
+        match (&record.outcome, &record.event) {
             (Ok(_), StreamEvent::CircuitArrived { .. } | StreamEvent::BudgetChanged { .. }) => {
                 let budget = state.budget_of(circuit).expect("event left the circuit live");
                 let cold = force::schedule(cdfg, budget).expect("repair succeeded at this budget");
                 if state.schedule_of(circuit) != Some(&cold) {
                     mismatches += 1;
                 }
-                let mut fresh = RepairWorkspace::new();
-                let (_, full) = repair(cdfg, budget, &mut fresh);
-                ratios.push(record.stats.nodes_touched as f64 / full.nodes_touched.max(1) as f64);
+                ratios.push(if record.stats.nodes_touched > 0 { 1.0 } else { 0.0 });
             }
             (Err(message), StreamEvent::BudgetChanged { budget, .. }) => {
                 // Infeasible events must fail cold with the identical
@@ -593,39 +570,92 @@ pub fn run_stream_verified(spec: &StreamSpec) -> Result<VerifiedOutcome, GenErro
             }
             _ => {}
         }
-        records.push(record);
-    }
+    };
+    let report =
+        run_stream(spec, Hooks::default(), audit)?.expect("no cancel flag, no cancellation");
     ratios.sort_by(f64::total_cmp);
     let median_touched_ratio = if ratios.is_empty() { 0.0 } else { ratios[ratios.len() / 2] };
-    let mean_touched_ratio =
-        if ratios.is_empty() { 0.0 } else { ratios.iter().sum::<f64>() / ratios.len() as f64 };
     Ok(VerifiedOutcome {
-        report: OnlineReport::from_records(spec, records),
+        report,
         cold_identical: mismatches == 0,
         mismatches,
         median_touched_ratio,
-        mean_touched_ratio,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Progress;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Mutex;
 
     fn spec(text: &str) -> StreamSpec {
         StreamSpec::parse(text).unwrap()
     }
 
+    /// The fold without hooks or a sink.
+    fn run(spec: &StreamSpec) -> OnlineReport {
+        run_stream(spec, Hooks::default(), |_, _| {}).unwrap().unwrap()
+    }
+
     #[test]
     fn reports_are_deterministic_and_verified_replays_agree() {
         let s = spec("family=mux-tree,seed=7,count=3;events=80,eseed=5,churn=120,rescale=120");
-        let a = run_stream(&s).unwrap();
-        let b = run_stream(&s).unwrap();
+        let a = run(&s);
+        let b = run(&s);
         assert_eq!(a.to_json(), b.to_json(), "same spec, same bytes");
         let verified = run_stream_verified(&s).unwrap();
         assert!(verified.cold_identical, "{} mismatches", verified.mismatches);
         assert_eq!(verified.report.to_json(), a.to_json(), "audit does not perturb the report");
         assert!(verified.median_touched_ratio <= 1.0);
+    }
+
+    /// A stream with all four event kinds, for the hook tests.
+    const CHURNING: &str = "family=mux-tree,seed=7,count=2;events=60,eseed=2,churn=300,rescale=200";
+
+    #[test]
+    fn hooks_and_the_sink_observe_every_event_and_change_nothing() {
+        let s = spec(CHURNING);
+        let ticks = Mutex::new(Vec::new());
+        let tick = |p: Progress| ticks.lock().unwrap().push(p);
+        let cancel = AtomicBool::new(false);
+        let hooks = Hooks { cancel: Some(&cancel), progress: Some(&tick) };
+        let mut sunk = Vec::new();
+        let report = run_stream(&s, hooks, |record, _| sunk.push(record.clone())).unwrap().unwrap();
+        let events = report.records.len();
+        assert_eq!(events, 60);
+        let expected: Vec<Progress> =
+            (1..=events).map(|completed| Progress { completed, total: events }).collect();
+        assert_eq!(ticks.into_inner().unwrap(), expected, "one tick per event, in order");
+        assert_eq!(sunk, report.records, "the sink sees every record, in event order");
+        assert_eq!(report.to_json(), run(&s).to_json(), "hooks never alter the report");
+    }
+
+    #[test]
+    fn a_cancel_flag_stops_the_fold_at_an_event_boundary() {
+        let s = spec(CHURNING);
+        let cancel = AtomicBool::new(true);
+        let mut applied = 0;
+        let hooks = Hooks { cancel: Some(&cancel), progress: None };
+        assert!(matches!(run_stream(&s, hooks, |_, _| applied += 1), Ok(None)));
+        assert_eq!(applied, 0, "a flag set before the first event applies none");
+
+        // Raised from the tick of event k, the flag stops the fold before
+        // event k + 1; raised from the last tick, it comes too late.
+        for k in [1, 17, 59, 60] {
+            cancel.store(false, Ordering::SeqCst);
+            let stop = |p: Progress| {
+                if p.completed == k {
+                    cancel.store(true, Ordering::SeqCst);
+                }
+            };
+            let hooks = Hooks { cancel: Some(&cancel), progress: Some(&stop) };
+            let mut applied = Vec::new();
+            let out = run_stream(&s, hooks, |record, _| applied.push(record.index)).unwrap();
+            assert_eq!(applied, (0..k).collect::<Vec<_>>(), "k={k}");
+            assert_eq!(out.is_some(), k == 60, "k={k}");
+        }
     }
 
     #[test]
@@ -665,7 +695,7 @@ mod tests {
     #[test]
     fn scaling_changes_open_a_savings_gap_and_none_closes_it() {
         let s = spec("family=dsp-chain,seed=2,count=1;events=120,eseed=6,churn=0,rescale=200");
-        let report = run_stream(&s).unwrap();
+        let report = run(&s);
         let mut saw_gap = false;
         for record in &report.records {
             let metrics = record.outcome.as_ref().expect("stream stays feasible");
@@ -701,7 +731,7 @@ mod tests {
     #[test]
     fn record_json_covers_every_event_shape() {
         let s = spec("family=mux-tree,seed=7,count=2;events=120,eseed=2,churn=300,rescale=200");
-        let report = run_stream(&s).unwrap();
+        let report = run(&s);
         let json = report.to_json();
         for kind in ["arrive", "retire", "budget", "scaling"] {
             assert!(json.contains(&format!("\"kind\": \"{kind}\"")), "missing {kind}");

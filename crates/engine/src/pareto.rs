@@ -30,7 +30,6 @@
 
 use std::fmt;
 use std::fmt::Write as _;
-use std::sync::atomic::AtomicBool;
 
 use binding::{AreaModel, Datapath};
 use cdfg::Cdfg;
@@ -40,7 +39,7 @@ use power::voltage::{voltage_scaled_estimate, VoltageAssignment, VoltageTable};
 
 use crate::report::{csv_field, dominates, json_number, json_string};
 use crate::scenario::BranchModel;
-use crate::{pool, select_probabilities, Engine, MAX_LATENCY};
+use crate::{pool, select_probabilities, Engine, Hooks, MAX_LATENCY};
 
 pub use power::dvs::DelayScaling;
 pub use power::voltage::{VoltagePolicy, VoltagePreset};
@@ -404,8 +403,21 @@ fn mark_front(points: &mut [ExplorePoint]) {
 }
 
 impl Engine {
+    /// [`Engine::explore_controlled`] without hooks.  It stays for the
+    /// `perfbench` benchmark, which compiles against it.
+    pub fn explore(
+        &self,
+        requests: &[ExploreRequest],
+        options: &ExploreOptions,
+        threads: usize,
+    ) -> ParetoReport {
+        self.explore_controlled(requests, options, threads, Hooks::default())
+            .expect("no cancel flag, no cancellation")
+    }
+
     /// Explores the latency–power trade-off of every requested circuit and
-    /// returns the per-circuit points and fronts.
+    /// returns the per-circuit points and fronts, or `None` when
+    /// `hooks.cancel` stopped the exploration (see [`Hooks`]).
     ///
     /// Every (circuit, budget) point is one task on `threads` workers
     /// (0 = one per CPU), and the points are assembled in request order,
@@ -419,34 +431,19 @@ impl Engine {
     /// resolves above it records one failure at the ceiling and walks
     /// nothing.
     ///
-    /// Unlike [`Engine::run`], this path bypasses the prefix memo cache:
-    /// each budget point is computed from scratch (one selection loop and
-    /// the final HYPER pass) and shares no state with the next.
-    pub fn explore(
-        &self,
-        requests: &[ExploreRequest],
-        options: &ExploreOptions,
-        threads: usize,
-    ) -> ParetoReport {
-        self.explore_controlled(requests, options, threads, None, None)
-            .expect("an exploration without a cancel flag cannot be cancelled")
-    }
-
-    /// [`Engine::explore`] with cooperative cancellation and progress hooks
-    /// (the service entry point, mirroring [`Engine::run_controlled`]).
+    /// Unlike [`Engine::run_controlled`], this path bypasses the prefix
+    /// memo cache: each budget point is computed from scratch (one
+    /// selection loop and the final HYPER pass) and shares no state with
+    /// the next.
     ///
-    /// One progress item is one (circuit, budget) point; an unknown circuit
-    /// and a budget above [`MAX_LATENCY`] contribute none.  `cancel` is
-    /// checked at point boundaries: once set, no further point starts and
-    /// the exploration returns `None`; an uncancelled exploration returns a
-    /// report bit-identical to [`Engine::explore`]'s.
+    /// One progress item is one (circuit, budget) point; an unknown
+    /// circuit and a budget above [`MAX_LATENCY`] contribute none.
     pub fn explore_controlled(
         &self,
         requests: &[ExploreRequest],
         options: &ExploreOptions,
         threads: usize,
-        cancel: Option<&AtomicBool>,
-        progress: Option<&(dyn Fn(crate::Progress) + Sync)>,
+        hooks: Hooks<'_>,
     ) -> Option<ParetoReport> {
         // Plan every point: request order, then ascending budget order.
         // Budgets above the limit are refused here, before any is planned.
@@ -483,11 +480,11 @@ impl Engine {
                 Some((critical_path, points.len() - planned, refused))
             })
             .collect();
-        let mut outcomes = pool::parallel_map_controlled(
+        let mut outcomes = pool::parallel_map(
             points,
             threads,
             &|(cdfg, budget)| (budget, explore_point(cdfg, budget, options)),
-            pool::MapControl { cancel, progress },
+            hooks,
         )?
         .into_iter();
 
@@ -603,6 +600,7 @@ fn explore_point(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     fn full_range(scaling: DelayScaling) -> ExploreOptions {
         ExploreOptions::new()
@@ -785,8 +783,8 @@ mod tests {
         for threads in [1, 3] {
             let ticks = Mutex::new(Vec::new());
             let tick = |p: crate::Progress| ticks.lock().unwrap().push(p);
-            let report =
-                engine.explore_controlled(&requests, &options, threads, None, Some(&tick)).unwrap();
+            let hooks = Hooks { cancel: None, progress: Some(&tick) };
+            let report = engine.explore_controlled(&requests, &options, threads, hooks).unwrap();
             let ticks = ticks.into_inner().unwrap();
             // dealer and gcd walk cp..=cp+3; the unknown circuit adds none.
             assert_eq!(ticks.len(), 8, "one callback per budget point (threads={threads})");
@@ -805,10 +803,10 @@ mod tests {
         let requests: Vec<ExploreRequest> = ["dealer", "gcd"].map(ExploreRequest::new).to_vec();
         let options = full_range(DelayScaling::Linear);
         let cancel = AtomicBool::new(true);
-        assert!(engine.explore_controlled(&requests, &options, 2, Some(&cancel), None).is_none());
+        let hooks = Hooks { cancel: Some(&cancel), progress: None };
+        assert!(engine.explore_controlled(&requests, &options, 2, hooks).is_none());
         cancel.store(false, Ordering::SeqCst);
-        let controlled =
-            engine.explore_controlled(&requests, &options, 2, Some(&cancel), None).unwrap();
+        let controlled = engine.explore_controlled(&requests, &options, 2, hooks).unwrap();
         assert_eq!(controlled.to_json(), engine.explore(&requests, &options, 1).to_json());
     }
 
@@ -827,7 +825,8 @@ mod tests {
                 cancel.store(true, Ordering::SeqCst);
             }
         };
-        let out = engine.explore_controlled(&requests, &options, 1, Some(&cancel), Some(&tick));
+        let hooks = Hooks { cancel: Some(&cancel), progress: Some(&tick) };
+        let out = engine.explore_controlled(&requests, &options, 1, hooks);
         assert!(out.is_none(), "cancellation discards the partial walk");
         let seen = seen.load(Ordering::SeqCst);
         assert!((2..9).contains(&seen), "stopped after the boundary tick, before the end: {seen}");

@@ -24,75 +24,34 @@
 //! (every job is popped exactly once), so the output order equals the input
 //! order no matter which worker ran what — the property the sweep
 //! determinism tests pin down.
+//!
+//! [`parallel_map`] is the pool's one entry point.  Its [`Hooks`] act at
+//! item boundaries, and a single worker runs the same loop on the calling
+//! thread.
 
 use std::collections::VecDeque;
 use std::panic;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 
-use crate::Progress;
-
-/// Cooperative controls threaded through [`parallel_map_controlled`]: an
-/// optional cancellation flag checked before each item and an optional
-/// progress callback invoked after each completed item.
-///
-/// Both hooks are observed at *item boundaries* only — an in-flight item
-/// always finishes — which is what lets callers cancel a sweep without ever
-/// tearing a scenario or budget point in half.
-#[derive(Clone, Copy, Default)]
-pub struct MapControl<'a> {
-    /// Checked before a worker picks up its next item; once set, no further
-    /// items start (in-flight items still complete).
-    pub cancel: Option<&'a AtomicBool>,
-    /// Called after each completed item with the items completed so far
-    /// out of the total.  The callback runs on whichever worker finished
-    /// the item, so it must be `Sync`; completed counts are unique and
-    /// cover `1..=total` exactly once on an uncancelled run.
-    pub progress: Option<&'a (dyn Fn(Progress) + Sync)>,
-}
-
-impl MapControl<'_> {
-    fn cancelled(&self) -> bool {
-        self.cancel.is_some_and(|flag| flag.load(Ordering::Relaxed))
-    }
-
-    fn tick(&self, completed: usize, total: usize) {
-        if let Some(progress) = self.progress {
-            progress(Progress { completed, total });
-        }
-    }
-}
+use crate::Hooks;
 
 /// Applies `f` to every item on `threads` worker threads and returns the
-/// results in input order.
+/// results in input order, or `None` when `hooks.cancel` stopped the map
+/// before every item ran (see [`Hooks`]).
 ///
 /// `threads == 0` means one worker per available CPU, and the count is then
-/// capped at `items.len()`; with one thread (or one item) everything runs
-/// on the calling thread, which keeps single-threaded runs free of
-/// synchronisation entirely.  A panicking item re-raises its own panic on
-/// the calling thread once the workers have stopped.
-pub fn parallel_map<T, R, F>(items: Vec<T>, threads: usize, f: &F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    parallel_map_controlled(items, threads, f, MapControl::default())
-        .expect("a map without a cancel flag cannot be cancelled")
-}
-
-/// [`parallel_map`] with cooperative cancellation and progress reporting.
-///
-/// Returns `None` when the control's cancel flag stopped the map before
-/// every item ran — the partial results are discarded, never reordered or
-/// padded.  A flag set after the last item started has no effect: the map
-/// still returns `Some` with the complete, input-ordered results.
-pub fn parallel_map_controlled<T, R, F>(
+/// capped at `items.len()`; a single worker runs on the calling thread.
+/// A cancelled map's partial results are discarded, never reordered or
+/// padded; a flag set after the last item started has no effect.  A
+/// panicking item re-raises its own panic on the calling thread once the
+/// workers have stopped.
+pub fn parallel_map<T, R, F>(
     items: Vec<T>,
     threads: usize,
     f: &F,
-    ctl: MapControl<'_>,
+    hooks: Hooks<'_>,
 ) -> Option<Vec<R>>
 where
     T: Send,
@@ -108,66 +67,46 @@ where
         n => n,
     }
     .min(jobs);
-    if threads == 1 {
-        if ctl.cancel.is_none() && ctl.progress.is_none() {
-            return Some(items.into_iter().map(f).collect());
-        }
-        let mut results = Vec::with_capacity(jobs);
-        for (done, item) in items.into_iter().enumerate() {
-            if ctl.cancelled() {
-                return None;
-            }
-            results.push(f(item));
-            ctl.tick(done + 1, jobs);
-        }
-        return Some(results);
-    }
-
     let queues = deal(items, threads);
-
-    // Single pre-sized result buffer, filled at disjoint indices after the
-    // workers hand back their locally buffered results.
-    let mut results: Vec<Option<R>> = Vec::with_capacity(jobs);
-    results.resize_with(jobs, || None);
     let completed = AtomicUsize::new(0);
 
-    thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|worker| {
-                let queues = &queues;
-                let completed = &completed;
-                let ctl = &ctl;
-                scope.spawn(move || {
-                    // Lock-free write path: results buffer locally until the
-                    // worker runs out of jobs.
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    while !ctl.cancelled() {
-                        let Some((index, item)) = next_job(queues, worker) else {
-                            break;
-                        };
-                        local.push((index, f(item)));
-                        ctl.tick(completed.fetch_add(1, Ordering::Relaxed) + 1, jobs);
-                    }
-                    local
-                })
-            })
-            .collect();
-        for handle in handles {
-            let local = handle.join().unwrap_or_else(|payload| panic::resume_unwind(payload));
-            for (index, result) in local {
-                debug_assert!(results[index].is_none(), "job {index} ran twice");
-                results[index] = Some(result);
-            }
+    // One worker's loop.  Results buffer locally, so the write path takes
+    // no lock per item.
+    let work = |worker: usize| {
+        let mut local: Vec<(usize, R)> = Vec::new();
+        while !hooks.cancelled() {
+            let Some((index, item)) = next_job(&queues, worker) else {
+                break;
+            };
+            local.push((index, f(item)));
+            hooks.tick(completed.fetch_add(1, Ordering::Relaxed) + 1, jobs);
         }
-    });
+        local
+    };
+    let locals: Vec<Vec<(usize, R)>> = if threads == 1 {
+        vec![work(0)]
+    } else {
+        thread::scope(|scope| {
+            let handles: Vec<_> =
+                (0..threads).map(|worker| scope.spawn(move || work(worker))).collect();
+            handles
+                .into_iter()
+                .map(|handle| handle.join().unwrap_or_else(|payload| panic::resume_unwind(payload)))
+                .collect()
+        })
+    };
 
-    // A cancelled map leaves holes; the hole check (not the flag) decides,
+    // Single pre-sized result buffer, filled at disjoint indices.  A
+    // cancelled map leaves holes; the hole check (not the flag) decides,
     // so a flag raised after the final item started still yields a full,
     // valid result set.
-    if results.iter().any(Option::is_none) {
-        return None;
+    let mut results: Vec<Option<R>> = Vec::with_capacity(jobs);
+    results.resize_with(jobs, || None);
+    for (index, result) in locals.into_iter().flatten() {
+        debug_assert!(results[index].is_none(), "job {index} ran twice");
+        results[index] = Some(result);
     }
-    Some(results.into_iter().map(|slot| slot.expect("every job ran")).collect())
+    results.into_iter().collect()
 }
 
 /// Deals `items` onto `threads` deques (`1 <= threads <= items.len()`):
@@ -203,7 +142,17 @@ fn next_job<T>(queues: &[Mutex<VecDeque<(usize, T)>>], worker: usize) -> Option<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use crate::Progress;
+    use std::sync::atomic::AtomicBool;
+
+    /// Maps without hooks, which cannot be cancelled.
+    fn map_all<T: Send, R: Send>(
+        items: Vec<T>,
+        threads: usize,
+        f: &(impl Fn(T) -> R + Sync),
+    ) -> Vec<R> {
+        parallel_map(items, threads, f, Hooks::default()).expect("no cancel flag")
+    }
 
     #[test]
     fn deal_gives_each_worker_one_contiguous_block() {
@@ -235,7 +184,7 @@ mod tests {
     fn preserves_input_order_for_any_thread_count() {
         let items: Vec<u64> = (0..100).collect();
         for threads in [1, 2, 3, 8, 200] {
-            let out = parallel_map(items.clone(), threads, &|x| x * 2);
+            let out = map_all(items.clone(), threads, &|x| x * 2);
             assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>(), "threads={threads}");
         }
     }
@@ -243,7 +192,7 @@ mod tests {
     #[test]
     fn runs_every_job_exactly_once() {
         let counter = AtomicUsize::new(0);
-        let out = parallel_map((0..57).collect::<Vec<u32>>(), 4, &|x| {
+        let out = map_all((0..57).collect::<Vec<u32>>(), 4, &|x| {
             counter.fetch_add(1, Ordering::SeqCst);
             x
         });
@@ -255,7 +204,7 @@ mod tests {
     fn uneven_job_costs_are_stolen() {
         // One expensive job on worker 0's deque plus many cheap ones: the
         // cheap ones must still all complete (stolen by idle workers).
-        let out = parallel_map((0..32).collect::<Vec<u64>>(), 4, &|x| {
+        let out = map_all((0..32).collect::<Vec<u64>>(), 4, &|x| {
             if x == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(20));
             }
@@ -266,13 +215,13 @@ mod tests {
 
     #[test]
     fn empty_input_returns_empty() {
-        let out: Vec<u32> = parallel_map(Vec::<u32>::new(), 8, &|x| x);
+        let out: Vec<u32> = map_all(Vec::<u32>::new(), 8, &|x| x);
         assert!(out.is_empty());
     }
 
     #[test]
     fn zero_threads_means_one_worker_per_cpu() {
-        let out = parallel_map(vec![1, 2, 3], 0, &|x| x);
+        let out = map_all(vec![1, 2, 3], 0, &|x| x);
         assert_eq!(out, vec![1, 2, 3]);
     }
 
@@ -280,7 +229,7 @@ mod tests {
     fn a_worker_panic_keeps_its_own_message() {
         for threads in [2, 4] {
             let caught = std::panic::catch_unwind(|| {
-                parallel_map((0..16).collect::<Vec<u32>>(), threads, &|x| {
+                map_all((0..16).collect::<Vec<u32>>(), threads, &|x| {
                     if x == 7 {
                         panic!("item {x}: boom");
                     }
@@ -304,8 +253,8 @@ mod tests {
                 assert_eq!(p.total, 20);
                 seen.lock().unwrap().push(p.completed);
             };
-            let ctl = MapControl { cancel: None, progress: Some(&tick) };
-            let out = parallel_map_controlled((0..20).collect::<Vec<u32>>(), threads, &|x| x, ctl)
+            let hooks = Hooks { cancel: None, progress: Some(&tick) };
+            let out = parallel_map((0..20).collect::<Vec<u32>>(), threads, &|x| x, hooks)
                 .expect("not cancelled");
             assert_eq!(out.len(), 20, "threads={threads}");
             let mut ticks = seen.into_inner().unwrap();
@@ -319,15 +268,15 @@ mod tests {
         let cancel = AtomicBool::new(true);
         for threads in [1, 4] {
             let counter = AtomicUsize::new(0);
-            let ctl = MapControl { cancel: Some(&cancel), progress: None };
-            let out = parallel_map_controlled(
+            let hooks = Hooks { cancel: Some(&cancel), progress: None };
+            let out = parallel_map(
                 (0..50).collect::<Vec<u32>>(),
                 threads,
                 &|x| {
                     counter.fetch_add(1, Ordering::SeqCst);
                     x
                 },
-                ctl,
+                hooks,
             );
             assert!(out.is_none(), "threads={threads}");
             assert_eq!(counter.load(Ordering::SeqCst), 0, "threads={threads}");
@@ -346,8 +295,8 @@ mod tests {
                 cancel.store(true, Ordering::SeqCst);
             }
         };
-        let ctl = MapControl { cancel: Some(&cancel), progress: Some(&tick) };
-        let out = parallel_map_controlled(
+        let hooks = Hooks { cancel: Some(&cancel), progress: Some(&tick) };
+        let out = parallel_map(
             (0..100).collect::<Vec<u32>>(),
             2,
             &|x| {
@@ -356,7 +305,7 @@ mod tests {
                 finished.fetch_add(1, Ordering::SeqCst);
                 x
             },
-            ctl,
+            hooks,
         );
         assert!(out.is_none());
         let (started, finished) = (started.load(Ordering::SeqCst), finished.load(Ordering::SeqCst));
@@ -372,8 +321,8 @@ mod tests {
                 cancel.store(true, Ordering::SeqCst);
             }
         };
-        let ctl = MapControl { cancel: Some(&cancel), progress: Some(&tick) };
-        let out = parallel_map_controlled((0..8).collect::<Vec<u32>>(), 1, &|x| x * 2, ctl);
+        let hooks = Hooks { cancel: Some(&cancel), progress: Some(&tick) };
+        let out = parallel_map((0..8).collect::<Vec<u32>>(), 1, &|x| x * 2, hooks);
         assert_eq!(out, Some((0..8).map(|x| x * 2).collect()));
     }
 
@@ -381,7 +330,7 @@ mod tests {
     fn non_clone_results_are_moved_through_the_buffer() {
         // The result type is deliberately not Clone/Copy: the merge path
         // must move results out of the workers' local buffers.
-        let out = parallel_map((0..16).collect::<Vec<u32>>(), 4, &|x| Box::new(x * 3));
+        let out = map_all((0..16).collect::<Vec<u32>>(), 4, &|x| Box::new(x * 3));
         assert_eq!(
             out.iter().map(|b| **b).collect::<Vec<_>>(),
             (0..16).map(|x| x * 3).collect::<Vec<_>>()

@@ -4,8 +4,7 @@
 //! One event stream per [`gen::Family`] runs through the verified online
 //! session ([`engine::online::run_stream_verified`]): every repaired
 //! schedule is byte-compared against a cold recompute at the final
-//! parameters, and every repair's touched-node count is set against a
-//! full recompute's.  The study then reports, per family:
+//! parameters.  The study then reports, per family:
 //!
 //! * the **savings gap** — how much energy the online manager (which
 //!   repairs its schedule at every budget/scaling change) saves over an
@@ -25,6 +24,7 @@ use std::fmt::Write as _;
 use engine::online::{run_stream_verified, VerifiedOutcome};
 use engine::pool::parallel_map;
 use engine::report::json_number;
+use engine::Hooks;
 use gen::{Family, StreamSpec};
 
 use crate::ExperimentError;
@@ -50,7 +50,8 @@ pub struct OnlineweepRow {
     pub zero_work_events: usize,
     /// Repairs that ran a full recompute.
     pub full_recomputes: usize,
-    /// Median per-event `nodes_touched / full recompute nodes_touched`.
+    /// Median per-event touched-nodes ratio against a cold run: 0 for a
+    /// memo hit, 1 for a kernel run.
     pub median_touched_ratio: f64,
     /// Whether every repaired schedule matched cold bytes.
     pub cold_identical: bool,
@@ -101,9 +102,13 @@ pub fn run_onlineweep(small: bool, threads: usize) -> Result<OnlineweepOutcome, 
         .into_iter()
         .map(|family| family_spec(family, small))
         .collect::<Result<Vec<_>, _>>()?;
-    let outcomes = parallel_map(specs, threads, &|spec: StreamSpec| {
-        run_stream_verified(&spec).map(|v| (spec.spec_string(), v))
-    });
+    let outcomes = parallel_map(
+        specs,
+        threads,
+        &|spec: StreamSpec| run_stream_verified(&spec).map(|v| (spec.spec_string(), v)),
+        Hooks::default(),
+    )
+    .expect("no cancel flag, no cancellation");
 
     let mut rows = Vec::with_capacity(outcomes.len());
     for (family, outcome) in Family::ALL.into_iter().zip(outcomes) {

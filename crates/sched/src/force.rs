@@ -371,9 +371,10 @@ pub(crate) fn schedule_with_timing_into(
 /// work — a memo hit, or a budget below the bound critical path — and
 /// reports all zeros, or runs a cold timing analysis (and, at a feasible
 /// budget, the kernel) and reports what that cost: the same figures a
-/// fresh workspace reports at that budget.  The online engine's audited
-/// replay (`engine::online::run_stream_verified`) sets these against a
-/// fresh workspace's.
+/// fresh workspace reports at that budget (the `repair_identity` suite
+/// pins this).  So an event's touched-nodes ratio against a cold run is 0
+/// or 1, and the online engine's audited replay
+/// (`engine::online::run_stream_verified`) reads it off `nodes_touched`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepairStats {
     /// One per functional node for the timing analysis, plus the kernel's

@@ -23,8 +23,8 @@
 //! (`gen` stream-spec syntax, e.g.
 //! `family=mux-tree,seed=7,count=3;events=200,eseed=1`); the daemon streams
 //! one record per event, in event order, as the session repairs each
-//! schedule, and the final report is byte-identical to an in-process
-//! `engine::online::run_stream`.
+//! schedule, and the final report is byte-identical to the one an
+//! in-process `engine::online::run_stream` returns for the same stream.
 //!
 //! Exit codes: 0 success, 1 the job failed or was cancelled, 2 usage,
 //! 3 connection/daemon/rejection errors.

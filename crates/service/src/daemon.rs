@@ -43,7 +43,7 @@ use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 
-use engine::{Engine, ExploreOptions, Progress, SweepPlan};
+use engine::{Engine, ExploreOptions, Hooks, Progress, SessionState, SweepPlan};
 
 use crate::admission::{AdmissionLimits, RejectReason, Rejection};
 use crate::jobs::{CancelOutcome, ClaimedJob, JobState, JobTable};
@@ -318,7 +318,7 @@ fn handle_submit(shared: &Arc<Shared>, writer: &mut Connection, spec: JobSpec) -
             return respond(writer, Response::Rejected(rejection).to_line()).is_ok();
         }
         let (sender, receiver) = std::sync::mpsc::channel();
-        let id = jobs.enqueue(spec, Some(sender));
+        let id = jobs.enqueue(spec, sender);
         (id, receiver)
     };
     shared.wake.notify_all();
@@ -411,18 +411,12 @@ fn run_job(shared: &Arc<Shared>, claimed: ClaimedJob) {
 
     // Progress ticks arrive concurrently from engine workers; fetch_max
     // keeps the shared counter monotone.
-    let event_sender = events.clone().map(Mutex::new);
     let on_progress = |p: Progress| {
         progress.completed.fetch_max(p.completed, Ordering::Relaxed);
         progress.total.fetch_max(p.total, Ordering::Relaxed);
-        if let Some(sender) = &event_sender {
-            let _ = sender.lock().expect("events lock").send(Event::Progress {
-                id,
-                completed: p.completed,
-                total: p.total,
-            });
-        }
+        let _ = events.send(Event::Progress { id, completed: p.completed, total: p.total });
     };
+    let hooks = Hooks { cancel: Some(&cancel), progress: Some(&on_progress) };
 
     let engine = shared.engine.read().expect("engine lock");
     let baseline = engine.cache_stats();
@@ -434,11 +428,9 @@ fn run_job(shared: &Arc<Shared>, claimed: ClaimedJob) {
                 builder = builder.gate_level(gate.samples, gate.seed);
             }
             match builder.build() {
-                Ok(plan) => Ok(engine
-                    .run_controlled(&plan, shared.threads, Some(&cancel), Some(&on_progress))
-                    .map(|report| {
-                        (report.failure_count(), report.to_json(), record_lines(&report))
-                    })),
+                Ok(plan) => Ok(engine.run_controlled(&plan, shared.threads, hooks).map(|report| {
+                    (report.failure_count(), report.to_json(), record_lines(&report))
+                })),
                 Err(err) => Err(err.to_string()),
             }
         }
@@ -449,13 +441,7 @@ fn run_job(shared: &Arc<Shared>, claimed: ClaimedJob) {
                 .voltage(*voltage)
                 .branch_model(*branch_model);
             Ok(engine
-                .explore_controlled(
-                    requests,
-                    &options,
-                    shared.threads,
-                    Some(&cancel),
-                    Some(&on_progress),
-                )
+                .explore_controlled(requests, &options, shared.threads, hooks)
                 .map(|report| (report.failure_count(), report.to_json(), Vec::new())))
         }
         JobSpec::Online { stream } => match gen::StreamSpec::parse(stream) {
@@ -464,20 +450,11 @@ fn run_job(shared: &Arc<Shared>, claimed: ClaimedJob) {
             // shield the wire from (the session is strictly sequential), and
             // a power manager wants the repair outcome now, not at drain.
             Ok(stream_spec) => {
-                let on_record = |record: &engine::online::EventRecord| {
-                    if let Some(sender) = &event_sender {
-                        let _ = sender
-                            .lock()
-                            .expect("events lock")
-                            .send(Event::Record { id, json: engine::online::record_json(record) });
-                    }
+                let on_record = |record: &engine::online::EventRecord, _: &SessionState| {
+                    let json = engine::online::record_json(record);
+                    let _ = events.send(Event::Record { id, json });
                 };
-                match engine::online::run_stream_controlled(
-                    &stream_spec,
-                    Some(&cancel),
-                    Some(&on_progress),
-                    Some(&on_record),
-                ) {
+                match engine::online::run_stream(&stream_spec, hooks, on_record) {
                     Ok(Some(report)) => {
                         Ok(Some((report.summary.errors, report.to_json(), Vec::new())))
                     }
@@ -496,12 +473,10 @@ fn run_job(shared: &Arc<Shared>, claimed: ClaimedJob) {
         // Cancelled mid-run: partial results are discarded, never sent.
         Ok(None) => cancelled_event(id),
         Ok(Some((failures, report, records))) => {
-            if let Some(sender) = &events {
-                // Records replay in plan order — completion order never
-                // reaches the wire.
-                for json in records {
-                    let _ = sender.send(Event::Record { id, json });
-                }
+            // Records replay in plan order — completion order never
+            // reaches the wire.
+            for json in records {
+                let _ = events.send(Event::Record { id, json });
             }
             Event::Done {
                 id,
@@ -565,7 +540,7 @@ fn failed_event(id: u64, detail: String) -> Event {
 /// Records a job's terminal outcome in the table, then sends the terminal
 /// event — in that order, so a status query the submitter sends after
 /// reading the event already sees the terminal state.
-fn finish_job(shared: &Shared, events: &Option<Sender<Event>>, terminal: Event) {
+fn finish_job(shared: &Shared, events: &Sender<Event>, terminal: Event) {
     if let Event::Done { id, state, failures, job_cache, error, .. } = &terminal {
         shared.jobs.lock().expect("jobs lock").finish(
             *id,
@@ -575,9 +550,7 @@ fn finish_job(shared: &Shared, events: &Option<Sender<Event>>, terminal: Event) 
             error.clone(),
         );
     }
-    if let Some(sender) = events {
-        let _ = sender.send(terminal);
-    }
+    let _ = events.send(terminal);
 }
 
 /// Frames `line` with its newline and queues it as one write; the caller

@@ -25,11 +25,12 @@ use crate::protocol::{Event, JobSpec, JobStatus};
 /// What a job is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobKind {
-    /// A scenario sweep ([`engine::Engine::run`]).
+    /// A scenario sweep ([`engine::Engine::run_controlled`]).
     Sweep,
-    /// A Pareto exploration ([`engine::Engine::explore`]).
+    /// A Pareto exploration ([`engine::Engine::explore_controlled`]).
     Explore,
-    /// An online event-stream session ([`engine::online::run_stream`]).
+    /// An online event-stream session ([`engine::online::run_stream`],
+    /// with a sink that streams each record to the submitter).
     Online,
 }
 
@@ -121,7 +122,8 @@ struct Job {
     spec: Option<JobSpec>,
     cancel: Arc<AtomicBool>,
     progress: Arc<JobProgress>,
-    /// Stream back to the submitting connection, while it is interested.
+    /// Stream back to the submitting connection; taken when the job
+    /// reaches a terminal state, which ends the stream.
     events: Option<Sender<Event>>,
     /// The job's own cache delta, recorded at completion.
     job_cache: Option<CacheStats>,
@@ -141,16 +143,16 @@ pub struct ClaimedJob {
     pub cancel: Arc<AtomicBool>,
     /// Shared completion counters.
     pub progress: Arc<JobProgress>,
-    /// Event stream to the submitter, if it is still listening.
-    pub events: Option<Sender<Event>>,
+    /// Event stream to the submitter.
+    pub events: Sender<Event>,
 }
 
 /// What a cancellation request found.
 #[derive(Debug)]
 pub enum CancelOutcome {
-    /// The job was queued; it will never run.  The submitter's stream (if
-    /// any) is handed back so the daemon can send it a terminal event.
-    WasQueued(Option<Sender<Event>>),
+    /// The job was queued; it will never run.  The submitter's stream is
+    /// handed back so the daemon can send it a terminal event.
+    WasQueued(Sender<Event>),
     /// The job is running; its cancel flag has been raised and the executor
     /// will finalize it at the next work-item boundary.
     RunningFlagRaised,
@@ -180,8 +182,9 @@ impl JobTable {
         self.queue.len()
     }
 
-    /// Enqueues an admitted job and returns its id.
-    pub fn enqueue(&mut self, spec: JobSpec, events: Option<Sender<Event>>) -> u64 {
+    /// Enqueues an admitted job, whose events go to `events`, and returns
+    /// its id.
+    pub fn enqueue(&mut self, spec: JobSpec, events: Sender<Event>) -> u64 {
         self.next_id += 1;
         let id = self.next_id;
         self.jobs.insert(
@@ -192,7 +195,7 @@ impl JobTable {
                 spec: Some(spec),
                 cancel: Arc::new(AtomicBool::new(false)),
                 progress: Arc::new(JobProgress::default()),
-                events,
+                events: Some(events),
                 job_cache: None,
                 failures: None,
                 error: None,
@@ -213,7 +216,7 @@ impl JobTable {
             spec: job.spec.take().expect("queued job keeps its spec"),
             cancel: Arc::clone(&job.cancel),
             progress: Arc::clone(&job.progress),
-            events: job.events.clone(),
+            events: job.events.clone().expect("a queued job keeps its sender"),
         })
     }
 
@@ -248,7 +251,7 @@ impl JobTable {
                 self.queue.retain(|&queued| queued != id);
                 job.state = JobState::Cancelled;
                 job.spec = None;
-                CancelOutcome::WasQueued(job.events.take())
+                CancelOutcome::WasQueued(job.events.take().expect("a queued job keeps its sender"))
             }
             JobState::Running => {
                 job.cancel.store(true, Ordering::Relaxed);
@@ -260,14 +263,14 @@ impl JobTable {
 
     /// Cancels every queued job (daemon shutdown) and returns the streams of
     /// the cancelled submitters so they can be notified.
-    pub fn cancel_all_queued(&mut self) -> Vec<(u64, Option<Sender<Event>>)> {
+    pub fn cancel_all_queued(&mut self) -> Vec<(u64, Sender<Event>)> {
         let ids: Vec<u64> = self.queue.drain(..).collect();
         ids.into_iter()
             .map(|id| {
                 let job = self.jobs.get_mut(&id).expect("queued id is tracked");
                 job.state = JobState::Cancelled;
                 job.spec = None;
-                (id, job.events.take())
+                (id, job.events.take().expect("a queued job keeps its sender"))
             })
             .collect()
     }
@@ -302,11 +305,17 @@ mod tests {
         JobSpec::sweep(vec![Scenario::new("dealer", latency)])
     }
 
+    /// The sending half of a channel whose receiver is already gone, as
+    /// after a submitter disconnects.
+    fn sink() -> Sender<Event> {
+        std::sync::mpsc::channel().0
+    }
+
     #[test]
     fn ids_are_sequential_and_fifo_order_is_kept() {
         let mut table = JobTable::new();
-        assert_eq!(table.enqueue(spec(4), None), 1);
-        assert_eq!(table.enqueue(spec(5), None), 2);
+        assert_eq!(table.enqueue(spec(4), sink()), 1);
+        assert_eq!(table.enqueue(spec(5), sink()), 2);
         assert_eq!(table.queued_len(), 2);
         let first = table.claim_next().unwrap();
         assert_eq!(first.id, 1);
@@ -318,9 +327,18 @@ mod tests {
     #[test]
     fn cancelling_a_queued_job_removes_it_from_the_queue() {
         let mut table = JobTable::new();
-        table.enqueue(spec(4), None);
-        table.enqueue(spec(5), None);
-        assert!(matches!(table.cancel(1), CancelOutcome::WasQueued(None)));
+        let (sender, receiver) = std::sync::mpsc::channel();
+        table.enqueue(spec(4), sender);
+        table.enqueue(spec(5), sink());
+        // The table hands back the submitter's own stream and keeps no
+        // sender of its own.
+        let CancelOutcome::WasQueued(events) = table.cancel(1) else {
+            panic!("job 1 was queued");
+        };
+        events.send(Event::Progress { id: 1, completed: 0, total: 0 }).unwrap();
+        drop(events);
+        assert!(matches!(receiver.recv(), Ok(Event::Progress { id: 1, .. })));
+        assert!(receiver.recv().is_err(), "the stream ended");
         assert_eq!(table.status(1).unwrap().state, JobState::Cancelled);
         assert_eq!(table.queued_len(), 1);
         assert_eq!(table.claim_next().unwrap().id, 2, "job 1 never runs");
@@ -329,7 +347,7 @@ mod tests {
     #[test]
     fn cancelling_a_running_job_raises_its_flag() {
         let mut table = JobTable::new();
-        table.enqueue(spec(4), None);
+        table.enqueue(spec(4), sink());
         let claimed = table.claim_next().unwrap();
         assert!(!claimed.cancel.load(Ordering::Relaxed));
         assert!(matches!(table.cancel(1), CancelOutcome::RunningFlagRaised));
@@ -342,8 +360,8 @@ mod tests {
     #[test]
     fn statuses_cover_every_job_in_submission_order() {
         let mut table = JobTable::new();
-        table.enqueue(spec(4), None);
-        table.enqueue(spec(5), None);
+        table.enqueue(spec(4), sink());
+        table.enqueue(spec(5), sink());
         table.claim_next();
         table.finish(1, JobState::Done, None, Some(0), None);
         let statuses = table.statuses();
@@ -355,8 +373,8 @@ mod tests {
     #[test]
     fn shutdown_cancels_every_queued_job() {
         let mut table = JobTable::new();
-        table.enqueue(spec(4), None);
-        table.enqueue(spec(5), None);
+        table.enqueue(spec(4), sink());
+        table.enqueue(spec(5), sink());
         table.claim_next();
         let cancelled = table.cancel_all_queued();
         assert_eq!(cancelled.len(), 1);

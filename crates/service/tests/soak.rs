@@ -80,6 +80,14 @@ fn job_pool() -> Vec<JobSpec> {
     ]
 }
 
+/// The in-process report of one online stream, run without hooks.
+fn online_report(stream: &gen::StreamSpec) -> String {
+    engine::online::run_stream(stream, engine::Hooks::default(), |_, _| {})
+        .expect("stream runs")
+        .expect("no cancel flag")
+        .to_json()
+}
+
 /// Uncontended in-process baseline report for each pool entry, in order.
 fn baselines(pool: &[JobSpec]) -> Vec<String> {
     pool.iter()
@@ -95,7 +103,7 @@ fn baselines(pool: &[JobSpec]) -> Vec<String> {
             }
             JobSpec::Online { stream } => {
                 let stream = gen::StreamSpec::parse(stream).expect("stream parses");
-                engine::online::run_stream(&stream).expect("stream runs").to_json()
+                online_report(&stream)
             }
             JobSpec::Explore { .. } => unreachable!("pool has no explore jobs"),
         })
@@ -226,10 +234,7 @@ fn interleaved_storm_keeps_reports_identical_and_leaks_no_jobs() {
 #[test]
 fn online_resubmission_on_a_warm_daemon_is_byte_stable() {
     let daemon = DaemonProc::start("warm-online");
-    let baseline =
-        engine::online::run_stream(&gen::StreamSpec::parse(ONLINE_A).expect("stream parses"))
-            .expect("stream runs")
-            .to_json();
+    let baseline = online_report(&gen::StreamSpec::parse(ONLINE_A).expect("stream parses"));
     for round in 0..2 {
         let outcome = Client::connect(&daemon.socket)
             .expect("connect")

@@ -10,13 +10,12 @@
 //! stages also unlock additional managed multiplexors; see the
 //! `ablation_pipeline` binary.)
 //!
-//! Run with `cargo run -p experiments --example cordic_pipeline`.
+//! Run with `cargo run --example cordic_pipeline`.
 
 use std::error::Error;
 
 use circuits::cordic_with_iterations;
-use pmsched::pipeline::power_manage_pipelined;
-use pmsched::PowerManagementOptions;
+use engine::{Engine, Scenario, SweepPlan};
 
 fn main() -> Result<(), Box<dyn Error>> {
     // A 6-iteration CORDIC keeps the example fast; the full benchmark uses
@@ -26,20 +25,31 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("cordic (6 iterations): {}", cdfg.op_counts());
     println!("critical path / throughput constraint: {critical_path} control steps\n");
 
+    // The engine schedules each pipeline depth at `critical_path × stages`
+    // steps, as `ablation_pipeline` does for the paper's circuits.
+    let name = cdfg.name().to_owned();
+    let mut engine = Engine::new();
+    engine.register_circuit(cdfg);
+    let plan =
+        SweepPlan::builder().case(&name, critical_path).pipeline_depths([1, 2, 3]).build()?;
+    let report = engine.run(&plan, 0);
+
     println!(
         "{:<7} {:>15} {:>9} {:>12} {:>15}",
         "stages", "steps per sample", "PM muxes", "savings (%)", "extra registers"
     );
-    let options = PowerManagementOptions::with_latency(critical_path);
     for stages in 1..=3u32 {
-        let report = power_manage_pipelined(&cdfg, &options, stages)?;
+        let scenario = Scenario::new(&name, critical_path).pipeline_depth(stages);
+        let record = report.record_for(&scenario).expect("the plan holds every depth");
+        let metrics =
+            record.metrics().ok_or_else(|| record.error().unwrap_or_default().to_owned())?;
         println!(
             "{:<7} {:>15} {:>9} {:>12.2} {:>15}",
             stages,
-            report.effective_latency,
-            report.result.managed_mux_count(),
-            report.reduction_percent(),
-            report.extra_registers
+            metrics.effective_latency,
+            metrics.pm_muxes,
+            metrics.power_reduction,
+            metrics.extra_registers
         );
     }
 
