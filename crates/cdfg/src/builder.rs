@@ -1,8 +1,9 @@
 //! A fluent, expression-oriented builder for CDFGs.
 //!
 //! [`CdfgBuilder`] keeps a symbol table of named values so that designs can
-//! be written as straight-line single-assignment code, mirroring how the
-//! Silage frontend elaborates programs.
+//! be written as straight-line single-assignment code.  The Silage frontend
+//! compiles through it: its parser adds each node here as it reduces an
+//! operator and resolves every name with [`CdfgBuilder::lookup`].
 //!
 //! ```
 //! use cdfg::CdfgBuilder;
@@ -51,7 +52,8 @@ impl CdfgBuilder {
         id
     }
 
-    /// Adds (or reuses) a constant node.
+    /// Adds a constant node.  Every call adds a fresh node, even for a
+    /// value already present: constants are not shared.
     pub fn constant(&mut self, value: i64) -> NodeId {
         self.cdfg.add_const(value)
     }
@@ -216,6 +218,15 @@ mod tests {
         b.bind("a", c);
         assert_eq!(b.lookup("a"), Some(c), "binding shadows the input");
         assert_eq!(b.lookup("missing"), None);
+    }
+
+    #[test]
+    fn every_constant_call_adds_a_node() {
+        let mut b = CdfgBuilder::new("t");
+        let first = b.constant(1);
+        let second = b.constant(1);
+        assert_ne!(first, second);
+        assert_eq!(b.cdfg().node_count(), 2);
     }
 
     #[test]

@@ -190,8 +190,8 @@ impl StreamSpec {
     /// # Errors
     ///
     /// Rejects a missing semicolon, malformed generator specs, missing
-    /// `events`/`eseed`, unknown keys, malformed numbers and out-of-range
-    /// knobs.
+    /// `events`/`eseed`, unknown and repeated keys, malformed numbers and
+    /// out-of-range knobs.
     pub fn parse(text: &str) -> Result<Self, GenError> {
         let Some((gen_text, stream_text)) = text.split_once(';') else {
             return Err(GenError::MalformedSpec(
@@ -200,7 +200,8 @@ impl StreamSpec {
         };
         let gen = GenSpec::parse(gen_text)?;
         let mut spec = StreamSpec::new(gen, 0, 0);
-        let (mut events_given, mut eseed_given) = (false, false);
+        // Every key read so far (see `GenSpec::parse`).
+        let mut seen = Vec::new();
         for field in stream_text.split(',') {
             let field = field.trim();
             if field.is_empty() {
@@ -209,16 +210,14 @@ impl StreamSpec {
             let Some((key, value)) = field.split_once('=') else {
                 return Err(GenError::MalformedSpec(format!("`{field}` is not key=value")));
             };
+            if seen.contains(&key) {
+                return Err(GenError::MalformedSpec(format!("duplicate key `{key}`")));
+            }
+            seen.push(key);
             let bad = |_| GenError::MalformedSpec(format!("`{value}` is not a number ({key})"));
             match key {
-                "events" => {
-                    spec.events = value.parse().map_err(bad)?;
-                    events_given = true;
-                }
-                "eseed" => {
-                    spec.eseed = value.parse().map_err(bad)?;
-                    eseed_given = true;
-                }
+                "events" => spec.events = value.parse().map_err(bad)?,
+                "eseed" => spec.eseed = value.parse().map_err(bad)?,
                 "span" => spec.span = value.parse().map_err(bad)?,
                 "churn" => spec.churn_permille = value.parse().map_err(bad)?,
                 "rescale" => spec.rescale_permille = value.parse().map_err(bad)?,
@@ -227,10 +226,10 @@ impl StreamSpec {
                 }
             }
         }
-        if !events_given {
+        if !seen.contains(&"events") {
             return Err(GenError::MalformedSpec("missing `events=<n>`".to_owned()));
         }
-        if !eseed_given {
+        if !seen.contains(&"eseed") {
             return Err(GenError::MalformedSpec("missing `eseed=<u64>`".to_owned()));
         }
         spec.validate()?;
@@ -421,6 +420,16 @@ mod tests {
         assert!(
             StreamSpec::parse("family=mux-tree,seed=1,count=1;events=5,eseed=1,bogus=1").is_err()
         );
+    }
+
+    #[test]
+    fn repeated_keys_are_rejected() {
+        let err = StreamSpec::parse("family=mux-tree,seed=1,count=2;events=5,eseed=1,events=9")
+            .unwrap_err();
+        assert_eq!(err, GenError::MalformedSpec("duplicate key `events`".to_owned()));
+        let err = StreamSpec::parse("family=mux-tree,seed=1,seed=2,count=2;events=5,eseed=1")
+            .unwrap_err();
+        assert_eq!(err, GenError::MalformedSpec("duplicate key `seed`".to_owned()));
     }
 
     #[test]

@@ -123,8 +123,9 @@ impl GenSpec {
     ///
     /// # Errors
     ///
-    /// Rejects missing `family`/`seed`/`count`, unknown families and keys,
-    /// malformed numbers, and knob values outside their sane ranges.
+    /// Rejects missing `family`/`seed`/`count`, unknown families, unknown
+    /// and repeated keys, malformed numbers, and knob values outside their
+    /// sane ranges.
     pub fn parse(text: &str) -> Result<Self, GenError> {
         let mut fields = Vec::new();
         for field in text.split(',') {
@@ -146,19 +147,19 @@ impl GenSpec {
             .map(|&(_, value)| Family::parse(value))
             .ok_or_else(|| GenError::MalformedSpec("missing `family=<name>`".to_owned()))??;
         let mut spec = GenSpec::new(family, 0, 10);
-        let (mut seed_given, mut count_given) = (false, false);
+        // Every key read so far: at most one unknown key gets in before
+        // the match rejects it, so the lookups stay constant-time.
+        let mut seen = Vec::new();
         for (key, value) in fields {
+            if seen.contains(&key) {
+                return Err(GenError::MalformedSpec(format!("duplicate key `{key}`")));
+            }
+            seen.push(key);
             let bad = |_| GenError::MalformedSpec(format!("`{value}` is not a number ({key})"));
             match key {
                 "family" => {}
-                "seed" => {
-                    spec.seed = value.parse().map_err(bad)?;
-                    seed_given = true;
-                }
-                "count" => {
-                    spec.count = value.parse().map_err(bad)?;
-                    count_given = true;
-                }
+                "seed" => spec.seed = value.parse().map_err(bad)?,
+                "count" => spec.count = value.parse().map_err(bad)?,
                 "width" => spec.width = value.parse().map_err(bad)?,
                 "depth" => spec.depth = value.parse().map_err(bad)?,
                 "mux" => spec.mux_permille = value.parse().map_err(bad)?,
@@ -167,10 +168,10 @@ impl GenSpec {
                 other => return Err(GenError::MalformedSpec(format!("unknown key `{other}`"))),
             }
         }
-        if !seed_given {
+        if !seen.contains(&"seed") {
             return Err(GenError::MalformedSpec("missing `seed=<u64>`".to_owned()));
         }
-        if !count_given {
+        if !seen.contains(&"count") {
             return Err(GenError::MalformedSpec("missing `count=<n>`".to_owned()));
         }
         spec.validate()?;
@@ -296,6 +297,22 @@ mod tests {
             Err(GenError::MalformedSpec(_))
         ));
         assert!(matches!(GenSpec::parse("seed=3"), Err(GenError::MalformedSpec(_))));
+    }
+
+    #[test]
+    fn repeated_keys_are_rejected() {
+        for text in [
+            "family=mux-tree,seed=1,count=2,family=random-dag",
+            "family=mux-tree,seed=1,count=2,seed=7,count=3",
+            "family=random-dag,seed=1,count=2,width=4, width=4",
+        ] {
+            let err = GenSpec::parse(text).unwrap_err();
+            assert!(matches!(&err, GenError::MalformedSpec(m) if m.starts_with("duplicate key")));
+        }
+        assert_eq!(
+            GenSpec::parse("family=mux-tree,seed=1,count=2,seed=7").unwrap_err().to_string(),
+            "malformed generator spec: duplicate key `seed`"
+        );
     }
 
     #[test]

@@ -5,8 +5,9 @@ use std::fmt;
 use cdfg::CdfgError;
 
 use crate::token::TokenKind;
+use crate::MAX_DEPTH;
 
-/// Errors produced while lexing, parsing or elaborating a program.
+/// Errors produced while compiling a program.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SilageError {
@@ -52,8 +53,13 @@ pub enum SilageError {
     UnassignedOutput(String),
     /// Two parameters or outputs share a name.
     DuplicateDeclaration(String),
-    /// Elaboration produced a structurally invalid CDFG (internal error or a
-    /// degenerate program such as one with no outputs).
+    /// Parentheses or `if`s nest deeper than [`crate::MAX_DEPTH`] levels.
+    TooDeep {
+        /// 1-based source line of the `(` or `if` one level too deep.
+        line: u32,
+    },
+    /// Compilation produced a structurally invalid CDFG (internal error or
+    /// a degenerate function such as one with no outputs).
     Construction(CdfgError),
 }
 
@@ -79,6 +85,9 @@ impl fmt::Display for SilageError {
             SilageError::UnassignedOutput(name) => write!(f, "output `{name}` is never assigned"),
             SilageError::DuplicateDeclaration(name) => {
                 write!(f, "`{name}` is declared more than once")
+            }
+            SilageError::TooDeep { line } => {
+                write!(f, "line {line}: expressions nest deeper than {MAX_DEPTH} levels")
             }
             SilageError::Construction(e) => write!(f, "elaboration failed: {e}"),
         }
@@ -114,6 +123,8 @@ mod tests {
             line: 3,
         };
         assert!(err.to_string().contains("expected `;`"));
+        let err = SilageError::TooDeep { line: 5 };
+        assert_eq!(err.to_string(), "line 5: expressions nest deeper than 64 levels");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! trade-off, exports the CDFG as Graphviz DOT and prints the generated
 //! VHDL skeleton for the best configuration.
 //!
-//! Run with `cargo run -p experiments --example custom_silage`.
+//! Run with `cargo run --example custom_silage`.
 
 use std::error::Error;
 

@@ -5,7 +5,7 @@
 //! power is saved — the trend behind Table II of the paper.  Also runs the
 //! gate-level comparison (Table III method) for the budget the paper used.
 //!
-//! Run with `cargo run -p experiments --example gcd_power`.
+//! Run with `cargo run --example gcd_power`.
 
 use std::error::Error;
 

@@ -5,7 +5,7 @@
 //! and VHDL, and simulates a few samples to show one subtraction being shut
 //! down per sample.
 //!
-//! Run with `cargo run -p experiments --example quickstart`.
+//! Run with `cargo run --example quickstart`.
 
 use std::collections::BTreeMap;
 use std::error::Error;

@@ -147,15 +147,7 @@ fn simulation_energy_reflects_gating() {
 
 #[test]
 fn silage_programs_with_conditionals_flow_end_to_end() {
-    let source = r#"
-        func filter(x: num[8], k: num[8], limit: num[8]) -> (y: num[8], flag: num[8]) {
-            scaled = x * k;
-            over   = scaled > limit;
-            y      = if over then limit else scaled;
-            flag   = if over then 1 else 0;
-        }
-    "#;
-    let cdfg = silage::compile(source).unwrap();
+    let cdfg = silage::compile(include_str!("silage/filter.sil")).unwrap();
     assert_eq!(cdfg.op_counts().mux, 2);
     full_flow(&cdfg, cdfg.critical_path_length() + 1, 64);
 
