@@ -431,10 +431,9 @@ fn pareto_front(circuit: &str, successes: &[(&Scenario, &ScenarioMetrics)]) -> V
     front
 }
 
-/// The single-line JSON object for one record, exactly as it appears inside
-/// [`SweepReport::to_json`]'s `records` array.  Public so the sweep service
-/// can stream records over the wire with byte-identical formatting.
-pub fn record_json(record: &SweepRecord) -> String {
+/// The single-line JSON object for one record inside
+/// [`SweepReport::to_json`]'s `records` array.
+fn record_json(record: &SweepRecord) -> String {
     let mut out = format!("{{\"scenario\": {}", scenario_json(&record.scenario));
     match &record.outcome {
         Ok(m) => {

@@ -32,6 +32,19 @@ impl SchedulerKind {
             SchedulerKind::List => "list",
         }
     }
+
+    /// Parses a label produced by [`SchedulerKind::label`].
+    ///
+    /// # Errors
+    ///
+    /// Names the unknown label.
+    pub fn parse(label: &str) -> Result<Self, String> {
+        match label {
+            "force" => Ok(SchedulerKind::ForceDirected),
+            "list" => Ok(SchedulerKind::List),
+            other => Err(format!("unknown scheduler `{other}`")),
+        }
+    }
 }
 
 impl fmt::Display for SchedulerKind {
@@ -80,6 +93,26 @@ impl BranchModel {
             BranchModel::Fair => "fair".to_owned(),
             BranchModel::Biased { permille } => format!("p{permille:04}"),
         }
+    }
+
+    /// Parses a label produced by [`BranchModel::label`] (`fair` or
+    /// `p<permille>`).
+    ///
+    /// # Errors
+    ///
+    /// Names an unknown label or a permille above 1000.
+    pub fn parse(label: &str) -> Result<Self, String> {
+        if label == "fair" {
+            return Ok(BranchModel::Fair);
+        }
+        let permille: u16 = label
+            .strip_prefix('p')
+            .and_then(|digits| digits.parse().ok())
+            .ok_or_else(|| format!("unknown branch model `{label}`"))?;
+        if permille > 1000 {
+            return Err(format!("branch model permille {permille} exceeds 1000"));
+        }
+        Ok(BranchModel::biased(permille))
     }
 }
 
@@ -191,6 +224,24 @@ mod tests {
         assert_eq!(BranchModel::biased(250).p_select_one(), 0.25);
         assert_eq!(BranchModel::biased(5000), BranchModel::biased(1000));
         assert_eq!(BranchModel::biased(1000).p_select_one(), 1.0);
+    }
+
+    #[test]
+    fn branch_model_and_scheduler_labels_parse_back() {
+        for model in [
+            BranchModel::Fair,
+            BranchModel::biased(0),
+            BranchModel::biased(300),
+            BranchModel::biased(1000),
+        ] {
+            assert_eq!(BranchModel::parse(&model.label()).unwrap(), model);
+        }
+        assert!(BranchModel::parse("p1001").is_err());
+        assert!(BranchModel::parse("biased").is_err());
+        for scheduler in [SchedulerKind::ForceDirected, SchedulerKind::List] {
+            assert_eq!(SchedulerKind::parse(scheduler.label()).unwrap(), scheduler);
+        }
+        assert!(SchedulerKind::parse("hyper").is_err());
     }
 
     #[test]

@@ -26,13 +26,18 @@
 //! * `--daemon SOCKET` — run the exploration as a job on a `sweepd` daemon
 //!   instead of in-process (requires `--json`; the printed report is
 //!   byte-identical to the in-process one).
+//!
+//! Either way the exploration is built once, as one
+//! `service::plans::explore_job`, and runs through `service::execute`:
+//! in-process on a fresh engine with the generated circuits registered, or
+//! as that same job in the daemon.
 
 use std::process::exit;
 
-use engine::{BudgetCeiling, BudgetPolicy, ExploreRequest, VoltagePolicy};
+use engine::{BudgetPolicy, VoltagePolicy};
 use gen::GenSpec;
 use power::DelayScaling;
-use service::{Client, JobSpec};
+use service::{plans, JobReport};
 
 enum Format {
     Pretty,
@@ -94,30 +99,32 @@ fn main() {
     }
 
     let span = span.unwrap_or(if small { 4 } else { 8 });
+    if !specs.is_empty() && small {
+        usage("--small only applies to the paper circuits; size generated runs with count=");
+    }
+    if daemon.is_some() && !matches!(format, Format::Json) {
+        usage("--daemon requires --json (the daemon streams the JSON report verbatim)");
+    }
+    let options = experiments::pareto::default_options(span).policy(policy).voltage(voltage);
+    let job = if specs.is_empty() {
+        plans::explore_job(Vec::new(), experiments::pareto::paper_requests(small), &options)
+    } else {
+        plans::explore_job(specs.iter().map(GenSpec::spec_string).collect(), Vec::new(), &options)
+    };
+    let job = job.unwrap_or_else(|e| fail(&e));
 
     if let Some(socket) = daemon {
-        if !matches!(format, Format::Json) {
-            usage("--daemon requires --json (the daemon streams the JSON report verbatim)");
-        }
-        run_on_daemon(&socket, small, &specs, span, policy, voltage);
-        return;
-    }
-
-    let options = experiments::pareto::default_options(span).policy(policy).voltage(voltage);
-    let outcome = if specs.is_empty() {
-        experiments::pareto::explore_paper(small, &options, threads)
-    } else {
-        if small {
-            usage("--small only applies to the paper circuits; size generated runs with count=");
-        }
-        experiments::pareto::explore_generated(&specs, &options, threads)
-    };
-    let report = match outcome {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("pareto exploration failed: {e}");
+        // The report comes back verbatim: byte-identical to the in-process
+        // `--json` output.
+        let (report, failures) = job.submit(&socket).unwrap_or_else(|e| fail(&e));
+        print!("{report}");
+        if failures > 0 {
             exit(1);
         }
+        return;
+    }
+    let (JobReport::Explore(report), _) = job.run(threads).unwrap_or_else(|e| fail(&e)) else {
+        unreachable!("an explore job returns an exploration report");
     };
 
     match format {
@@ -130,58 +137,9 @@ fn main() {
     }
 }
 
-/// Submits the exploration as one fully explicit job to a running `sweepd`
-/// and prints the returned report verbatim — byte-identical to the
-/// in-process `--json` output.
-fn run_on_daemon(
-    socket: &str,
-    small: bool,
-    specs: &[GenSpec],
-    span: u32,
-    policy: BudgetPolicy,
-    voltage: VoltagePolicy,
-) {
-    let (gen, requests): (Vec<String>, Vec<ExploreRequest>) = if specs.is_empty() {
-        (Vec::new(), experiments::pareto::paper_requests(small))
-    } else {
-        if small {
-            usage("--small only applies to the paper circuits; size generated runs with count=");
-        }
-        let gen: Vec<String> = specs.iter().map(GenSpec::spec_string).collect();
-        match service::plans::gen_requests(&gen) {
-            Ok(requests) => (gen, requests),
-            Err(e) => usage(&e),
-        }
-    };
-    let spec = JobSpec::Explore {
-        gen,
-        requests,
-        policy,
-        ceiling: BudgetCeiling::CriticalPathPlus(span),
-        voltage,
-        branch_model: engine::BranchModel::Fair,
-    };
-    let outcome = Client::connect(socket)
-        .and_then(|mut client| client.submit_and_wait(spec))
-        .unwrap_or_else(|e| {
-            eprintln!("pareto exploration failed: {e}");
-            exit(1);
-        });
-    match (outcome.state, outcome.report) {
-        (service::JobState::Done, Some(report)) => {
-            print!("{report}");
-            if outcome.failures.unwrap_or(0) > 0 {
-                exit(1);
-            }
-        }
-        (state, _) => {
-            eprintln!(
-                "pareto exploration failed: daemon job ended {state}{}",
-                outcome.error.map_or_else(String::new, |e| format!(": {e}"))
-            );
-            exit(1);
-        }
-    }
+fn fail(problem: &str) -> ! {
+    eprintln!("pareto exploration failed: {problem}");
+    exit(1);
 }
 
 fn usage(problem: &str) -> ! {

@@ -21,12 +21,15 @@
 //! * `--daemon SOCKET` — run the same matrix as a job on a `sweepd` daemon
 //!   instead of in-process (requires `--json`; the printed report is
 //!   byte-identical to the in-process one).
+//!
+//! Either way the matrix is built once, as one `service::plans::sweep_job`,
+//! and runs through `service::execute`: in-process on a fresh engine with
+//! the generated circuits registered, or as that same job in the daemon.
 
 use std::process::exit;
 
-use engine::Scenario;
 use gen::GenSpec;
-use service::{Client, JobSpec};
+use service::{plans, JobReport};
 
 enum Format {
     Pretty,
@@ -67,31 +70,36 @@ fn main() {
         }
     }
 
-    if let Some(socket) = daemon {
-        if !matches!(format, Format::Json) {
-            usage("--daemon requires --json (the daemon streams the JSON report verbatim)");
-        }
-        run_on_daemon(&socket, small, &specs);
-        return;
+    if !specs.is_empty() && small {
+        // --small shapes the paper matrix; silently ignoring it on the
+        // generated path would surprise anyone adapting the CI smoke
+        // invocation.  Size generated runs with `count=` instead.
+        usage("--small only applies to the paper matrix; use --gen ...,count=N to size a generated run");
     }
-
-    let outcome = if specs.is_empty() {
-        experiments::sweep::run_full_matrix(small, threads)
+    if daemon.is_some() && !matches!(format, Format::Json) {
+        usage("--daemon requires --json (the daemon streams the JSON report verbatim)");
+    }
+    let job = if specs.is_empty() {
+        experiments::sweep::full_matrix_plan(small)
+            .map_err(|e| e.to_string())
+            .and_then(|plan| plans::sweep_job(Vec::new(), plan.scenarios().to_vec()))
     } else {
-        if small {
-            // --small shapes the paper matrix; silently ignoring it on the
-            // generated path would surprise anyone adapting the CI smoke
-            // invocation.  Size generated runs with `count=` instead.
-            usage("--small only applies to the paper matrix; use --gen ...,count=N to size a generated run");
-        }
-        experiments::genweep::sweep_generated(&specs, threads)
+        plans::sweep_job(specs.iter().map(GenSpec::spec_string).collect(), Vec::new())
     };
-    let (report, cache) = match outcome {
-        Ok(outcome) => outcome,
-        Err(e) => {
-            eprintln!("sweep failed: {e}");
+    let job = job.unwrap_or_else(|e| fail(&e));
+
+    if let Some(socket) = daemon {
+        // The report comes back verbatim: byte-identical to the in-process
+        // `--json` output.
+        let (report, failures) = job.submit(&socket).unwrap_or_else(|e| fail(&e));
+        print!("{report}");
+        if failures > 0 {
             exit(1);
         }
+        return;
+    }
+    let (JobReport::Sweep(report), cache) = job.run(threads).unwrap_or_else(|e| fail(&e)) else {
+        unreachable!("a sweep job returns a sweep report");
     };
 
     match format {
@@ -113,49 +121,9 @@ fn main() {
     }
 }
 
-/// Submits the matrix as one fully explicit job to a running `sweepd` and
-/// prints the returned report verbatim — byte-identical to the in-process
-/// `--json` output.
-fn run_on_daemon(socket: &str, small: bool, specs: &[GenSpec]) {
-    let (gen, scenarios): (Vec<String>, Vec<Scenario>) = if specs.is_empty() {
-        let plan = experiments::sweep::full_matrix_plan(small).unwrap_or_else(|e| {
-            eprintln!("sweep failed: {e}");
-            exit(1);
-        });
-        (Vec::new(), plan.scenarios().to_vec())
-    } else {
-        if small {
-            usage("--small only applies to the paper matrix; use --gen ...,count=N to size a generated run");
-        }
-        let gen: Vec<String> = specs.iter().map(GenSpec::spec_string).collect();
-        match service::plans::gen_scenarios(&gen) {
-            Ok(scenarios) => (gen, scenarios),
-            Err(e) => usage(&e),
-        }
-    };
-    let spec =
-        JobSpec::Sweep { gen, scenarios, policy: engine::BudgetPolicy::Fixed, gate_level: None };
-    let outcome = Client::connect(socket)
-        .and_then(|mut client| client.submit_and_wait(spec))
-        .unwrap_or_else(|e| {
-            eprintln!("sweep failed: {e}");
-            exit(1);
-        });
-    match (outcome.state, outcome.report) {
-        (service::JobState::Done, Some(report)) => {
-            print!("{report}");
-            if outcome.failures.unwrap_or(0) > 0 {
-                exit(1);
-            }
-        }
-        (state, _) => {
-            eprintln!(
-                "sweep failed: daemon job ended {state}{}",
-                outcome.error.map_or_else(String::new, |e| format!(": {e}"))
-            );
-            exit(1);
-        }
-    }
+fn fail(problem: &str) -> ! {
+    eprintln!("sweep failed: {problem}");
+    exit(1);
 }
 
 fn usage(problem: &str) -> ! {

@@ -99,22 +99,6 @@ pub fn generated_setup(
     Ok((engine, plan, family_of))
 }
 
-/// Runs the generated-workload sweep and returns the raw report plus cache
-/// counters — the backend of the `sweep --gen` path.
-///
-/// # Errors
-///
-/// Propagates [`generated_setup`] failures; per-scenario failures stay in
-/// the report.
-pub fn sweep_generated(
-    specs: &[GenSpec],
-    threads: usize,
-) -> Result<(SweepReport, CacheStats), ExperimentError> {
-    let (engine, plan, _) = generated_setup(specs)?;
-    let report = engine.run(&plan, threads);
-    Ok((report, engine.cache_stats()))
-}
-
 /// Runs the full genweep study: sweep plus per-family distributions.
 ///
 /// # Errors

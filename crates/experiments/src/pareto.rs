@@ -6,17 +6,14 @@
 //! walks every circuit (the paper's four, or generated workloads) across
 //! its full feasible budget range on the engine's
 //! [`engine::Engine::explore`] path and reports the latency–power fronts
-//! under the scaled-delay (DVS-style) energy model.
+//! under the scaled-delay (DVS-style) energy model.  The binary turns
+//! [`paper_requests`] (or generated circuits) and [`default_options`] into
+//! one `service::plans::explore_job` and runs it in-process or on a
+//! `sweepd`.
 
 use circuits::all_benchmarks;
-use engine::{
-    BudgetCeiling, BudgetPolicy, Engine, ExploreOptions, ExploreRequest, ParetoReport,
-    VoltagePolicy,
-};
-use gen::GenSpec;
+use engine::{BudgetCeiling, BudgetPolicy, ExploreOptions, ExploreRequest, VoltagePolicy};
 use power::DelayScaling;
-
-use crate::ExperimentError;
 
 /// One exploration request per paper circuit, seeded with its Table II
 /// budgets (the [`BudgetPolicy::Fixed`] fallback).  With `small` set, the
@@ -42,46 +39,19 @@ pub fn default_options(span: u32) -> ExploreOptions {
         .voltage(VoltagePolicy::Global(DelayScaling::Quadratic))
 }
 
-/// Explores the paper circuits.
-///
-/// # Errors
-///
-/// Kept fallible for symmetry with the other studies; the paper circuits
-/// themselves never fail to build.
-pub fn explore_paper(
-    small: bool,
-    options: &ExploreOptions,
-    threads: usize,
-) -> Result<ParetoReport, ExperimentError> {
-    let engine = Engine::new();
-    Ok(engine.explore(&paper_requests(small), options, threads))
-}
-
-/// Explores generated workloads: every circuit of every spec, each walked
-/// across its own budget range.
-///
-/// # Errors
-///
-/// Propagates generator knob violations.
-pub fn explore_generated(
-    specs: &[GenSpec],
-    options: &ExploreOptions,
-    threads: usize,
-) -> Result<ParetoReport, ExperimentError> {
-    let mut engine = Engine::new();
-    let mut requests = Vec::new();
-    for spec in specs {
-        let batch = gen::generate(spec)?;
-        requests.extend(service::plans::batch_requests(&batch));
-        engine.register_benchmarks(batch);
-    }
-    Ok(engine.explore(&requests, options, threads))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gen::Family;
+    use engine::ParetoReport;
+    use gen::{Family, GenSpec};
+    use service::{plans, Job, JobReport};
+
+    fn explored(job: Job, threads: usize) -> ParetoReport {
+        let (JobReport::Explore(report), _) = job.run(threads).unwrap() else {
+            panic!("an explore job returns an exploration report");
+        };
+        report
+    }
 
     #[test]
     fn paper_requests_cover_the_table_circuits() {
@@ -95,7 +65,8 @@ mod tests {
 
     #[test]
     fn paper_exploration_produces_non_dominated_fronts_without_failures() {
-        let report = explore_paper(true, &default_options(4), 2).unwrap();
+        let job = plans::explore_job(Vec::new(), paper_requests(true), &default_options(4));
+        let report = explored(job.unwrap(), 2);
         assert_eq!(report.failure_count(), 0);
         for circuit in &report.circuits {
             assert!(!circuit.points.is_empty(), "{}", circuit.circuit);
@@ -119,10 +90,10 @@ mod tests {
 
     #[test]
     fn generated_exploration_is_deterministic_across_threads() {
-        let specs = vec![GenSpec::new(Family::MuxTree, 5, 2)];
-        let options = default_options(3);
-        let a = explore_generated(&specs, &options, 1).unwrap();
-        let b = explore_generated(&specs, &options, 4).unwrap();
+        let gen = vec![GenSpec::new(Family::MuxTree, 5, 2).spec_string()];
+        let job = plans::explore_job(gen, Vec::new(), &default_options(3)).unwrap();
+        let a = explored(job.clone(), 1);
+        let b = explored(job, 4);
         assert_eq!(a.to_json(), b.to_json());
         assert_eq!(a.failure_count(), 0);
     }

@@ -6,10 +6,11 @@
 //! schedulers, pipelining, the Section IV-A reordering search and a few
 //! branch-probability models.  The engine deduplicates the matrix, shares
 //! scheduling prefixes through its memo cache and executes the rest in
-//! parallel.
+//! parallel.  The binary turns the plan's scenarios into one
+//! `service::plans::sweep_job` and runs it in-process or on a `sweepd`.
 
 use circuits::all_benchmarks;
-use engine::{BranchModel, CacheStats, Engine, SchedulerKind, SweepPlan, SweepReport};
+use engine::{BranchModel, SchedulerKind, SweepPlan};
 
 use crate::ExperimentError;
 
@@ -48,23 +49,6 @@ pub fn full_matrix_plan(small: bool) -> Result<SweepPlan, ExperimentError> {
     Ok(builder.build()?)
 }
 
-/// Runs the full matrix on `threads` workers (0 = one per CPU) and returns
-/// the report together with the engine's cache counters.
-///
-/// # Errors
-///
-/// Propagates plan-construction failures; scenario failures stay inside the
-/// report.
-pub fn run_full_matrix(
-    small: bool,
-    threads: usize,
-) -> Result<(SweepReport, CacheStats), ExperimentError> {
-    let plan = full_matrix_plan(small)?;
-    let engine = Engine::new();
-    let report = engine.run(&plan, threads);
-    Ok((report, engine.cache_stats()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,7 +75,11 @@ mod tests {
 
     #[test]
     fn small_matrix_runs_clean_and_reuses_prefixes() {
-        let (report, stats) = run_full_matrix(true, 2).unwrap();
+        let scenarios = full_matrix_plan(true).unwrap().scenarios().to_vec();
+        let job = service::plans::sweep_job(Vec::new(), scenarios).unwrap();
+        let (service::JobReport::Sweep(report), stats) = job.run(2).unwrap() else {
+            panic!("a sweep job returns a sweep report");
+        };
         assert_eq!(report.failure_count(), 0);
         assert_eq!(report.records.len(), 32);
         // Reorder on/off are distinct prefixes here, so 32 scenarios need

@@ -44,6 +44,13 @@ fn sweep_and_pareto_daemon_modes_match_in_process_json_byte_for_byte() {
     let via_daemon = bin_output(pareto, &["--small", "--json", "--daemon", socket_str]);
     assert!(in_process == via_daemon, "pareto --daemon JSON diverged from in-process");
 
+    // An explore job with generated circuits: the daemon registers them
+    // from the spec strings, in-process runs the batch the builder made.
+    let args = ["--json", "--gen", "family=random-dag,seed=42,count=12", "--voltage", "per-op-3"];
+    let in_process = bin_output(pareto, &args);
+    let via_daemon = bin_output(pareto, &[&args[..], &["--daemon", socket_str]].concat());
+    assert!(in_process == via_daemon, "pareto --gen --daemon JSON diverged from in-process");
+
     daemon.shutdown();
     daemon.join();
 }

@@ -12,9 +12,10 @@
 //!
 //! `submit` blocks until the job finishes and prints a summary line (or,
 //! with `--json`, the byte-exact report on stdout).  Generator specs are
-//! expanded client-side into explicit scenarios — each generated circuit
-//! at every derived budget under both schedulers for sweeps, each circuit
-//! across its own budget list for explorations — so the daemon runs
+//! expanded client-side by the `service::plans` builders the `sweep` and
+//! `pareto` binaries use — each generated circuit at every derived budget
+//! under both schedulers for sweeps, each circuit across its own budget
+//! list for explorations, then the `--case` entries — so the daemon runs
 //! exactly what an in-process `sweep --gen`/`pareto --gen` would.
 //! `--policy` and `--voltage` apply to `--explore` jobs only: a sweep runs
 //! exactly its scenarios, and the explorer's walk is the one budget walk.
@@ -23,17 +24,18 @@
 //! (`gen` stream-spec syntax, e.g.
 //! `family=mux-tree,seed=7,count=3;events=200,eseed=1`); the daemon streams
 //! one record per event, in event order, as the session repairs each
-//! schedule, and the final report is byte-identical to the one an
-//! in-process `engine::online::run_stream` returns for the same stream.
+//! schedule (sweeps and explorations stream none: their records arrive
+//! once, in the report), and the final report is byte-identical to the one
+//! an in-process `engine::online::run_stream` returns for the same stream.
 //!
 //! Exit codes: 0 success, 1 the job failed or was cancelled, 2 usage,
 //! 3 connection/daemon/rejection errors.
 
 use std::process::exit;
 
-use engine::{BudgetPolicy, CacheStats, ExploreRequest, Scenario, VoltagePolicy};
+use engine::{BudgetPolicy, CacheStats, ExploreOptions, ExploreRequest, Scenario, VoltagePolicy};
 use service::protocol::{JobStatus, Request, Response};
-use service::{Client, JobSpec, JobState, ServiceError};
+use service::{plans, Client, JobSpec, JobState, ServiceError};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -161,36 +163,26 @@ fn submit(client: &mut Client, mut args: Vec<String>) {
         }
         JobSpec::online(stream)
     } else if explore {
-        let mut requests: Vec<ExploreRequest> = match service::plans::gen_requests(&gen_specs) {
-            Ok(requests) => requests,
-            Err(err) => usage(&err),
-        };
-        for case in &cases {
-            let (circuit, budget) = parse_case(case);
-            requests.push(ExploreRequest::new(circuit).budgets([budget]));
-        }
-        let mut spec = JobSpec::explore(requests);
-        if let (JobSpec::Explore { policy: p, .. }, Some(wanted)) = (&mut spec, policy) {
-            *p = wanted;
-        }
-        if let (JobSpec::Explore { voltage: v, .. }, Some(wanted)) = (&mut spec, voltage) {
-            *v = wanted;
-        }
-        match (&mut spec, gen_specs) {
-            (JobSpec::Explore { gen, .. }, specs) => *gen = specs,
-            _ => unreachable!(),
-        }
-        spec
+        let requests = cases
+            .iter()
+            .map(|case| {
+                let (circuit, budget) = parse_case(case);
+                ExploreRequest::new(circuit).budgets([budget])
+            })
+            .collect();
+        let mut options = ExploreOptions::new();
+        options.policy = policy.unwrap_or(options.policy);
+        options.voltage = voltage.unwrap_or(options.voltage);
+        plans::explore_job(gen_specs, requests, &options).unwrap_or_else(|err| usage(&err)).spec
     } else {
-        let mut scenarios: Vec<Scenario> = match service::plans::gen_scenarios(&gen_specs) {
-            Ok(scenarios) => scenarios,
-            Err(err) => usage(&err),
-        };
-        for case in &cases {
-            let (circuit, latency) = parse_case(case);
-            scenarios.push(Scenario::new(circuit, latency));
-        }
-        JobSpec::Sweep { gen: gen_specs, scenarios, policy: BudgetPolicy::Fixed, gate_level: None }
+        let scenarios = cases
+            .iter()
+            .map(|case| {
+                let (circuit, latency) = parse_case(case);
+                Scenario::new(circuit, latency)
+            })
+            .collect();
+        plans::sweep_job(gen_specs, scenarios).unwrap_or_else(|err| usage(&err)).spec
     };
 
     let id = match client.submit(spec) {

@@ -64,7 +64,9 @@ pub struct JobOutcome {
     pub job_cache: Option<CacheStats>,
     /// The full report JSON, byte-identical to an in-process run.
     pub report: Option<String>,
-    /// The streamed record lines, in plan order.
+    /// The streamed record lines: one per event of an online session, in
+    /// event order.  Sweeps and explorations stream none; their records
+    /// are inside `report`.
     pub records: Vec<String>,
     /// Error detail for failed jobs.
     pub error: Option<String>,

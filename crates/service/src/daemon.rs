@@ -43,7 +43,7 @@ use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 
-use engine::{Engine, ExploreOptions, Hooks, Progress, SessionState, SweepPlan};
+use engine::{Engine, EventRecord, Hooks, Progress};
 
 use crate::admission::{AdmissionLimits, RejectReason, Rejection};
 use crate::jobs::{CancelOutcome, ClaimedJob, JobState, JobTable};
@@ -328,8 +328,8 @@ fn handle_submit(shared: &Arc<Shared>, writer: &mut Connection, spec: JobSpec) -
     // Stream the job's events until its terminal event (or until every
     // sender is gone, which only happens after the job finished).  Each
     // wake-up writes every event already queued and then flushes once, so
-    // events still go out live, but a burst (the plan-order record replay)
-    // costs a few writes rather than one per line.
+    // events still go out live, but a burst of progress ticks or online
+    // records costs a few writes rather than one per line.
     while let Ok(first) = receiver.recv() {
         let mut done = false;
         for event in std::iter::once(first).chain(receiver.try_iter()) {
@@ -400,8 +400,9 @@ fn contain<T>(f: impl FnOnce() -> T) -> Result<T, String> {
 }
 
 /// Runs one claimed job end to end: register its generated circuits, run
-/// it on the engine, stream records, record the outcome in the table and
-/// send the terminal event.  Holds no job-table lock while running.
+/// it through [`crate::execute`] (streaming an online session's records
+/// live), record the outcome in the table and send the terminal event.
+/// Holds no job-table lock while running.
 fn run_job(shared: &Arc<Shared>, claimed: ClaimedJob) {
     let ClaimedJob { id, spec, cancel, progress, events } = claimed;
     if let Err(detail) = register_gen_circuits(shared, spec.gen_specs()) {
@@ -417,54 +418,17 @@ fn run_job(shared: &Arc<Shared>, claimed: ClaimedJob) {
         let _ = events.send(Event::Progress { id, completed: p.completed, total: p.total });
     };
     let hooks = Hooks { cancel: Some(&cancel), progress: Some(&on_progress) };
+    // An online session is strictly sequential, so its records go out live,
+    // in event order: a power manager wants each repair outcome now, not at
+    // drain.  Sweeps and explorations stream none; their records travel
+    // once, inside the `done` report.
+    let on_record = |record: &EventRecord| {
+        let _ = events.send(Event::Record { id, json: engine::online::record_json(record) });
+    };
 
     let engine = shared.engine.read().expect("engine lock");
     let baseline = engine.cache_stats();
-    let outcome = match &spec {
-        JobSpec::Sweep { scenarios, policy, gate_level, .. } => {
-            let mut builder =
-                SweepPlan::builder().scenarios(scenarios.iter().cloned()).budget_policy(*policy);
-            if let Some(gate) = gate_level {
-                builder = builder.gate_level(gate.samples, gate.seed);
-            }
-            match builder.build() {
-                Ok(plan) => Ok(engine.run_controlled(&plan, shared.threads, hooks).map(|report| {
-                    (report.failure_count(), report.to_json(), record_lines(&report))
-                })),
-                Err(err) => Err(err.to_string()),
-            }
-        }
-        JobSpec::Explore { requests, policy, ceiling, voltage, branch_model, .. } => {
-            let options = ExploreOptions::new()
-                .policy(*policy)
-                .ceiling(*ceiling)
-                .voltage(*voltage)
-                .branch_model(*branch_model);
-            Ok(engine
-                .explore_controlled(requests, &options, shared.threads, hooks)
-                .map(|report| (report.failure_count(), report.to_json(), Vec::new())))
-        }
-        JobSpec::Online { stream } => match gen::StreamSpec::parse(stream) {
-            // Online records stream *live*, in event order, as the session
-            // applies each event — there is no completion-order hazard to
-            // shield the wire from (the session is strictly sequential), and
-            // a power manager wants the repair outcome now, not at drain.
-            Ok(stream_spec) => {
-                let on_record = |record: &engine::online::EventRecord, _: &SessionState| {
-                    let json = engine::online::record_json(record);
-                    let _ = events.send(Event::Record { id, json });
-                };
-                match engine::online::run_stream(&stream_spec, hooks, on_record) {
-                    Ok(Some(report)) => {
-                        Ok(Some((report.summary.errors, report.to_json(), Vec::new())))
-                    }
-                    Ok(None) => Ok(None),
-                    Err(err) => Err(err.to_string()),
-                }
-            }
-            Err(err) => Err(err.to_string()),
-        },
-    };
+    let outcome = crate::runner::execute(&engine, &spec, shared.threads, hooks, on_record);
     let job_cache = engine.cache_stats().since(baseline);
     drop(engine);
 
@@ -472,21 +436,14 @@ fn run_job(shared: &Arc<Shared>, claimed: ClaimedJob) {
         Err(detail) => failed_event(id, detail),
         // Cancelled mid-run: partial results are discarded, never sent.
         Ok(None) => cancelled_event(id),
-        Ok(Some((failures, report, records))) => {
-            // Records replay in plan order — completion order never
-            // reaches the wire.
-            for json in records {
-                let _ = events.send(Event::Record { id, json });
-            }
-            Event::Done {
-                id,
-                state: JobState::Done,
-                failures: Some(failures),
-                job_cache: Some(job_cache),
-                report: Some(report),
-                error: None,
-            }
-        }
+        Ok(Some(report)) => Event::Done {
+            id,
+            state: JobState::Done,
+            failures: Some(report.failure_count()),
+            job_cache: Some(job_cache),
+            report: Some(report.to_json()),
+            error: None,
+        },
     };
     finish_job(shared, &events, terminal);
 }
@@ -509,10 +466,6 @@ fn register_gen_circuits(shared: &Arc<Shared>, specs: &[String]) -> Result<(), S
         shared.registered.lock().expect("registered lock").insert(text.clone());
     }
     Ok(())
-}
-
-fn record_lines(report: &engine::SweepReport) -> Vec<String> {
-    report.records.iter().map(engine::report::record_json).collect()
 }
 
 fn cancelled_event(id: u64) -> Event {

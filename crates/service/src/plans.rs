@@ -1,12 +1,13 @@
-//! Client-side expansion of generator specs into explicit work lists.
+//! Client-side builders of fully explicit jobs.
 //!
 //! The wire protocol carries jobs **fully explicit** — every sweep scenario
 //! or explore request spelled out — so the daemon never has to guess how a
-//! client meant to expand a generator spec.  These helpers do that
-//! expansion, and the experiment crate's in-process `--gen` paths call the
-//! same helpers: each generated circuit is swept at every one of its
-//! derived budgets under both schedulers, and explored across its own
-//! budget list.
+//! client meant to expand a generator spec.  [`sweep_job`] and
+//! [`explore_job`] do that expansion once and return a [`Job`]: each
+//! generated circuit is swept at every one of its derived budgets under
+//! both schedulers, or explored across its own budget list, and the
+//! generated circuits travel with the spec, so an in-process run registers
+//! them instead of generating them again.
 //!
 //! Both the client and the daemon call [`generate_batch`] on the *same*
 //! spec strings; the generator is seeded and deterministic, so both sides
@@ -14,8 +15,11 @@
 //! on scenario identity.
 
 use circuits::Benchmark;
-use engine::{ExploreRequest, Scenario, SchedulerKind};
+use engine::{BudgetPolicy, ExploreOptions, ExploreRequest, Scenario, SchedulerKind};
 use gen::GenSpec;
+
+use crate::protocol::JobSpec;
+use crate::runner::Job;
 
 /// Generates every circuit of every spec string, in spec order.
 ///
@@ -32,8 +36,7 @@ pub fn generate_batch(specs: &[String]) -> Result<Vec<Benchmark>, String> {
 }
 
 /// The sweep scenarios for a generated batch: each circuit at every one of
-/// its derived budgets, under both schedulers — the same matrix
-/// `sweep --gen` runs in-process.
+/// its derived budgets, under both schedulers.
 pub fn batch_scenarios(batch: &[Benchmark]) -> Vec<Scenario> {
     let mut scenarios = Vec::new();
     for bench in batch {
@@ -47,7 +50,7 @@ pub fn batch_scenarios(batch: &[Benchmark]) -> Vec<Scenario> {
 }
 
 /// The explore requests for a generated batch: each circuit walked across
-/// its own derived budget list — the same requests `pareto --gen` builds.
+/// its own derived budget list.
 pub fn batch_requests(batch: &[Benchmark]) -> Vec<ExploreRequest> {
     batch
         .iter()
@@ -55,22 +58,36 @@ pub fn batch_requests(batch: &[Benchmark]) -> Vec<ExploreRequest> {
         .collect()
 }
 
-/// Expands generator spec strings straight into sweep scenarios.
+/// A sweep job: the [`batch_scenarios`] of every `gen` spec, then
+/// `scenarios`, at fixed budgets and without gate-level simulation.
 ///
 /// # Errors
 ///
 /// Propagates [`generate_batch`] failures.
-pub fn gen_scenarios(specs: &[String]) -> Result<Vec<Scenario>, String> {
-    Ok(batch_scenarios(&generate_batch(specs)?))
+pub fn sweep_job(gen: Vec<String>, scenarios: Vec<Scenario>) -> Result<Job, String> {
+    let circuits = generate_batch(&gen)?;
+    let mut all = batch_scenarios(&circuits);
+    all.extend(scenarios);
+    let spec =
+        JobSpec::Sweep { gen, scenarios: all, policy: BudgetPolicy::Fixed, gate_level: None };
+    Ok(Job { spec, circuits })
 }
 
-/// Expands generator spec strings straight into explore requests.
+/// An explore job: the [`batch_requests`] of every `gen` spec, then
+/// `requests`, walked under `options`.
 ///
 /// # Errors
 ///
 /// Propagates [`generate_batch`] failures.
-pub fn gen_requests(specs: &[String]) -> Result<Vec<ExploreRequest>, String> {
-    Ok(batch_requests(&generate_batch(specs)?))
+pub fn explore_job(
+    gen: Vec<String>,
+    requests: Vec<ExploreRequest>,
+    options: &ExploreOptions,
+) -> Result<Job, String> {
+    let circuits = generate_batch(&gen)?;
+    let mut all = batch_requests(&circuits);
+    all.extend(requests);
+    Ok(Job { spec: JobSpec::Explore { gen, requests: all, options: *options }, circuits })
 }
 
 #[cfg(test)]
@@ -80,21 +97,25 @@ mod tests {
     #[test]
     fn scenarios_cover_budgets_times_schedulers() {
         let specs = vec!["family=mux-tree,seed=5,count=2".to_owned()];
-        let batch = generate_batch(&specs).unwrap();
-        assert_eq!(batch.len(), 2);
-        let scenarios = gen_scenarios(&specs).unwrap();
-        let budgets: usize = batch.iter().map(|b| b.control_steps.len()).sum();
-        assert_eq!(scenarios.len(), budgets * 2, "two schedulers per budget");
+        let job = sweep_job(specs.clone(), vec![Scenario::new("dealer", 4)]).unwrap();
+        assert_eq!(job.circuits.len(), 2);
+        let JobSpec::Sweep { gen, scenarios, .. } = &job.spec else { panic!("a sweep spec") };
+        assert_eq!(gen, &specs);
+        let budgets: usize = job.circuits.iter().map(|b| b.control_steps.len()).sum();
+        assert_eq!(scenarios.len(), budgets * 2 + 1, "two schedulers per budget, then the rest");
         assert!(scenarios.iter().any(|s| s.scheduler == SchedulerKind::List));
+        assert_eq!(scenarios.last(), Some(&Scenario::new("dealer", 4)));
     }
 
     #[test]
     fn requests_carry_each_circuits_own_budgets() {
         let specs = vec!["family=random-dag,seed=9,count=3".to_owned()];
-        let batch = generate_batch(&specs).unwrap();
-        let requests = gen_requests(&specs).unwrap();
+        let options = ExploreOptions::new().policy(BudgetPolicy::FullRange);
+        let job = explore_job(specs, Vec::new(), &options).unwrap();
+        let JobSpec::Explore { requests, options: o, .. } = &job.spec else { panic!("explore") };
+        assert_eq!(*o, options);
         assert_eq!(requests.len(), 3);
-        for (request, bench) in requests.iter().zip(&batch) {
+        for (request, bench) in requests.iter().zip(&job.circuits) {
             assert_eq!(request.circuit, bench.name);
             assert_eq!(request.budgets, bench.control_steps);
         }
@@ -103,6 +124,8 @@ mod tests {
     #[test]
     fn bad_specs_surface_the_generator_message() {
         let err = generate_batch(&["family=warp,seed=1,count=1".to_owned()]).unwrap_err();
+        assert!(err.contains("warp"), "{err}");
+        let err = sweep_job(vec!["family=warp,seed=1,count=1".to_owned()], Vec::new()).unwrap_err();
         assert!(err.contains("warp"), "{err}");
     }
 }

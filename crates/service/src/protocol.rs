@@ -13,11 +13,12 @@
 //! * A submission carries its work list **fully explicit** — every sweep
 //!   scenario (or explore request) spelled out, plus the `gen` spec strings
 //!   naming any generated circuits the daemon must register.  The daemon
-//!   reconstructs the plan through the same canonicalizing
-//!   [`engine::SweepPlanBuilder`] an in-process run uses, so client-side
-//!   and daemon-side plans are equal by construction.
-//! * [`Event::Record`] lines replay the finished report's records in **plan
-//!   order** (the canonical scenario order), never completion order.
+//!   runs it through [`crate::execute`], the function an in-process run
+//!   calls, so both build the same plan by construction.
+//! * A sweep or exploration streams progress and then one terminal `done`
+//!   event carrying the whole report; its records cross the wire once,
+//!   inside that report.  Only an online session streams
+//!   [`Event::Record`] lines, one per event, live in event order.
 //! * Report payloads travel as pre-rendered JSON *strings* (escaped, one
 //!   line), so the daemon's byte-exact [`engine::SweepReport::to_json`]
 //!   output reaches the client without any re-serialization.
@@ -25,8 +26,8 @@
 use std::borrow::Cow;
 
 use engine::{
-    BranchModel, BudgetCeiling, BudgetPolicy, CacheStats, ExploreRequest, GateLevelSpec, Scenario,
-    SchedulerKind, VoltagePolicy, MAX_LATENCY,
+    BranchModel, BudgetCeiling, BudgetPolicy, CacheStats, ExploreOptions, ExploreRequest,
+    GateLevelSpec, Scenario, SchedulerKind, VoltagePolicy, MAX_LATENCY,
 };
 
 use crate::admission::{RejectReason, Rejection};
@@ -77,15 +78,9 @@ pub enum JobSpec {
         gen: Vec<String>,
         /// The explicit exploration requests, in report order.
         requests: Vec<ExploreRequest>,
-        /// Budget policy.
-        policy: BudgetPolicy,
-        /// Budget ceiling for the range policies.
-        ceiling: BudgetCeiling,
-        /// Voltage policy: a global scaled-delay energy law or a per-op
-        /// voltage preset (fine-grained DVS).
-        voltage: VoltagePolicy,
-        /// Branch-probability model.
-        branch_model: BranchModel,
+        /// Budget policy, ceiling, voltage policy and branch model; on the
+        /// wire they are four keys of the job object.
+        options: ExploreOptions,
     },
     /// An online event-stream session with incremental schedule repair.
     Online {
@@ -105,14 +100,7 @@ impl JobSpec {
 
     /// A plain exploration job with default options.
     pub fn explore(requests: Vec<ExploreRequest>) -> JobSpec {
-        JobSpec::Explore {
-            gen: Vec::new(),
-            requests,
-            policy: BudgetPolicy::default(),
-            ceiling: BudgetCeiling::default(),
-            voltage: VoltagePolicy::default(),
-            branch_model: BranchModel::default(),
-        }
+        JobSpec::Explore { gen: Vec::new(), requests, options: ExploreOptions::default() }
     }
 
     /// An online session job over a stream spec string.
@@ -174,17 +162,15 @@ impl JobSpec {
                 }
                 Json::object(fields)
             }
-            JobSpec::Explore { gen, requests, policy, ceiling, voltage, branch_model } => {
-                Json::object([
-                    ("kind", Json::str("explore")),
-                    ("gen", string_array(gen)),
-                    ("requests", Json::Array(requests.iter().map(request_to_json).collect())),
-                    ("policy", Json::str(policy.label())),
-                    ("ceiling", ceiling_to_json(*ceiling)),
-                    ("voltage", Json::str(voltage.label())),
-                    ("branch_model", Json::str(branch_model.label())),
-                ])
-            }
+            JobSpec::Explore { gen, requests, options } => Json::object([
+                ("kind", Json::str("explore")),
+                ("gen", string_array(gen)),
+                ("requests", Json::Array(requests.iter().map(request_to_json).collect())),
+                ("policy", Json::str(options.policy.label())),
+                ("ceiling", ceiling_to_json(options.ceiling)),
+                ("voltage", Json::str(options.voltage.label())),
+                ("branch_model", Json::str(options.branch_model.label())),
+            ]),
             JobSpec::Online { stream } => {
                 Json::object([("kind", Json::str("online")), ("stream", Json::str(stream))])
             }
@@ -225,15 +211,14 @@ impl JobSpec {
                     .iter()
                     .map(request_from_json)
                     .collect::<Result<Vec<_>, _>>()?;
-                Ok(JobSpec::Explore {
-                    gen,
-                    requests,
+                let options = ExploreOptions {
                     policy,
                     ceiling: ceiling_from_json(json.get("ceiling").ok_or("missing `ceiling`")?)?,
                     voltage: VoltagePolicy::parse(require_str(json, "voltage")?)
                         .ok_or("unknown voltage policy")?,
-                    branch_model: parse_branch_model(require_str(json, "branch_model")?)?,
-                })
+                    branch_model: BranchModel::parse(require_str(json, "branch_model")?)?,
+                };
+                Ok(JobSpec::Explore { gen, requests, options })
             }
             other => Err(format!("unknown job kind `{other}`")),
         }
@@ -358,9 +343,10 @@ pub enum Event {
         /// Total work items in the expanded plan.
         total: usize,
     },
-    /// One finished record, replayed in plan order after the run completes.
-    /// The payload is the exact single-line JSON object that appears in the
-    /// final report's `records` array.
+    /// One online-session record, sent live as the session applies its
+    /// event, in event order.  The payload is the exact single-line JSON
+    /// object that appears in the final report's `records` array.  Sweeps
+    /// and explorations send none.
     Record {
         /// The job id.
         id: u64,
@@ -574,30 +560,6 @@ impl Event {
     }
 }
 
-/// Parses a [`BranchModel::label`] string (`fair` or `p<permille>`).
-pub fn parse_branch_model(label: &str) -> Result<BranchModel, String> {
-    if label == "fair" {
-        return Ok(BranchModel::Fair);
-    }
-    let permille: u16 = label
-        .strip_prefix('p')
-        .and_then(|digits| digits.parse().ok())
-        .ok_or_else(|| format!("unknown branch model `{label}`"))?;
-    if permille > 1000 {
-        return Err(format!("branch model permille {permille} exceeds 1000"));
-    }
-    Ok(BranchModel::biased(permille))
-}
-
-/// Parses a [`SchedulerKind::label`] string.
-pub fn parse_scheduler(label: &str) -> Result<SchedulerKind, String> {
-    match label {
-        "force" => Ok(SchedulerKind::ForceDirected),
-        "list" => Ok(SchedulerKind::List),
-        other => Err(format!("unknown scheduler `{other}`")),
-    }
-}
-
 fn scenario_to_json(scenario: &Scenario) -> Json<'_> {
     Json::object([
         ("circuit", Json::str(&scenario.circuit)),
@@ -612,10 +574,10 @@ fn scenario_to_json(scenario: &Scenario) -> Json<'_> {
 fn scenario_from_json(json: &Json) -> Result<Scenario, String> {
     let latency = bounded_latency("latency", require_u32(json, "latency")?)?;
     Ok(Scenario::new(require_str(json, "circuit")?, latency)
-        .scheduler(parse_scheduler(require_str(json, "scheduler")?)?)
+        .scheduler(SchedulerKind::parse(require_str(json, "scheduler")?)?)
         .pipeline_depth(require_u32(json, "pipeline_depth")?)
         .reorder(json.get("reorder").and_then(Json::as_bool).ok_or("missing `reorder`")?)
-        .branch_model(parse_branch_model(require_str(json, "branch_model")?)?))
+        .branch_model(BranchModel::parse(require_str(json, "branch_model")?)?))
 }
 
 fn request_to_json(request: &ExploreRequest) -> Json<'_> {
@@ -771,18 +733,22 @@ mod tests {
         roundtrip_request(Request::Submit(JobSpec::Explore {
             gen: vec!["family=mux-tree,seed=7,count=3".to_owned()],
             requests: vec![ExploreRequest::new("x"), ExploreRequest::new("y").budgets([3])],
-            policy: BudgetPolicy::FullRange,
-            ceiling: BudgetCeiling::Absolute(20),
-            voltage: VoltagePolicy::Global(engine::DelayScaling::Linear),
-            branch_model: BranchModel::biased(900),
+            options: ExploreOptions {
+                policy: BudgetPolicy::FullRange,
+                ceiling: BudgetCeiling::Absolute(20),
+                voltage: VoltagePolicy::Global(engine::DelayScaling::Linear),
+                branch_model: BranchModel::biased(900),
+            },
         }));
         roundtrip_request(Request::Submit(JobSpec::Explore {
             gen: Vec::new(),
             requests: vec![ExploreRequest::new("z")],
-            policy: BudgetPolicy::Pareto,
-            ceiling: BudgetCeiling::CriticalPathPlus(4),
-            voltage: VoltagePolicy::PerOp(engine::VoltagePreset::FiveLevel),
-            branch_model: BranchModel::Fair,
+            options: ExploreOptions {
+                policy: BudgetPolicy::Pareto,
+                ceiling: BudgetCeiling::CriticalPathPlus(4),
+                voltage: VoltagePolicy::PerOp(engine::VoltagePreset::FiveLevel),
+                branch_model: BranchModel::Fair,
+            },
         }));
     }
 
@@ -864,24 +830,6 @@ mod tests {
     }
 
     #[test]
-    fn branch_model_and_scheduler_labels_parse_back() {
-        for model in [
-            BranchModel::Fair,
-            BranchModel::biased(0),
-            BranchModel::biased(300),
-            BranchModel::biased(1000),
-        ] {
-            assert_eq!(parse_branch_model(&model.label()).unwrap(), model);
-        }
-        assert!(parse_branch_model("p1001").is_err());
-        assert!(parse_branch_model("biased").is_err());
-        for scheduler in [SchedulerKind::ForceDirected, SchedulerKind::List] {
-            assert_eq!(parse_scheduler(scheduler.label()).unwrap(), scheduler);
-        }
-        assert!(parse_scheduler("hyper").is_err());
-    }
-
-    #[test]
     fn latencies_above_the_limit_are_refused_and_the_limit_itself_roundtrips() {
         let sweep =
             |latency| Request::Submit(JobSpec::sweep(vec![Scenario::new("dealer", latency)]));
@@ -889,10 +837,7 @@ mod tests {
             Request::Submit(JobSpec::Explore {
                 gen: Vec::new(),
                 requests: vec![ExploreRequest::new("dealer").budgets([budget])],
-                policy: BudgetPolicy::FullRange,
-                ceiling,
-                voltage: VoltagePolicy::default(),
-                branch_model: BranchModel::Fair,
+                options: ExploreOptions::new().policy(BudgetPolicy::FullRange).ceiling(ceiling),
             })
         };
         let within = [

@@ -27,12 +27,7 @@ fn start_daemon(tag: &str) -> service::DaemonHandle {
 const SLOW_GEN: &str = "family=mux-tree,seed=3,count=60";
 
 fn slow_job() -> JobSpec {
-    JobSpec::Sweep {
-        gen: vec![SLOW_GEN.to_owned()],
-        scenarios: service::plans::gen_scenarios(&[SLOW_GEN.to_owned()]).expect("gen scenarios"),
-        policy: engine::BudgetPolicy::Fixed,
-        gate_level: None,
-    }
+    service::plans::sweep_job(vec![SLOW_GEN.to_owned()], Vec::new()).expect("gen sweep").spec
 }
 
 fn poll_state(socket: &std::path::Path, id: u64, wanted: impl Fn(&service::JobStatus) -> bool) {
@@ -290,10 +285,9 @@ fn an_explore_ceiling_above_max_latency_gets_an_error_and_the_next_job_completes
         .submit(JobSpec::Explore {
             gen: Vec::new(),
             requests: vec![engine::ExploreRequest::new("dealer")],
-            policy: engine::BudgetPolicy::FullRange,
-            ceiling: engine::BudgetCeiling::Absolute(u32::MAX),
-            voltage: engine::VoltagePolicy::default(),
-            branch_model: engine::BranchModel::Fair,
+            options: engine::ExploreOptions::new()
+                .policy(engine::BudgetPolicy::FullRange)
+                .ceiling(engine::BudgetCeiling::Absolute(u32::MAX)),
         })
         .expect_err("the ceiling is over the limit");
     match err {

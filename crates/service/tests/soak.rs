@@ -65,16 +65,11 @@ const GEN_SWEEP: &str = "family=mux-tree,seed=11,count=2";
 /// The job pool every soak client draws from (paper sweep, generated
 /// sweep, and two online streams).
 fn job_pool() -> Vec<JobSpec> {
-    let gen_scenarios =
-        service::plans::gen_scenarios(&[GEN_SWEEP.to_owned()]).expect("gen scenarios");
+    let gen_sweep =
+        service::plans::sweep_job(vec![GEN_SWEEP.to_owned()], Vec::new()).expect("gen sweep");
     vec![
         JobSpec::sweep(vec![Scenario::new("dealer", 4), Scenario::new("gcd", 5)]),
-        JobSpec::Sweep {
-            gen: vec![GEN_SWEEP.to_owned()],
-            scenarios: gen_scenarios,
-            policy: engine::BudgetPolicy::Fixed,
-            gate_level: None,
-        },
+        gen_sweep.spec,
         JobSpec::online(ONLINE_A),
         JobSpec::online(ONLINE_B),
     ]
@@ -196,7 +191,8 @@ fn interleaved_storm_keeps_reports_identical_and_leaks_no_jobs() {
                     Some(baselines[*which].as_str()),
                     "pool[{which}] report drifted under load"
                 );
-                // Online records stream live and must arrive in event order.
+                // Online records stream live and must arrive in event order;
+                // a sweep's records travel only inside its report.
                 if let JobSpec::Online { stream } = &pool[*which] {
                     let events = gen::StreamSpec::parse(stream).expect("stream parses").events;
                     assert_eq!(outcome.records.len(), events, "pool[{which}] record count");
@@ -206,6 +202,8 @@ fn interleaved_storm_keeps_reports_identical_and_leaks_no_jobs() {
                             "pool[{which}] record {i} out of order: {record}"
                         );
                     }
+                } else {
+                    assert!(outcome.records.is_empty(), "pool[{which}] streamed sweep records");
                 }
             }
             JobState::Cancelled => {

@@ -1,163 +1,134 @@
 //! Hand-written lexer for the Silage-like language.
+//!
+//! The parser pulls one token at a time from a [`Lexer`], so only the
+//! prefix it actually parses is ever lexed, and no token list is held.
+
+use std::iter::Peekable;
+use std::str::Chars;
 
 use crate::error::SilageError;
 use crate::token::{Token, TokenKind};
 
-/// Splits `source` into tokens, terminated by an [`TokenKind::Eof`] token.
+/// Splits a source program into tokens on demand.
 ///
 /// Comments start with `#` or `//` and run to the end of the line.
-///
-/// # Errors
-///
-/// Returns [`SilageError::UnexpectedChar`] for characters outside the
-/// language and [`SilageError::NumberTooLarge`] for oversized literals.
-pub fn tokenize(source: &str) -> Result<Vec<Token>, SilageError> {
-    let mut tokens = Vec::new();
-    let mut chars = source.chars().peekable();
-    let mut line: u32 = 1;
+pub struct Lexer<'a> {
+    chars: Peekable<Chars<'a>>,
+    line: u32,
+}
 
-    while let Some(&c) = chars.peek() {
-        match c {
-            '\n' => {
-                line += 1;
-                chars.next();
-            }
-            c if c.is_whitespace() => {
-                chars.next();
-            }
-            '#' => {
-                while let Some(&c) = chars.peek() {
-                    if c == '\n' {
-                        break;
-                    }
-                    chars.next();
-                }
-            }
-            '/' => {
-                chars.next();
-                if chars.peek() == Some(&'/') {
-                    while let Some(&c) = chars.peek() {
-                        if c == '\n' {
-                            break;
-                        }
-                        chars.next();
-                    }
-                } else {
-                    tokens.push(Token { kind: TokenKind::Slash, line });
-                }
-            }
+impl<'a> Lexer<'a> {
+    /// A lexer at the start of `source`.
+    pub fn new(source: &'a str) -> Self {
+        Lexer { chars: source.chars().peekable(), line: 1 }
+    }
+
+    /// The next token; at the end of input an [`TokenKind::Eof`] token,
+    /// on this and every later call.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SilageError::UnexpectedChar`] for a character outside the
+    /// language and [`SilageError::NumberTooLarge`] for an oversized
+    /// literal.
+    pub fn next_token(&mut self) -> Result<Token, SilageError> {
+        self.skip_blanks_and_comments();
+        let line = self.line;
+        let Some(c) = self.chars.next() else {
+            return Ok(Token { kind: TokenKind::Eof, line });
+        };
+        let kind = match c {
             c if c.is_ascii_digit() => {
-                let mut value: i64 = 0;
-                while let Some(&d) = chars.peek() {
-                    if let Some(digit) = d.to_digit(10) {
-                        value = value
-                            .checked_mul(10)
-                            .and_then(|v| v.checked_add(i64::from(digit)))
-                            .ok_or(SilageError::NumberTooLarge { line })?;
-                        chars.next();
-                    } else {
-                        break;
-                    }
+                let mut value = i64::from(c as u8 - b'0');
+                while let Some(d) = self.chars.next_if(char::is_ascii_digit) {
+                    value = value
+                        .checked_mul(10)
+                        .and_then(|v| v.checked_add(i64::from(d as u8 - b'0')))
+                        .ok_or(SilageError::NumberTooLarge { line })?;
                 }
-                tokens.push(Token { kind: TokenKind::Number(value), line });
+                TokenKind::Number(value)
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
-                let mut ident = String::new();
-                while let Some(&d) = chars.peek() {
-                    if d.is_ascii_alphanumeric() || d == '_' {
-                        ident.push(d);
-                        chars.next();
-                    } else {
-                        break;
-                    }
+                let mut ident = String::from(c);
+                while let Some(d) = self.chars.next_if(|&d| d.is_ascii_alphanumeric() || d == '_') {
+                    ident.push(d);
                 }
-                let kind = match ident.as_str() {
+                match ident.as_str() {
                     "func" => TokenKind::Func,
                     "if" => TokenKind::If,
                     "then" => TokenKind::Then,
                     "else" => TokenKind::Else,
                     "num" => TokenKind::Num,
                     _ => TokenKind::Ident(ident),
-                };
-                tokens.push(Token { kind, line });
-            }
-            '(' => push_simple(&mut tokens, &mut chars, TokenKind::LParen, line),
-            ')' => push_simple(&mut tokens, &mut chars, TokenKind::RParen, line),
-            '{' => push_simple(&mut tokens, &mut chars, TokenKind::LBrace, line),
-            '}' => push_simple(&mut tokens, &mut chars, TokenKind::RBrace, line),
-            '[' => push_simple(&mut tokens, &mut chars, TokenKind::LBracket, line),
-            ']' => push_simple(&mut tokens, &mut chars, TokenKind::RBracket, line),
-            ',' => push_simple(&mut tokens, &mut chars, TokenKind::Comma, line),
-            ';' => push_simple(&mut tokens, &mut chars, TokenKind::Semicolon, line),
-            ':' => push_simple(&mut tokens, &mut chars, TokenKind::Colon, line),
-            '+' => push_simple(&mut tokens, &mut chars, TokenKind::Plus, line),
-            '*' => push_simple(&mut tokens, &mut chars, TokenKind::Star, line),
-            '-' => {
-                chars.next();
-                if chars.peek() == Some(&'>') {
-                    chars.next();
-                    tokens.push(Token { kind: TokenKind::Arrow, line });
-                } else {
-                    tokens.push(Token { kind: TokenKind::Minus, line });
                 }
             }
-            '<' => {
-                chars.next();
-                if chars.peek() == Some(&'=') {
-                    chars.next();
-                    tokens.push(Token { kind: TokenKind::Le, line });
-                } else {
-                    tokens.push(Token { kind: TokenKind::Lt, line });
-                }
-            }
-            '>' => {
-                chars.next();
-                if chars.peek() == Some(&'=') {
-                    chars.next();
-                    tokens.push(Token { kind: TokenKind::Ge, line });
-                } else {
-                    tokens.push(Token { kind: TokenKind::Gt, line });
-                }
-            }
-            '=' => {
-                chars.next();
-                if chars.peek() == Some(&'=') {
-                    chars.next();
-                    tokens.push(Token { kind: TokenKind::EqEq, line });
-                } else {
-                    tokens.push(Token { kind: TokenKind::Assign, line });
-                }
-            }
+            '/' => TokenKind::Slash,
+            '(' => TokenKind::LParen,
+            ')' => TokenKind::RParen,
+            '{' => TokenKind::LBrace,
+            '}' => TokenKind::RBrace,
+            '[' => TokenKind::LBracket,
+            ']' => TokenKind::RBracket,
+            ',' => TokenKind::Comma,
+            ';' => TokenKind::Semicolon,
+            ':' => TokenKind::Colon,
+            '+' => TokenKind::Plus,
+            '*' => TokenKind::Star,
+            '-' => self.pair('>', TokenKind::Arrow, TokenKind::Minus),
+            '<' => self.pair('=', TokenKind::Le, TokenKind::Lt),
+            '>' => self.pair('=', TokenKind::Ge, TokenKind::Gt),
+            '=' => self.pair('=', TokenKind::EqEq, TokenKind::Assign),
             '!' => {
-                chars.next();
-                if chars.peek() == Some(&'=') {
-                    chars.next();
-                    tokens.push(Token { kind: TokenKind::NotEq, line });
-                } else {
+                if self.chars.next_if_eq(&'=').is_none() {
                     return Err(SilageError::UnexpectedChar { ch: '!', line });
                 }
+                TokenKind::NotEq
             }
             other => return Err(SilageError::UnexpectedChar { ch: other, line }),
+        };
+        Ok(Token { kind, line })
+    }
+
+    /// `double` if the next character is `second` (consuming it), else
+    /// `single`.
+    fn pair(&mut self, second: char, double: TokenKind, single: TokenKind) -> TokenKind {
+        if self.chars.next_if_eq(&second).is_some() {
+            double
+        } else {
+            single
         }
     }
 
-    tokens.push(Token { kind: TokenKind::Eof, line });
-    Ok(tokens)
-}
-
-fn push_simple(
-    tokens: &mut Vec<Token>,
-    chars: &mut std::iter::Peekable<std::str::Chars<'_>>,
-    kind: TokenKind,
-    line: u32,
-) {
-    chars.next();
-    tokens.push(Token { kind, line });
+    /// Skips whitespace and comments, counting lines.
+    fn skip_blanks_and_comments(&mut self) {
+        while let Some(&c) = self.chars.peek() {
+            let comment = c == '#' || (c == '/' && self.chars.clone().nth(1) == Some('/'));
+            if comment {
+                // Up to the newline, which the next round counts.
+                while self.chars.next_if(|&c| c != '\n').is_some() {}
+            } else if c.is_whitespace() {
+                self.line += u32::from(c == '\n');
+                self.chars.next();
+            } else {
+                return;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every token of `source`, up to and including the `Eof`.
+    fn tokenize(source: &str) -> Result<Vec<Token>, SilageError> {
+        let mut lexer = Lexer::new(source);
+        let mut tokens = vec![lexer.next_token()?];
+        while tokens[tokens.len() - 1].kind != TokenKind::Eof {
+            tokens.push(lexer.next_token()?);
+        }
+        Ok(tokens)
+    }
 
     fn kinds(source: &str) -> Vec<TokenKind> {
         tokenize(source).unwrap().into_iter().map(|t| t.kind).collect()

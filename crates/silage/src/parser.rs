@@ -29,18 +29,19 @@
 //! that nesting stops at [`MAX_DEPTH`] levels, so the stack a compile
 //! needs is bounded whatever the input.
 //!
-//! The whole file is tokenized first, so a lexical error anywhere wins.
-//! After that, errors are reported in source order, each at the token
-//! where it becomes certain: a duplicate port or a reassigned name at its
-//! name, an undefined name where it is read, an unassigned output at the
-//! closing `}` of its function.
+//! The parser pulls one token at a time from the [`Lexer`], so the file is
+//! lexed only as far as it is parsed, and errors, lexical ones included,
+//! are reported in source order, each at the token where it becomes
+//! certain: a character outside the language where it stands, a duplicate
+//! port or a reassigned name at its name, an undefined name where it is
+//! read, an unassigned output at the closing `}` of its function.
 
 use std::collections::BTreeSet;
 
 use cdfg::{Cdfg, CdfgBuilder, NodeId, Op};
 
 use crate::error::SilageError;
-use crate::lexer::tokenize;
+use crate::lexer::Lexer;
 use crate::token::{Token, TokenKind};
 
 /// Deepest nesting [`compile`] accepts: parentheses, plus `if`s inside a
@@ -58,17 +59,13 @@ pub const MAX_DEPTH: usize = 64;
 ///
 /// # Errors
 ///
-/// Returns the first lexical [`SilageError`] if there is one, else the
-/// first syntactic or semantic one in source order (undefined names,
-/// reassignment, unassigned outputs, nesting past [`MAX_DEPTH`], ...).
+/// Returns the first [`SilageError`] in source order: lexical, syntactic
+/// or semantic (undefined names, reassignment, unassigned outputs, nesting
+/// past [`MAX_DEPTH`], ...).
 pub fn compile(source: &str) -> Result<Cdfg, SilageError> {
-    let mut parser = Parser {
-        tokens: tokenize(source)?,
-        pos: 0,
-        depth: 0,
-        line: 0,
-        builder: CdfgBuilder::new(""),
-    };
+    let mut lexer = Lexer::new(source);
+    let token = lexer.next_token()?;
+    let mut parser = Parser { lexer, token, depth: 0, builder: CdfgBuilder::new("") };
     let mut chosen: Option<Cdfg> = None;
     while parser.peek().kind != TokenKind::Eof {
         let cdfg = parser.function()?;
@@ -97,33 +94,30 @@ fn binary_op(kind: &TokenKind) -> Option<(Op, u8)> {
     })
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    /// Index of the next token; never moves past the final `Eof`.
-    pos: usize,
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The next token, not yet consumed; `Eof` once the input is used up.
+    token: Token,
     /// Nesting level of the expression being parsed (see [`MAX_DEPTH`]).
     depth: usize,
-    /// First line of the statement being compiled, which undefined names
-    /// report.
-    line: u32,
     /// The function being compiled.
     builder: CdfgBuilder,
 }
 
-impl Parser {
+impl Parser<'_> {
     fn peek(&self) -> &Token {
-        &self.tokens[self.pos]
+        &self.token
     }
 
-    fn advance(&mut self) {
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
-        }
+    /// Consumes the current token, pulling the next one from the lexer.
+    fn advance(&mut self) -> Result<(), SilageError> {
+        self.token = self.lexer.next_token()?;
+        Ok(())
     }
 
     fn expect(&mut self, kind: &TokenKind, expected: &str) -> Result<(), SilageError> {
         if &self.peek().kind == kind {
-            self.advance();
+            self.advance()?;
             Ok(())
         } else {
             Err(self.unexpected(expected))
@@ -138,13 +132,11 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self, what: &str) -> Result<String, SilageError> {
+    /// The name at the cursor.  The caller consumes it after checking it,
+    /// so an error at the name wins over a lexical error right after it.
+    fn ident(&self, what: &str) -> Result<String, SilageError> {
         match &self.peek().kind {
-            TokenKind::Ident(name) => {
-                let name = name.clone();
-                self.advance();
-                Ok(name)
-            }
+            TokenKind::Ident(name) => Ok(name.clone()),
             _ => Err(self.unexpected(what)),
         }
     }
@@ -153,6 +145,7 @@ impl Parser {
     fn function(&mut self) -> Result<Cdfg, SilageError> {
         self.expect(&TokenKind::Func, "`func`")?;
         let name = self.ident("function name")?;
+        self.advance()?;
         let mut declared = BTreeSet::new();
         let mut bitwidth = None;
         self.expect(&TokenKind::LParen, "`(`")?;
@@ -172,7 +165,6 @@ impl Parser {
         while self.peek().kind != TokenKind::RBrace {
             self.statement()?;
         }
-        self.advance();
         for output in outputs {
             let value = self
                 .builder
@@ -180,7 +172,9 @@ impl Parser {
                 .ok_or_else(|| SilageError::UnassignedOutput(output.clone()))?;
             self.builder.output(&output, value)?;
         }
-        Ok(std::mem::replace(&mut self.builder, CdfgBuilder::new("")).finish()?)
+        let cdfg = std::mem::replace(&mut self.builder, CdfgBuilder::new("")).finish()?;
+        self.advance()?;
+        Ok(cdfg)
     }
 
     /// A comma-separated port list, possibly empty.  Each name must be new
@@ -199,15 +193,16 @@ impl Parser {
             if !declared.insert(name.clone()) {
                 return Err(SilageError::DuplicateDeclaration(name));
             }
+            self.advance()?;
             if self.peek().kind == TokenKind::Colon {
-                self.advance();
+                self.advance()?;
                 self.expect(&TokenKind::Num, "`num`")?;
                 if self.peek().kind == TokenKind::LBracket {
-                    self.advance();
+                    self.advance()?;
                     match self.peek().kind {
                         TokenKind::Number(n @ 1..=64) => {
                             *bitwidth = (*bitwidth).max(Some(n as u32));
-                            self.advance();
+                            self.advance()?;
                         }
                         _ => return Err(self.unexpected("a bitwidth between 1 and 64")),
                     }
@@ -218,17 +213,18 @@ impl Parser {
             if self.peek().kind != TokenKind::Comma {
                 return Ok(ports);
             }
-            self.advance();
+            self.advance()?;
         }
     }
 
     /// `name = expression;` binds `name` to the expression's node.
     fn statement(&mut self) -> Result<(), SilageError> {
-        self.line = self.peek().line;
+        let line = self.peek().line;
         let name = self.ident("a statement (`name = expr;`)")?;
         if self.builder.lookup(&name).is_some() {
-            return Err(SilageError::Reassignment { name, line: self.line });
+            return Err(SilageError::Reassignment { name, line });
         }
+        self.advance()?;
         self.expect(&TokenKind::Assign, "`=`")?;
         let value = self.expression()?;
         self.expect(&TokenKind::Semicolon, "`;`")?;
@@ -274,7 +270,7 @@ impl Parser {
     fn conditional(&mut self) -> Result<NodeId, SilageError> {
         let mut arms = Vec::new();
         loop {
-            self.advance();
+            self.advance()?;
             let select = self.branch()?;
             self.expect(&TokenKind::Then, "`then`")?;
             let when_true = self.branch()?;
@@ -302,7 +298,7 @@ impl Parser {
         loop {
             let mut negations = 0usize;
             while self.peek().kind == TokenKind::Minus {
-                self.advance();
+                self.advance()?;
                 negations += 1;
             }
             let mut value = self.primary()?;
@@ -321,28 +317,30 @@ impl Parser {
             let Some((op, strength)) = next else {
                 return Ok(value);
             };
-            self.advance();
+            self.advance()?;
             compared |= strength == 0;
             pending.push((op, strength, value));
         }
     }
 
     fn primary(&mut self) -> Result<NodeId, SilageError> {
-        let value = match &self.tokens[self.pos].kind {
+        let Token { kind, line } = &self.token;
+        let value = match kind {
             TokenKind::Number(n) => self.builder.constant(*n),
-            TokenKind::Ident(name) => self.builder.lookup(name).ok_or_else(|| {
-                SilageError::UndefinedName { name: name.clone(), line: self.line }
-            })?,
+            TokenKind::Ident(name) => self
+                .builder
+                .lookup(name)
+                .ok_or_else(|| SilageError::UndefinedName { name: name.clone(), line: *line })?,
             TokenKind::LParen => return self.nested(Self::parenthesized),
             TokenKind::If => return self.nested(Self::conditional),
             _ => return Err(self.unexpected("an expression")),
         };
-        self.advance();
+        self.advance()?;
         Ok(value)
     }
 
     fn parenthesized(&mut self) -> Result<NodeId, SilageError> {
-        self.advance();
+        self.advance()?;
         let value = self.expression()?;
         self.expect(&TokenKind::RParen, "`)`")?;
         Ok(value)
@@ -481,6 +479,33 @@ mod tests {
         assert!(
             matches!(err, SilageError::UndefinedName { ref name, line: 2 } if name == "missing")
         );
+    }
+
+    /// An undefined name reports its own line, not the first line of its
+    /// statement.
+    #[test]
+    fn undefined_name_on_a_continuation_line_reports_that_line() {
+        let err = compile("func f(a) -> (o) {\n o = a +\n missing;\n}").unwrap_err();
+        assert_eq!(err, SilageError::UndefinedName { name: "missing".into(), line: 3 });
+    }
+
+    /// The parser pulls tokens as it goes, so a lexical error is reported
+    /// in source order like any other: never before an error ahead of it.
+    #[test]
+    fn lexical_errors_come_in_source_order_too() {
+        let deep = format!("func f(a) -> (o) {{ o = {}$", "(".repeat(MAX_DEPTH + 1));
+        assert_eq!(compile(&deep).unwrap_err(), SilageError::TooDeep { line: 1 });
+        let err = compile("func f(a) -> (o) {\n o = a +;\n p = $;\n}").unwrap_err();
+        assert!(matches!(err, SilageError::UnexpectedToken { line: 2, .. }), "{err:?}");
+        let err = compile("func f(a) -> (o) {\n o = a;\n p = $;\n}").unwrap_err();
+        assert_eq!(err, SilageError::UnexpectedChar { ch: '$', line: 3 });
+        // An error certain at a name or a `}` wins over a `$` right after.
+        let err = compile("func f(a) -> (o) { o = a; o$").unwrap_err();
+        assert_eq!(err, SilageError::Reassignment { name: "o".into(), line: 1 });
+        let err = compile("func f(a, a$").unwrap_err();
+        assert_eq!(err, SilageError::DuplicateDeclaration("a".into()));
+        let err = compile("func f(a) -> (o, p) { o = a; }$").unwrap_err();
+        assert_eq!(err, SilageError::UnassignedOutput("p".into()));
     }
 
     #[test]

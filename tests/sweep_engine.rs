@@ -47,7 +47,10 @@ fn engine_backed_table2_keeps_the_paper_ordering() {
 /// worker threads, zero failures, and the aggregates cover every circuit.
 #[test]
 fn small_full_matrix_runs_clean_on_two_threads() {
-    let (report, stats) = experiments::sweep::run_full_matrix(true, 2).unwrap();
+    let plan = experiments::sweep::full_matrix_plan(true).unwrap();
+    let engine = Engine::new();
+    let report = engine.run(&plan, 2);
+    let stats = engine.cache_stats();
     assert_eq!(report.failure_count(), 0);
     let circuits: Vec<&str> = report.summaries.iter().map(|s| s.circuit.as_str()).collect();
     assert_eq!(circuits, ["dealer", "gcd", "vender"]);
