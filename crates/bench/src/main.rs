@@ -28,7 +28,8 @@
 //!   no lower than `exact_min_energy`, and the largest gap is reported once
 //!   as `max_exact_gap_percent`,
 //! * `mux_analysis` — `MuxCones::analyze_all` per mux against
-//!   `naive::analyze`, sampled on three muxes; the cones must be equal.
+//!   `naive::analyze`, sampled on three muxes; the select driver (and
+//!   whether it is functional) and both shutdown sets must be equal.
 //!
 //! The first three kernels walk each circuit of one shared case list over
 //! the budgets cp..=cp+8 (`"unit": "walk"`: one call per budget);

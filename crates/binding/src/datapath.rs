@@ -1,6 +1,11 @@
 //! The assembled datapath: execution units, registers and steering logic.
+//!
+//! The steering network comes from one list of `(unit, port, source)`
+//! triples, one per operand read, sorted and deduplicated: each run of
+//! equal `(unit, port)` is one [`PortRouting`].  The operand sources are
+//! stored by node index, each node's ports contiguous.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use cdfg::{Cdfg, NodeId};
 use sched::Schedule;
@@ -54,7 +59,11 @@ pub struct Datapath {
     fu: FuBinding,
     registers: RegisterAllocation,
     routing: Vec<PortRouting>,
-    operand_sources: BTreeMap<(NodeId, u16), OperandSource>,
+    /// `operand_sources[operand_index[n]..operand_index[n + 1]]` are the
+    /// sources of node `n`'s operands in port order (empty unless `n` is
+    /// functional).
+    operand_index: Vec<u32>,
+    operand_sources: Vec<OperandSource>,
     bitwidth: u32,
 }
 
@@ -87,24 +96,42 @@ impl Datapath {
         let fu = FuBinding::bind_partitioned(cdfg, schedule, partition)?;
         let registers = RegisterAllocation::allocate(cdfg, schedule)?;
 
-        let mut routing_map: BTreeMap<(UnitId, u16), BTreeSet<OperandSource>> = BTreeMap::new();
-        let mut operand_sources: BTreeMap<(NodeId, u16), OperandSource> = BTreeMap::new();
-
-        for &node in cdfg.slices().functional() {
-            let unit = fu.unit_of(node).ok_or(BindError::UnscheduledNode(node))?;
-            for (port, &operand) in cdfg.operands(node).iter().enumerate() {
-                let source = source_of(cdfg, &registers, schedule, node, operand);
-                routing_map.entry((unit, port as u16)).or_default().insert(source);
-                operand_sources.insert((node, port as u16), source);
+        let slices = cdfg.slices();
+        let mut operand_index: Vec<u32> = Vec::with_capacity(slices.slot_count() + 1);
+        let mut operand_sources: Vec<OperandSource> = Vec::new();
+        let mut routed: Vec<(UnitId, u16, OperandSource)> = Vec::new();
+        operand_index.push(0);
+        for node in cdfg.node_ids() {
+            if slices.is_functional(node) {
+                let unit = fu.unit_of(node).ok_or(BindError::UnscheduledNode(node))?;
+                for (port, &operand) in cdfg.operands(node).iter().enumerate() {
+                    let source = source_of(cdfg, &registers, schedule, node, operand);
+                    routed.push((unit, port as u16, source));
+                    operand_sources.push(source);
+                }
             }
+            operand_index.push(operand_sources.len() as u32);
         }
 
-        let routing = routing_map
-            .into_iter()
-            .map(|((unit, port), sources)| PortRouting { unit, port, sources })
-            .collect();
+        routed.sort_unstable();
+        routed.dedup();
+        let mut routing: Vec<PortRouting> = Vec::new();
+        let mut rest = &routed[..];
+        while let Some(&(unit, port, _)) = rest.first() {
+            let len = rest.iter().take_while(|r| (r.0, r.1) == (unit, port)).count();
+            let (run, tail) = rest.split_at(len);
+            routing.push(PortRouting { unit, port, sources: run.iter().map(|r| r.2).collect() });
+            rest = tail;
+        }
 
-        Ok(Datapath { fu, registers, routing, operand_sources, bitwidth: cdfg.default_bitwidth() })
+        Ok(Datapath {
+            fu,
+            registers,
+            routing,
+            operand_index,
+            operand_sources,
+            bitwidth: cdfg.default_bitwidth(),
+        })
     }
 
     /// The functional-unit binding.
@@ -134,7 +161,9 @@ impl Datapath {
 
     /// The source feeding operand `port` of operation `node`.
     pub fn operand_source(&self, node: NodeId, port: u16) -> Option<OperandSource> {
-        self.operand_sources.get(&(node, port)).copied()
+        let start = *self.operand_index.get(node.index())? as usize;
+        let end = *self.operand_index.get(node.index() + 1)? as usize;
+        self.operand_sources[start..end].get(usize::from(port)).copied()
     }
 
     /// Total number of steering-multiplexor data inputs in the datapath (a

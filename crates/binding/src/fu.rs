@@ -6,8 +6,11 @@
 //! operation the lowest-numbered free unit of its class, which yields exactly
 //! the per-class peak concurrency of the schedule — the same number of units
 //! [`sched::Schedule::resource_usage`] reports.
+//!
+//! The sweep groups the functional nodes by step with a counting sort and
+//! sorts each step's nodes by `(class, partition, node)`; the binding is an
+//! array indexed by [`NodeId::index`].
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use cdfg::{Cdfg, NodeId, OpClass};
@@ -52,7 +55,8 @@ pub struct FunctionalUnit {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FuBinding {
     units: Vec<FunctionalUnit>,
-    assignment: BTreeMap<NodeId, UnitId>,
+    /// `assignment[n.index()]` is the unit executing node `n`, if bound.
+    assignment: Vec<Option<UnitId>>,
 }
 
 impl FuBinding {
@@ -84,57 +88,79 @@ impl FuBinding {
         schedule: &Schedule,
         partition: &dyn Fn(NodeId) -> u32,
     ) -> Result<Self, BindError> {
-        // Units per (class, partition), created on demand.
-        // `pools[key][k]` is the unit id of the k-th unit of that key.
-        let mut pools: BTreeMap<(OpClass, u32), Vec<UnitId>> = BTreeMap::new();
+        let slices = cdfg.slices();
+        let functional = slices.functional();
+        let mut last_step = 0;
+        for &node in functional {
+            match schedule.step_of(node) {
+                Some(step) => last_step = last_step.max(step as usize),
+                None => return Err(BindError::UnscheduledNode(node)),
+            }
+        }
+
+        // Counting sort of the functional nodes by step; each step keeps
+        // ascending node order.
+        let step_of = |node: NodeId| schedule.step_of(node).expect("checked above") as usize;
+        let mut step_start = vec![0usize; last_step + 2];
+        for &node in functional {
+            step_start[step_of(node) + 1] += 1;
+        }
+        for step in 0..=last_step {
+            step_start[step + 1] += step_start[step];
+        }
+        let mut next = step_start.clone();
+        let mut by_step = vec![NodeId::new(0); functional.len()];
+        for &node in functional {
+            let slot = &mut next[step_of(node)];
+            by_step[*slot] = node;
+            *slot += 1;
+        }
+
+        // Units per (class, partition), created on demand and kept sorted
+        // by key: `pools[i].1[k]` is the k-th unit of key `pools[i].0`.
+        let mut pools: Vec<((OpClass, u32), Vec<UnitId>)> = Vec::new();
         let mut units: Vec<FunctionalUnit> = Vec::new();
-        let mut assignment: BTreeMap<NodeId, UnitId> = BTreeMap::new();
-
-        for &node in cdfg.slices().functional() {
-            if schedule.step_of(node).is_none() {
-                return Err(BindError::UnscheduledNode(node));
-            }
-        }
-
-        for (_, nodes) in schedule.by_step() {
-            // Operations of this step grouped by class and partition, in
-            // node order for determinism.
-            let mut by_key: BTreeMap<(OpClass, u32), Vec<NodeId>> = BTreeMap::new();
-            for node in nodes {
-                if let Some(data) = cdfg.node(node) {
-                    if data.op.is_functional() {
-                        by_key.entry((data.op.class(), partition(node))).or_default().push(node);
+        // Units are named per class in id order: `sub_0`, `sub_1`, ...
+        let mut per_class = [0u32; OpClass::Structural as usize + 1];
+        let mut assignment: Vec<Option<UnitId>> = vec![None; slices.slot_count()];
+        let mut keyed: Vec<(OpClass, u32, NodeId)> = Vec::new();
+        for step in 0..=last_step {
+            // This step's operations by class and partition, in node order.
+            keyed.clear();
+            keyed.extend(
+                by_step[step_start[step]..step_start[step + 1]]
+                    .iter()
+                    .map(|&node| (cdfg.op(node).class(), partition(node), node)),
+            );
+            keyed.sort_unstable();
+            let mut k = 0;
+            for (i, &(class, part, node)) in keyed.iter().enumerate() {
+                k = if i > 0 && keyed[i - 1].0 == class && keyed[i - 1].1 == part {
+                    k + 1
+                } else {
+                    0
+                };
+                let pool = match pools.binary_search_by_key(&(class, part), |(key, _)| *key) {
+                    Ok(at) => at,
+                    Err(at) => {
+                        pools.insert(at, ((class, part), Vec::new()));
+                        at
                     }
+                };
+                let pool = &mut pools[pool].1;
+                if k >= pool.len() {
+                    let id = UnitId(units.len() as u32);
+                    let counter = &mut per_class[class as usize];
+                    units.push(FunctionalUnit {
+                        id,
+                        class,
+                        name: format!("{}_{}", class_prefix(class), counter),
+                    });
+                    *counter += 1;
+                    pool.push(id);
                 }
+                assignment[node.index()] = Some(pool[k]);
             }
-            for ((class, part), nodes) in by_key {
-                let pool = pools.entry((class, part)).or_default();
-                for (k, node) in nodes.into_iter().enumerate() {
-                    if k >= pool.len() {
-                        let id = UnitId(units.len() as u32);
-                        units.push(FunctionalUnit {
-                            id,
-                            class,
-                            name: format!(
-                                "{}_{}",
-                                class.label().to_lowercase().replace(['+', '-', '*', '/'], "fu"),
-                                k
-                            ),
-                        });
-                        pool.push(id);
-                    }
-                    assignment.insert(node, pool[k]);
-                }
-            }
-        }
-
-        // Give the units friendlier names now that the per-class counts are
-        // known (e.g. `sub_0`, `sub_1`).
-        let mut per_class_counter: BTreeMap<OpClass, u32> = BTreeMap::new();
-        for unit in &mut units {
-            let counter = per_class_counter.entry(unit.class).or_insert(0);
-            unit.name = format!("{}_{}", class_prefix(unit.class), counter);
-            *counter += 1;
         }
 
         Ok(FuBinding { units, assignment })
@@ -147,7 +173,7 @@ impl FuBinding {
 
     /// The unit executing `node`, if it was bound.
     pub fn unit_of(&self, node: NodeId) -> Option<UnitId> {
-        self.assignment.get(&node).copied()
+        self.assignment.get(node.index()).copied().flatten()
     }
 
     /// The unit record for `id`.
@@ -157,7 +183,7 @@ impl FuBinding {
 
     /// All operations bound to `unit`, in node order.
     pub fn nodes_on_unit(&self, unit: UnitId) -> Vec<NodeId> {
-        self.assignment.iter().filter(|(_, &u)| u == unit).map(|(&n, _)| n).collect()
+        self.iter().filter(|&(_, u)| u == unit).map(|(n, _)| n).collect()
     }
 
     /// Number of units of `class`.
@@ -165,9 +191,12 @@ impl FuBinding {
         self.units.iter().filter(|u| u.class == class).count()
     }
 
-    /// Iterates over `(node, unit)` assignments.
+    /// Iterates over `(node, unit)` assignments in node order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, UnitId)> + '_ {
-        self.assignment.iter().map(|(&n, &u)| (n, u))
+        self.assignment
+            .iter()
+            .enumerate()
+            .filter_map(|(i, unit)| Some((NodeId::new(i as u32), (*unit)?)))
     }
 }
 

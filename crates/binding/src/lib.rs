@@ -8,12 +8,18 @@
 //! simple area model used for the "Area" columns of Tables II and III.
 //!
 //! * [`fu`] — functional-unit binding (operations scheduled in the same step
-//!   go to different units; mutually exclusive operations may share),
+//!   always go to different units, even mutually exclusive ones; operations
+//!   in different steps may share a unit of their class unless a sharing
+//!   partition, such as per-operation supply voltage, separates them),
 //! * [`register`] — value lifetime analysis and left-edge register
 //!   allocation,
 //! * [`datapath`] — the assembled datapath model (units, registers,
 //!   steering multiplexors),
 //! * [`area`] — relative area estimation.
+//!
+//! Every pass stores its result by node index and produces exactly what
+//! the original `BTreeMap` passes did (`crates/gen/tests/scoring_identity.rs`
+//! keeps those as oracles).
 //!
 //! # Example
 //!

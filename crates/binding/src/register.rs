@@ -4,9 +4,21 @@
 //! stored in a register from the end of step `s` until its last use.
 //! Primary inputs are stored in input registers for as long as any operation
 //! reads them — these are exactly the registers whose *load enables* the
-//! power-management controller gates.
+//! power-management controller gates.  Constants get a register the same
+//! way, although [`crate::Datapath`] wires every read of a constant
+//! directly.
+//!
+//! Lifetimes and the value → register map are arrays indexed by
+//! [`NodeId::index`].  The left-edge pass takes the values in `(birth,
+//! death, value)` order and gives each the lowest-numbered register whose
+//! last value has died by its birth: a min-heap of busy registers keyed by
+//! that release step, and a min-heap of free register indices, make it
+//! O(n log n).  Because births arrive sorted, a register is free exactly
+//! when every value it holds has died, so this is the first fit over every
+//! register's occupants that the pass used to scan for.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 
 use cdfg::{Cdfg, NodeId};
@@ -82,8 +94,11 @@ pub struct Register {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RegisterAllocation {
     registers: Vec<Register>,
-    assignment: BTreeMap<NodeId, RegisterId>,
-    lifetimes: BTreeMap<NodeId, Lifetime>,
+    /// `assignment[n.index()]` is the register storing value `n`, if any.
+    assignment: Vec<Option<RegisterId>>,
+    /// `lifetimes[n.index()]` is the lifetime of value `n` (`None` for
+    /// output nodes, which produce no value).
+    lifetimes: Vec<Option<Lifetime>>,
 }
 
 impl RegisterAllocation {
@@ -98,31 +113,35 @@ impl RegisterAllocation {
         let lifetimes = compute_lifetimes(cdfg, schedule)?;
 
         // Left-edge: sort by birth, place each value in the first register
-        // whose current occupant lifetimes do not overlap.
-        let mut sorted: Vec<&Lifetime> =
-            lifetimes.values().filter(|l| l.needs_register()).collect();
-        sorted.sort_by_key(|l| (l.birth, l.death, l.value));
+        // whose occupants have all died by its birth.
+        let mut sorted: Vec<Lifetime> =
+            lifetimes.iter().flatten().filter(|l| l.needs_register()).copied().collect();
+        sorted.sort_unstable_by_key(|l| (l.birth, l.death, l.value));
 
         let mut registers: Vec<Register> = Vec::new();
-        let mut register_lifetimes: Vec<Vec<Lifetime>> = Vec::new();
-        let mut assignment: BTreeMap<NodeId, RegisterId> = BTreeMap::new();
-
+        let mut assignment: Vec<Option<RegisterId>> = vec![None; lifetimes.len()];
+        // Busy registers as `(release step, index)`, and free indices.
+        let mut busy: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
+        let mut free: BinaryHeap<Reverse<u32>> = BinaryHeap::new();
         for lifetime in sorted {
-            let slot = register_lifetimes
-                .iter()
-                .position(|occupants| occupants.iter().all(|o| !o.overlaps(lifetime)));
-            let index = match slot {
-                Some(i) => i,
+            while let Some(&Reverse((release, index))) = busy.peek() {
+                if release > lifetime.birth {
+                    break;
+                }
+                busy.pop();
+                free.push(Reverse(index));
+            }
+            let id = match free.pop() {
+                Some(Reverse(index)) => RegisterId(index),
                 None => {
                     let id = RegisterId(registers.len() as u32);
                     registers.push(Register { id, name: format!("r{}", id.0), values: Vec::new() });
-                    register_lifetimes.push(Vec::new());
-                    registers.len() - 1
+                    id
                 }
             };
-            registers[index].values.push(lifetime.value);
-            register_lifetimes[index].push(*lifetime);
-            assignment.insert(lifetime.value, registers[index].id);
+            registers[id.index()].values.push(lifetime.value);
+            assignment[lifetime.value.index()] = Some(id);
+            busy.push(Reverse((lifetime.death, id.0)));
         }
 
         Ok(RegisterAllocation { registers, assignment, lifetimes })
@@ -135,12 +154,12 @@ impl RegisterAllocation {
 
     /// The register storing `value`, if it needed one.
     pub fn register_of(&self, value: NodeId) -> Option<RegisterId> {
-        self.assignment.get(&value).copied()
+        self.assignment.get(value.index()).copied().flatten()
     }
 
     /// The lifetime computed for `value`.
     pub fn lifetime(&self, value: NodeId) -> Option<Lifetime> {
-        self.lifetimes.get(&value).copied()
+        self.lifetimes.get(value.index()).copied().flatten()
     }
 
     /// Number of registers allocated.
@@ -148,47 +167,65 @@ impl RegisterAllocation {
         self.registers.len()
     }
 
-    /// Iterates over all lifetimes (including values that ended up not
-    /// needing storage).
+    /// Iterates over all lifetimes in node order (including values that
+    /// ended up not needing storage).
     pub fn lifetimes(&self) -> impl Iterator<Item = &Lifetime> + '_ {
-        self.lifetimes.values()
+        self.lifetimes.iter().flatten()
     }
 }
 
-fn compute_lifetimes(
-    cdfg: &Cdfg,
-    schedule: &Schedule,
-) -> Result<BTreeMap<NodeId, Lifetime>, BindError> {
-    let step_of = |node: NodeId| -> Result<u32, BindError> {
-        let data = cdfg.node(node).ok_or(BindError::UnknownNode(node))?;
-        if data.op.is_functional() {
-            schedule.step_of(node).ok_or(BindError::UnscheduledNode(node))
+/// Every node's lifetime by node index (`None` for outputs): born in its
+/// step (0 for inputs and constants), dead at its last reader's step, where
+/// an output reads at the last step.
+fn compute_lifetimes(cdfg: &Cdfg, schedule: &Schedule) -> Result<Vec<Option<Lifetime>>, BindError> {
+    let slices = cdfg.slices();
+    if slices.functional().iter().any(|&n| schedule.step_of(n).is_none()) {
+        return Err(first_unscheduled(cdfg, schedule));
+    }
+    let step_of = |node: NodeId, op: cdfg::Op| -> u32 {
+        if op.is_functional() {
+            schedule.step_of(node).expect("checked above")
         } else {
-            Ok(0)
+            0
         }
     };
 
     let last_step = schedule.num_steps().max(schedule.last_used_step());
-    let mut lifetimes = BTreeMap::new();
+    let mut lifetimes: Vec<Option<Lifetime>> = cdfg
+        .iter_nodes()
+        .map(|(node, data)| {
+            let birth = step_of(node, data.op);
+            (!data.op.is_output()).then_some(Lifetime { value: node, birth, death: birth })
+        })
+        .collect();
+    for (consumer, data) in cdfg.iter_nodes() {
+        // Output values must survive to the end of the computation.
+        let read_at = if data.op.is_output() { last_step } else { step_of(consumer, data.op) };
+        for &operand in cdfg.operands(consumer) {
+            if let Some(lifetime) = &mut lifetimes[operand.index()] {
+                lifetime.death = lifetime.death.max(read_at);
+            }
+        }
+    }
+    Ok(lifetimes)
+}
+
+/// The error for a schedule missing a functional node: the first one met
+/// walking the values in node order, each value before its readers (in
+/// node order), as the lifetime pass has always reported it.
+fn first_unscheduled(cdfg: &Cdfg, schedule: &Schedule) -> BindError {
+    let unscheduled = |n: NodeId| cdfg.op(n).is_functional() && schedule.step_of(n).is_none();
     for (node, data) in cdfg.iter_nodes() {
         if data.op.is_output() {
             continue;
         }
-        let birth = step_of(node)?;
-        let mut death = birth;
-        for consumer in cdfg.data_successors(node) {
-            let consumer_data = cdfg.node(consumer).ok_or(BindError::UnknownNode(consumer))?;
-            let consumer_step = if consumer_data.op.is_output() {
-                // Output values must survive to the end of the computation.
-                last_step
-            } else {
-                step_of(consumer)?
-            };
-            death = death.max(consumer_step);
+        if let Some(n) =
+            std::iter::once(node).chain(cdfg.data_successors(node)).find(|&n| unscheduled(n))
+        {
+            return BindError::UnscheduledNode(n);
         }
-        lifetimes.insert(node, Lifetime { value: node, birth, death });
     }
-    Ok(lifetimes)
+    unreachable!("a functional node is unscheduled, and every node is walked")
 }
 
 #[cfg(test)]

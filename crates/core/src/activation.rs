@@ -9,6 +9,15 @@
 //! condition is computed in a strictly earlier control step (otherwise the
 //! controller cannot know whether to disable the input registers — the
 //! single-subtractor discussion at the end of Section II-B).
+//!
+//! An [`Activation`] is stored by node index, so a probability lookup is
+//! one array read and a build is one pass over the node slots plus a sort
+//! of the gatings.  Scoring one explored point builds three of them
+//! (the DVS weights, the voltage estimate and the managed-mux count); the
+//! results multiply gating factors in managed-mux order and sum classes
+//! in ascending node order, so every figure is bit-identical to the
+//! original map-based analysis (`crates/gen/tests/scoring_identity.rs`
+//! keeps that implementation as its oracle).
 
 use std::collections::BTreeMap;
 
@@ -71,11 +80,19 @@ impl SelectProbabilities {
 
 /// The result of activation analysis: an execution probability per
 /// functional node.
+///
+/// The probabilities and classes are arrays indexed by [`NodeId::index`]:
+/// a probability per node slot (1.0 for every node no multiplexor gates,
+/// structural nodes included) and a class per slot ([`OpClass::Structural`]
+/// marks the slots that are not functional).  The gatings are two parallel
+/// arrays sorted by node: `gating[i]` gates `gated[i]`, and each node's
+/// multiplexors keep the order they gated it in.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Activation {
-    probabilities: BTreeMap<NodeId, f64>,
-    gating: BTreeMap<NodeId, Vec<NodeId>>,
-    classes: BTreeMap<NodeId, OpClass>,
+    probabilities: Vec<f64>,
+    classes: Vec<OpClass>,
+    gated: Vec<NodeId>,
+    gating: Vec<NodeId>,
 }
 
 impl Activation {
@@ -87,22 +104,23 @@ impl Activation {
     /// factor of `P(branch of n is taken)` — but only if the select of `m` is
     /// known before `n` executes: either the select comes straight from a
     /// primary input, or its driver is scheduled in a strictly earlier
-    /// control step than `n`.
+    /// control step than `n`.  The factors multiply in `managed` order.
     pub fn compute(
         cdfg: &Cdfg,
         schedule: &Schedule,
         managed: &[ManagedMux],
         probs: &SelectProbabilities,
     ) -> Self {
-        let mut probabilities: BTreeMap<NodeId, f64> = BTreeMap::new();
-        let mut gating: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
-        let mut classes: BTreeMap<NodeId, OpClass> = BTreeMap::new();
-        for &node in cdfg.slices().functional() {
-            probabilities.insert(node, 1.0);
-            gating.insert(node, Vec::new());
-            classes.insert(node, cdfg.node(node).expect("live node").op.class());
+        let slices = cdfg.slices();
+        let slots = slices.slot_count();
+        let mut probabilities = vec![1.0; slots];
+        let mut classes = vec![OpClass::Structural; slots];
+        for &node in slices.functional() {
+            classes[node.index()] = cdfg.op(node).class();
         }
 
+        // `(node, mux)` for every gating, in managed-mux order.
+        let mut gated: Vec<(NodeId, NodeId)> = Vec::new();
         for mm in managed {
             let condition_step = if mm.select_functional {
                 // A functional select driver must be in the schedule; the
@@ -129,58 +147,70 @@ impl Activation {
                         None => continue,
                     };
                     if condition_step < node_step {
-                        if let Some(prob) = probabilities.get_mut(&node) {
-                            *prob *= p_exec;
+                        if slices.is_functional(node) {
+                            probabilities[node.index()] *= p_exec;
                         }
-                        gating.entry(node).or_default().push(mm.mux);
+                        gated.push((node, mm.mux));
                     }
                 }
             }
         }
 
-        Activation { probabilities, gating, classes }
+        // The sort is stable, so each node keeps its gating order.
+        gated.sort_by_key(|&(node, _)| node);
+        let (gated, gating) = gated.into_iter().unzip();
+        Activation { probabilities, classes, gated, gating }
     }
 
     /// Execution probability of `node` (1.0 for nodes that always run).
     pub fn probability(&self, node: NodeId) -> f64 {
-        self.probabilities.get(&node).copied().unwrap_or(1.0)
+        self.probabilities.get(node.index()).copied().unwrap_or(1.0)
     }
 
     /// Nodes whose execution probability is strictly below 1 — the
     /// operations the controller actually shuts down for some samples.
     pub fn gated_nodes(&self) -> Vec<NodeId> {
-        self.probabilities.iter().filter(|(_, &p)| p < 1.0).map(|(&n, _)| n).collect()
+        self.iter().filter(|&(_, p)| p < 1.0).map(|(n, _)| n).collect()
     }
 
     /// The multiplexors gating `node` (empty for always-on operations).
     pub fn gating_muxes(&self, node: NodeId) -> &[NodeId] {
-        self.gating.get(&node).map(Vec::as_slice).unwrap_or(&[])
+        let start = self.gated.partition_point(|&n| n < node);
+        let end = self.gated.partition_point(|&n| n <= node);
+        &self.gating[start..end]
     }
 
     /// Multiplexors that gate at least one operation — the number the paper
     /// reports in the "P.Man. Muxs" column of Table II.
     pub fn effective_muxes(&self) -> Vec<NodeId> {
-        let mut muxes: Vec<NodeId> = self.gating.values().flatten().copied().collect();
+        let mut muxes = self.gating.clone();
         muxes.sort();
         muxes.dedup();
         muxes
     }
 
     /// Expected number of executions per operation class in one computation
-    /// (the "Number of Operations" columns of Table II).
+    /// (the "Number of Operations" columns of Table II), each class summed
+    /// in ascending node order.
     pub fn expected_counts(&self) -> BTreeMap<OpClass, f64> {
-        let mut totals: BTreeMap<OpClass, f64> = BTreeMap::new();
-        for (node, p) in self.iter() {
-            if let Some(&class) = self.classes.get(&node) {
-                *totals.entry(class).or_insert(0.0) += p;
+        let mut totals: [Option<f64>; OpClass::FUNCTIONAL.len()] = Default::default();
+        for (class, &p) in self.classes.iter().zip(&self.probabilities) {
+            if *class != OpClass::Structural {
+                *totals[class.dense_index()].get_or_insert(0.0) += p;
             }
         }
-        totals
+        OpClass::FUNCTIONAL.into_iter().zip(totals).filter_map(|(c, t)| Some((c, t?))).collect()
     }
 
-    /// Iterates over `(node, probability)` pairs.
+    /// Iterates over `(node, probability)` pairs of the functional nodes,
+    /// in ascending node order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        self.probabilities.iter().map(|(&n, &p)| (n, p))
+        self.classes
+            .iter()
+            .zip(&self.probabilities)
+            .enumerate()
+            .filter(|(_, (class, _))| **class != OpClass::Structural)
+            .map(|(i, (_, &p))| (NodeId::new(i as u32), p))
     }
 }
 

@@ -158,61 +158,59 @@ pub fn power_manage(
             continue;
         }
 
-        let mut entry = ManagedMux {
+        // A select that comes straight from a primary input or a constant
+        // is available before step 1, so no ordering constraint is needed
+        // and the multiplexor is trivially manageable.
+        let mut accepted = !cones.select_driver_is_functional;
+        let mut control_edges = Vec::new();
+        if cones.select_driver_is_functional {
+            // Step 10 (tentatively): control edges from the last
+            // control-cone node to the top nodes of each shut-down cone.
+            // An edge `select_driver -> top` would close a cycle iff `top`
+            // is already an ancestor of the select driver — in that case
+            // the select driver depends on the node and the multiplexor
+            // cannot be managed.
+            edge_plan.clear();
+            let mut ok = true;
+            let ancestors = cone_ws.ancestors_of(&working, cones.select_driver);
+            for set in [&cones.shutdown_false, &cones.shutdown_true] {
+                for top in cones.top_nodes(&working, set) {
+                    if ancestors.contains(top.index()) {
+                        ok = false;
+                    }
+                    edge_plan.push((cones.select_driver, top));
+                }
+            }
+
+            // Steps 4-8: the feasibility test.  `tighten` re-propagates
+            // ASAP forward from the edge destinations and ALAP backward
+            // from the edge sources; on infeasibility it restores the
+            // previous fixed point, so a rejected candidate leaves no
+            // trace anywhere.
+            if ok {
+                ok = timing.tighten(&working, &edge_plan, &mut delta);
+            }
+
+            if ok {
+                accepted = true;
+                for &(before, after) in &edge_plan {
+                    let edge = working
+                        .add_control_edge(before, after)
+                        .expect("edge pre-checked against the ancestor set");
+                    control_edges.push(edge);
+                }
+            }
+        }
+        // The shut-down sets move into the entry; the cones are done.
+        managed.push(ManagedMux {
             mux,
             select_driver: cones.select_driver,
             select_functional: cones.select_driver_is_functional,
-            shutdown_false: cones.shutdown_false.clone(),
-            shutdown_true: cones.shutdown_true.clone(),
-            accepted: false,
-            control_edges: Vec::new(),
-        };
-
-        if !cones.select_driver_is_functional {
-            // The branch decision comes straight from a primary input or a
-            // constant: it is available before step 1, so no ordering
-            // constraint is needed and the multiplexor is trivially
-            // manageable.
-            entry.accepted = true;
-            managed.push(entry);
-            continue;
-        }
-
-        // Step 10 (tentatively): control edges from the last control-cone
-        // node to the top nodes of each shut-down cone.  An edge
-        // `select_driver -> top` would close a cycle iff `top` is already an
-        // ancestor of the select driver — in that case the select driver
-        // depends on the node and the multiplexor cannot be managed.
-        edge_plan.clear();
-        let mut ok = true;
-        let ancestors = cone_ws.ancestors_of(&working, cones.select_driver);
-        for set in [&cones.shutdown_false, &cones.shutdown_true] {
-            for top in cones.top_nodes(&working, set) {
-                if ancestors.contains(top.index()) {
-                    ok = false;
-                }
-                edge_plan.push((cones.select_driver, top));
-            }
-        }
-
-        // Steps 4-8: the feasibility test.  `tighten` re-propagates ASAP
-        // forward from the edge destinations and ALAP backward from the edge
-        // sources; on infeasibility it restores the previous fixed point, so
-        // a rejected candidate leaves no trace anywhere.
-        if ok {
-            ok = timing.tighten(&working, &edge_plan, &mut delta);
-        }
-
-        if ok {
-            entry.accepted = true;
-            for &(before, after) in &edge_plan {
-                let edge = working
-                    .add_control_edge(before, after)
-                    .expect("edge pre-checked against the ancestor set");
-                entry.control_edges.push(edge);
-            }
-        }
-        managed.push(entry);
+            shutdown_false: cones.shutdown_false,
+            shutdown_true: cones.shutdown_true,
+            accepted,
+            control_edges,
+        });
     }
 
     // Step 11: HYPER-style scheduling of the constrained graph.  Under an

@@ -2,8 +2,9 @@
 //!
 //! For every multiplexor we need to know three things:
 //!
-//! 1. which operations feed its *control* (select) input — these must be
-//!    scheduled early so the decision is available,
+//! 1. which operation drives its *control* (select) input — once it has
+//!    executed the branch decision is known, so the shut-down operations
+//!    are scheduled after it,
 //! 2. which operations feed only its 0-input — these can be shut down
 //!    whenever the select evaluates to 1,
 //! 3. which operations feed only its 1-input — these can be shut down
@@ -20,7 +21,7 @@
 //! # Implementation
 //!
 //! The analysis runs on dense bitsets over node indices through a reusable
-//! [`ConeWorkspace`]: cone membership is a BFS over the CSR
+//! [`ConeWorkspace`]: each data port's cone membership is a BFS over the CSR
 //! [`cdfg::Slices`] data adjacency, and the shut-down criterion is evaluated
 //! by one reverse-topological "needed" sweep over the cone members instead
 //! of a whole-graph reverse reachability per branch.  Per working graph, the
@@ -28,10 +29,13 @@
 //! is computed once by [`ConeWorkspace::prepare`] and shared by every
 //! multiplexor — control edges never change it, so the per-mux loop in
 //! [`crate::algorithm`] prepares once and analyzes hundreds of muxes against
-//! the same set.  The public [`MuxCones`] sets stay `BTreeSet` so reports
-//! and orderings are byte-identical to the original implementation (the
-//! retained [`crate::naive`] reference pins this equality in the
-//! cone-identity property tests).
+//! the same set.  [`MuxCones`] keeps only what the selection loop and the
+//! mux ordering read: the select driver and the two shut-down sets.  Those
+//! sets stay `BTreeSet`, so reports and orderings are byte-identical to the
+//! original implementation (the retained [`crate::naive`] reference, which
+//! still walks the whole fanin cones, pins this equality in the
+//! cone-identity property tests).  The fanin cones themselves are
+//! [`cdfg::cone::port_fanin`] away.
 
 use std::collections::BTreeSet;
 
@@ -149,12 +153,6 @@ impl ConeWorkspace {
         }
     }
 
-    /// The functional members of the collected cone as the public
-    /// `BTreeSet` representation.
-    fn functional_cone_set(&self, slices: &Slices) -> BTreeSet<NodeId> {
-        self.cone_nodes.iter().copied().filter(|&n| slices.is_functional(n)).collect()
-    }
-
     /// Computes the shut-down-eligible subset of the collected cone for one
     /// branch: one reverse-topological sweep over the cone members.
     ///
@@ -234,20 +232,12 @@ pub struct MuxCones {
     /// primary input or constant, in which case the decision is available
     /// from step 1 and no control edge is needed.
     pub select_driver_is_functional: bool,
-    /// Functional operations in the transitive fanin of the select input
-    /// (including the driver itself when functional).
-    pub select_cone: BTreeSet<NodeId>,
-    /// Functional operations in the transitive fanin of the 0-input
-    /// (including its driver).
-    pub false_cone: BTreeSet<NodeId>,
-    /// Functional operations in the transitive fanin of the 1-input
-    /// (including its driver).
-    pub true_cone: BTreeSet<NodeId>,
-    /// Subset of [`MuxCones::false_cone`] that may be shut down when the
-    /// select is 1 (their only use is the discarded 0-branch value).
+    /// Functional operations of the 0-input's fanin cone (its driver
+    /// included) that may be shut down when the select is 1: their only
+    /// use is the discarded 0-branch value.
     pub shutdown_false: BTreeSet<NodeId>,
-    /// Subset of [`MuxCones::true_cone`] that may be shut down when the
-    /// select is 0.
+    /// Functional operations of the 1-input's fanin cone that may be shut
+    /// down when the select is 0.
     pub shutdown_true: BTreeSet<NodeId>,
 }
 
@@ -289,27 +279,13 @@ impl MuxCones {
         let select_driver_is_functional =
             cdfg.node(select_driver).map(|d| d.op.is_functional()).unwrap_or(false);
 
-        ws.collect_port_cone(slices, select_driver);
-        let select_cone = ws.functional_cone_set(slices);
-
         ws.collect_port_cone(slices, false_driver);
-        let false_cone = ws.functional_cone_set(slices);
         let shutdown_false = ws.shutdown_set(cdfg, slices, mux, false_driver, MUX_FALSE_PORT);
 
         ws.collect_port_cone(slices, true_driver);
-        let true_cone = ws.functional_cone_set(slices);
         let shutdown_true = ws.shutdown_set(cdfg, slices, mux, true_driver, MUX_TRUE_PORT);
 
-        MuxCones {
-            mux,
-            select_driver,
-            select_driver_is_functional,
-            select_cone,
-            false_cone,
-            true_cone,
-            shutdown_false,
-            shutdown_true,
-        }
+        MuxCones { mux, select_driver, select_driver_is_functional, shutdown_false, shutdown_true }
     }
 
     /// Analyses every multiplexor of the design through one shared
@@ -342,7 +318,12 @@ impl MuxCones {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdfg::Op;
+    use cdfg::{cone, Op};
+
+    /// The functional members of `mux`'s fanin cone through `port`.
+    fn port_cone(g: &Cdfg, mux: NodeId, port: u16) -> BTreeSet<NodeId> {
+        cone::functional_only(g, &cone::port_fanin(g, mux, port))
+    }
 
     fn abs_diff() -> (Cdfg, NodeId, NodeId, NodeId, NodeId) {
         let mut g = Cdfg::new("abs_diff");
@@ -362,9 +343,9 @@ mod tests {
         let cones = MuxCones::analyze(&g, m);
         assert_eq!(cones.select_driver, gt);
         assert!(cones.select_driver_is_functional);
-        assert_eq!(cones.select_cone, [gt].into_iter().collect());
-        assert_eq!(cones.false_cone, [bma].into_iter().collect());
-        assert_eq!(cones.true_cone, [amb].into_iter().collect());
+        assert_eq!(port_cone(&g, m, MUX_SELECT_PORT), [gt].into_iter().collect());
+        assert_eq!(port_cone(&g, m, MUX_FALSE_PORT), [bma].into_iter().collect());
+        assert_eq!(port_cone(&g, m, MUX_TRUE_PORT), [amb].into_iter().collect());
         // Both subtractions are exclusively used by their own branch, so both
         // can be shut down.
         assert_eq!(cones.shutdown_false, [bma].into_iter().collect());
@@ -388,8 +369,8 @@ mod tests {
         g.add_output("o", m).unwrap();
 
         let cones = MuxCones::analyze(&g, m);
-        assert!(cones.false_cone.contains(&sum));
-        assert!(cones.true_cone.contains(&sum));
+        assert!(port_cone(&g, m, MUX_FALSE_PORT).contains(&sum));
+        assert!(port_cone(&g, m, MUX_TRUE_PORT).contains(&sum));
         assert!(!cones.shutdown_false.contains(&sum), "shared op stays on");
         assert!(!cones.shutdown_true.contains(&sum), "shared op stays on");
         // The subtraction is exclusive to the false branch.
@@ -412,7 +393,7 @@ mod tests {
         g.add_output("also_diff", diff).unwrap();
 
         let cones = MuxCones::analyze(&g, m);
-        assert!(cones.false_cone.contains(&diff));
+        assert!(port_cone(&g, m, MUX_FALSE_PORT).contains(&diff));
         assert!(!cones.shutdown_false.contains(&diff), "value escapes through another output");
         assert_eq!(cones.shutdown_true, [sum].into_iter().collect());
     }
@@ -431,7 +412,7 @@ mod tests {
         let cones = MuxCones::analyze(&g, m);
         assert_eq!(cones.select_driver, sel);
         assert!(!cones.select_driver_is_functional);
-        assert!(cones.select_cone.is_empty());
+        assert!(port_cone(&g, m, MUX_SELECT_PORT).is_empty());
         assert_eq!(cones.shutdown_false, [sum].into_iter().collect());
         assert_eq!(cones.shutdown_true, [diff].into_iter().collect());
     }

@@ -27,7 +27,8 @@ use crate::report::{ManagedMux, PowerManagementResult};
 /// The original per-mux cone analysis: three `BTreeSet` fanin walks plus one
 /// full reverse-reachability traversal per branch (with a per-node
 /// `distance_to_output` scan inside — the O(n²) pass the bitset rewrite
-/// removed).
+/// removed).  The three fanin cones stay local: [`MuxCones`] carries only
+/// the shut-down sets derived from them.
 ///
 /// # Panics
 ///
@@ -44,23 +45,16 @@ pub fn analyze(cdfg: &Cdfg, mux: NodeId) -> MuxCones {
     let select_driver_is_functional =
         cdfg.node(select_driver).map(|d| d.op.is_functional()).unwrap_or(false);
 
-    let select_cone = cone::functional_only(cdfg, &cone::port_fanin(cdfg, mux, MUX_SELECT_PORT));
+    // The select cone is still walked, as the original did, so the
+    // reference keeps its cost; nothing reads it.
+    let _select_cone = cone::functional_only(cdfg, &cone::port_fanin(cdfg, mux, MUX_SELECT_PORT));
     let false_cone = cone::functional_only(cdfg, &cone::port_fanin(cdfg, mux, MUX_FALSE_PORT));
     let true_cone = cone::functional_only(cdfg, &cone::port_fanin(cdfg, mux, MUX_TRUE_PORT));
 
     let shutdown_false = shutdown_set(cdfg, mux, false_driver, MUX_FALSE_PORT, &false_cone);
     let shutdown_true = shutdown_set(cdfg, mux, true_driver, MUX_TRUE_PORT, &true_cone);
 
-    MuxCones {
-        mux,
-        select_driver,
-        select_driver_is_functional,
-        select_cone,
-        false_cone,
-        true_cone,
-        shutdown_false,
-        shutdown_true,
-    }
+    MuxCones { mux, select_driver, select_driver_is_functional, shutdown_false, shutdown_true }
 }
 
 /// The original shut-down-set computation: reverse reachability from all
